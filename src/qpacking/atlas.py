@@ -95,10 +95,6 @@ def rational_json(q: Fraction) -> dict[str, str]:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def rational_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def atlas_to_json(rows: list[AtlasRow], nmax: int, mmax: int) -> str:
     payload = {
         "nmax": nmax,
@@ -130,9 +126,9 @@ def atlas_to_csv(rows: list[AtlasRow]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
-        polys = ";".join(" ".join(rational_str(c) for c in poly) for poly in row.polynomials)
+        polys = ";".join(" ".join(str(c) for c in poly) for poly in row.polynomials)
         writer.writerow([
-            row.n, row.m, row.l, row.n_over_l, rational_str(row.l2_over_n),
+            row.n, row.m, row.l, row.n_over_l, str(row.l2_over_n),
             row.qpp_count, " ".join(str(k) for k in row.ks),
             row.canonical[0], row.canonical[1], polys,
         ])

@@ -33,7 +33,6 @@ class SectorArithmetic:
     n_over_l: int
     l2_over_n: Fraction
     divides_n_l2: bool
-    m1_over_l_mod: int
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ def sector_arithmetic(s: SectorSpec) -> SectorArithmetic:
     # n | l^2 and n | (m-1)^2 are equivalent; keep both routes computed.
     assert divides == ((s.m - 1) ** 2 % s.n == 0)
     assert gcd((s.m - 1) // l, v) == 1
-    return SectorArithmetic(l, v, l2_over_n, divides, ((s.m - 1) // l) % v)
+    return SectorArithmetic(l, v, l2_over_n, divides)
 
 
 def forced_quadratic_coeffs(s: SectorSpec) -> tuple[int, int, int] | None:

@@ -11,12 +11,22 @@ import json
 import sys
 from fractions import Fraction
 
-from .atlas import atlas_to_csv, atlas_to_json, build_atlas, rational_json, rational_str, summary_line
+from .atlas import atlas_to_csv, atlas_to_json, build_atlas, rational_json, summary_line
 from .classify import classify, no_qpp_reason, sector_arithmetic
 from .geometry import make_sector
 from .poly import QuadPoly, format_factored, format_poly
 from .render import render_figure
 from .verify import SearchBounds, brute_force_search, packing_window_verify
+
+
+def _int_at_least(lo: int):
+    """argparse type for an integer option that must be >= lo."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return integer
 
 
 def _parse_coeffs(spec: str) -> QuadPoly:
@@ -73,7 +83,7 @@ def _cmd_classify(args) -> int:
         return 0
     title = f"sector {s.n}/{s.m}" + (" (first quadrant)" if s.is_quadrant else "")
     print(title)
-    print(f"l = {ar.l}, n/l = {ar.n_over_l}, l^2/n = {rational_str(ar.l2_over_n)}")
+    print(f"l = {ar.l}, n/l = {ar.n_over_l}, l^2/n = {ar.l2_over_n}")
     print(f"n | (m-1)^2: {'yes' if ar.divides_n_l2 else 'no'}")
     reason = no_qpp_reason(s)
     if reason is not None:
@@ -93,9 +103,6 @@ def _cmd_verify(args) -> int:
     s = _sector_or_usage(args.n, args.m)
     if s is None:
         return 2
-    if args.xmax < 1:
-        print(f"error: --xmax must be >= 1, got {args.xmax}", file=sys.stderr)
-        return 2
     try:
         poly = _parse_coeffs(args.coefficients)
     except ValueError as exc:
@@ -105,7 +112,7 @@ def _cmd_verify(args) -> int:
     print(f"polynomial: {format_poly(poly)}")
     print(f"window: x <= {cert.x_max}")
     if cert.floor_bound is not None:
-        print(f"tail floor (x > {cert.x_max}): {rational_str(cert.floor_bound)}")
+        print(f"tail floor (x > {cert.x_max}): {cert.floor_bound}")
     if cert.threshold is not None:
         print(f"threshold T: {cert.threshold}")
     if cert.ok:
@@ -116,12 +123,14 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_bounds(text: str, mode: str) -> SearchBounds:
-    parts = text.split(":")
-    if mode == "restricted" and len(parts) == 3:
-        d, e, f = (abs(int(p)) for p in parts)
+    values = [int(p) for p in text.split(":")]
+    if any(v < 0 for v in values):
+        raise ValueError(f"bounds must be non-negative, got {text}")
+    if mode == "restricted" and len(values) == 3:
+        d, e, f = values
         return SearchBounds(d=(-d, d), e=(-e, e), f=(0, f))
-    if mode == "full" and len(parts) == 6:
-        a, b, c, d, e, f = (abs(int(p)) for p in parts)
+    if mode == "full" and len(values) == 6:
+        a, b, c, d, e, f = values
         return SearchBounds(d=(-d, d), e=(-e, e), f=(0, f), a=(1, max(1, a)), b=(-b, b), c=(0, c))
     raise ValueError(
         "bounds must be D:E:F in restricted mode (D,E in [-D,D] etc., F in [0,F]) "
@@ -135,14 +144,11 @@ def _cmd_search(args) -> int:
         return 2
     try:
         bounds = _parse_bounds(args.bounds, args.mode)
+        found = brute_force_search(s, bounds, mode=args.mode, x_max=args.xmax,
+                                   t_min=args.tmin, jobs=args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.xmax < 1:
-        print(f"error: --xmax must be >= 1, got {args.xmax}", file=sys.stderr)
-        return 2
-    found = brute_force_search(s, bounds, mode=args.mode, x_max=args.xmax,
-                               t_min=args.tmin, jobs=args.jobs)
     if args.format == "json":
         payload = {
             "sector": {"n": s.n, "m": s.m},
@@ -160,9 +166,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    if args.nmax < 1 or args.mmax < 1:
-        print("error: --nmax and --mmax must be >= 1", file=sys.stderr)
-        return 2
     rows = build_atlas(args.nmax, args.mmax, jobs=args.jobs)
     text = atlas_to_json(rows, args.nmax, args.mmax) if args.format == "json" else atlas_to_csv(rows)
     out = args.out or f"atlas.{args.format}"
@@ -179,9 +182,6 @@ def _cmd_atlas(args) -> int:
 def _cmd_render(args) -> int:
     s = _sector_or_usage(args.n, args.m)
     if s is None:
-        return 2
-    if args.xmax < 1 or args.value_max < 0:
-        print("error: --xmax must be >= 1 and --value-max >= 0", file=sys.stderr)
         return 2
     try:
         text = render_figure(s, args.k, x_max=args.xmax, value_max=args.value_max, fmt=args.format)
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("coefficients", help="six rationals 'x^2,xy,y^2,x,y,1', e.g. '2,-2,1/2,0,1/2,0'")
-    p.add_argument("--xmax", type=int, default=30)
+    p.add_argument("--xmax", type=_int_at_least(1), default=30)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive coefficient search with certified acceptance")
@@ -228,27 +228,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("restricted", "full"), default="restricted")
     p.add_argument("--bounds", default="12:12:12",
                    help="D:E:F (restricted) or A:B:C:D:E:F (full); D,E,B span [-X,X], F,C span [0,X], A spans [1,X]")
-    p.add_argument("--xmax", type=int, default=25)
+    p.add_argument("--xmax", type=_int_at_least(1), default=25)
     p.add_argument("--tmin", type=int, default=None,
                    help="only accept candidates certified to threshold at least this")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("atlas", help="classification table over a sector range")
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--mmax", type=int, required=True)
+    p.add_argument("--nmax", type=_int_at_least(1), required=True)
+    p.add_argument("--mmax", type=_int_at_least(1), required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("render", help="labeled lattice figure for a classified polynomial")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("k", type=int)
-    p.add_argument("--xmax", type=int, default=6)
-    p.add_argument("--value-max", type=int, default=40)
+    p.add_argument("--xmax", type=_int_at_least(1), default=6)
+    p.add_argument("--value-max", type=_int_at_least(0), default=40)
     p.add_argument("--format", choices=("svg", "ascii"), default="ascii")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_render)

@@ -17,8 +17,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import floor, gcd
 
-Rational = Fraction
-
 
 def _frac(value) -> Fraction:
     if isinstance(value, float):
@@ -161,15 +159,15 @@ def x_axis_reflection() -> UnimodularMap:
     return UnimodularMap(1, 0, 0, -1)
 
 
-def reduce_general_sector(omega1, omega2) -> tuple[UnimodularMap, SectorSpec | None]:
+def reduce_general_sector(omega1, omega2) -> tuple[UnimodularMap, SectorSpec]:
     """Reduce the cone spanned by omega1 and omega2 to a standard sector.
 
     omega1 = (r, s) must be a coprime integer pair with r >= 1.  The returned
     map has determinant +-1, sends omega1 to a positive multiple of (1, 0) and
     omega2 into the first quadrant; a reflection and an integral shear are
     composed in only when needed.  The second value is the sector spanned by
-    the two image rays, or None when omega2 was given inexactly (floats), in
-    which case no exact slope exists to report.
+    the two image rays.  omega2 must be exact (integers or Fractions); floats
+    raise TypeError.
     """
     r, s = omega1
     if not (isinstance(r, int) and isinstance(s, int)):
@@ -180,13 +178,8 @@ def reduce_general_sector(omega1, omega2) -> tuple[UnimodularMap, SectorSpec | N
     if g != 1:
         raise ValueError(f"omega1 coordinates must be coprime, got {omega1}")
 
-    exact = not (isinstance(omega2[0], float) or isinstance(omega2[1], float))
     total = UnimodularMap(a, b, -s, r)
-    if exact:
-        vx, vy = total.apply((_frac(omega2[0]), _frac(omega2[1])))
-    else:
-        vx = a * omega2[0] + b * omega2[1]
-        vy = -s * omega2[0] + r * omega2[1]
+    vx, vy = total.apply((_frac(omega2[0]), _frac(omega2[1])))
 
     if vy == 0:
         raise ValueError(f"omega2 {omega2} is parallel to omega1 {omega1}")
@@ -195,11 +188,9 @@ def reduce_general_sector(omega1, omega2) -> tuple[UnimodularMap, SectorSpec | N
         vy = -vy
     if vx < 0:
         t = -floor(vx / vy)
-        total = shear_map(int(t)) @ total
+        total = shear_map(t) @ total
         vx = vx + t * vy
 
-    if not exact:
-        return total, None
     if vx == 0:
         return total, SectorSpec(1, 0)
     slope = vy / vx

@@ -52,10 +52,6 @@ class QuadPoly:
             + self.c_x * x + self.c_y * y + self.c_0
         )
 
-    def evaluate(self, point) -> Fraction:
-        x, y = point
-        return self(x, y)
-
     def coefficients(self) -> tuple[Fraction, ...]:
         return (self.c_xx, self.c_xy, self.c_yy, self.c_x, self.c_y, self.c_0)
 
@@ -201,17 +197,13 @@ def alpha_form_d(s: SectorSpec, k: int) -> int:
 _MONOMIAL_FIELDS = (("x^2", "c_xx"), ("x*y", "c_xy"), ("y^2", "c_yy"), ("x", "c_x"), ("y", "c_y"), ("", "c_0"))
 
 
-def _coeff_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _term_body(coeff: Fraction, monomial: str) -> str:
     mag = abs(coeff)
     if not monomial:
-        return _coeff_str(mag)
+        return str(mag)
     if mag == 1:
         return monomial
-    return f"{_coeff_str(mag)}*{monomial}"
+    return f"{mag}*{monomial}"
 
 
 def _join_terms(parts: list[tuple[str, str]]) -> str:
@@ -291,7 +283,7 @@ def format_factored(s: SectorSpec, k: int) -> str:
     scale = Fraction(n, 2)
     first = _linear_factor_str(-beta, Fraction(0))
     second = _linear_factor_str(-beta, -Fraction(kl, n))
-    prefix = "" if scale == 1 else f"{_coeff_str(scale)}*"
+    prefix = "" if scale == 1 else f"{scale}*"
     parts = [("+", f"{prefix}{first}*{second}"), ("+", "x")]
     y_coeff = Fraction(kl - (m - 1), n)
     if y_coeff != 0:

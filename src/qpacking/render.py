@@ -14,7 +14,7 @@ from math import gcd
 from .classify import admissible_ks, classify, no_qpp_reason
 from .geometry import SectorSpec
 from .poly import QuadPoly
-from .staircase import lattice_window
+from .verify import window_values
 
 SVG_SCALE = 40  # drawing units per lattice step
 SVG_MARGIN = 30
@@ -46,21 +46,15 @@ def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fm
 
 
 def _window_values(s: SectorSpec, poly: QuadPoly, x_max: int) -> dict[tuple[int, int], int]:
-    values = {}
-    for pt in lattice_window(s, x_max):
-        v = poly.evaluate(pt)
-        assert v.denominator == 1 and v >= 0
-        values[pt] = int(v)
-    return values
-
-
-def _y_top(s: SectorSpec, x_max: int) -> int:
-    return x_max if s.m == 0 else (s.n * x_max) // s.m
+    pts, scale, vals = window_values(poly, s, x_max)
+    scaled = vals.tolist()
+    assert all(v >= 0 and v % scale == 0 for v in scaled)
+    return {pt: v // scale for pt, v in zip(pts, scaled)}
 
 
 def _render_ascii(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> str:
     values = _window_values(s, poly, x_max)
-    y_top = _y_top(s, x_max)
+    y_top = max(y for _, y in values)
     labeled = [v for v in values.values() if v <= value_max]
     width = max(2, max((len(str(v)) for v in labeled), default=1) + 1)
     lines = []
@@ -89,7 +83,7 @@ def _fmt_len(q: Fraction) -> str:
 
 def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> str:
     values = _window_values(s, poly, x_max)
-    y_top = _y_top(s, x_max)
+    y_top = max(y for _, y in values)
     width = 2 * SVG_MARGIN + SVG_SCALE * x_max + 30
     height = 2 * SVG_MARGIN + SVG_SCALE * y_top
 

@@ -7,6 +7,11 @@ T = floor(infimum) - 1, a window whose values are distinct non-negative
 integers containing all of {0, ..., T} certifies that the polynomial packs the
 initial segment {0, ..., T} correctly, no matter what happens further out.
 
+Window values are exact integers from one place: ``window_values`` evaluates
+L*p, with L the lcm of p's coefficient denominators, on the arrays of
+``_window``.  These are int64 only when the window's real x and y extents prove
+that nothing can overflow, and hold Python ints otherwise.
+
 ``brute_force_search`` rediscovers classifications without trusting them: it
 scans integer coefficient boxes, discards candidates by exact integer
 arithmetic (a negative value or a collision inside the window is final), and
@@ -19,7 +24,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd
+from itertools import product
+from math import floor, gcd, lcm
 from typing import Literal
 
 import numpy as np
@@ -91,7 +97,7 @@ def _restrict(p: QuadPoly, base, direction) -> tuple[Fraction, Fraction, Fractio
     return (
         _qform(p, direction),
         2 * _qbil(p, base, direction) + _linear(p, direction),
-        p.evaluate(base),
+        p(*base),
     )
 
 
@@ -206,26 +212,53 @@ def _window_tail_floor(p: QuadPoly, s: SectorSpec, x_max: int) -> Fraction | Non
     return None if other is None else min(bound, other)
 
 
+def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
+    """The window x <= x_max as its points and their x and y arrays.
+
+    On the window, a quadratic with integer coefficients of size at most cap,
+    and each of its partial sums, has size at most cap * (x_max + y_top + 1)^2.
+    The arrays are int64 when that is below 2^62, else Python-int object arrays.
+    """
+    pts = lattice_window(s, x_max)
+    y_top = pts[-1][1]
+    dtype = np.int64 if cap * (x_max + y_top + 1) ** 2 < 2 ** 62 else object
+    xs = np.array([x for x, _ in pts], dtype=dtype)
+    ys = np.array([y for _, y in pts], dtype=dtype)
+    return pts, xs, ys
+
+
+def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[list[tuple[int, int]], int, np.ndarray]:
+    """(points, L, L*p at each point) on the window x <= x_max, exactly.
+
+    L is the lcm of p's coefficient denominators: p(pt) is integral iff L divides L*p(pt).
+    """
+    scale = lcm(*(c.denominator for c in p.coefficients()))
+    a, b, c, d, e, f = (int(q * scale) for q in p.coefficients())
+    pts, xs, ys = _window(s, x_max, max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f)))
+    return pts, scale, a * xs * xs + b * xs * ys + c * ys * ys + d * xs + e * ys + f
+
+
 def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCertificate:
     """Check the packing property on the window x <= x_max with a certified threshold."""
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
+    pts, scale, vals = window_values(p, s, x_max)
     seen: dict[int, tuple[int, int]] = {}
-    for pt in lattice_window(s, x_max):
-        value = p.evaluate(pt)
-        if value.denominator != 1:
+    for pt, scaled in zip(pts, vals.tolist()):
+        v, rem = divmod(scaled, scale)
+        if rem:
+            value = Fraction(scaled, scale)
             return WindowCertificate(x_max, None, None, Failure(
                 "non_integral_value", f"value {value} at {pt} is not an integer",
                 witnesses=(pt,), value=value))
-        v = int(value)
         if v < 0:
             return WindowCertificate(x_max, None, None, Failure(
                 "negative_value", f"value {v} at {pt} is negative",
-                witnesses=(pt,), value=value))
+                witnesses=(pt,), value=Fraction(v)))
         if v in seen:
             return WindowCertificate(x_max, None, None, Failure(
                 "collision", f"value {v} taken at both {seen[v]} and {pt}",
-                witnesses=(seen[v], pt), value=value))
+                witnesses=(seen[v], pt), value=Fraction(v)))
         seen[v] = pt
 
     bound = _window_tail_floor(p, s, x_max)
@@ -253,7 +286,7 @@ def first_steps_cover_range(s: SectorSpec, k: int, f_const: int) -> bool:
     v = s.n // gcd(s.m - 1, s.n)
     values = set()
     for i in range(k):
-        value = p.evaluate((Fraction(i, v), first_step_y(s, i)))
+        value = p(Fraction(i, v), first_step_y(s, i))
         if value.denominator != 1:
             return False
         values.add(int(value))
@@ -291,11 +324,7 @@ def _covers_initial_segment(sorted_vals: np.ndarray, f_shift: int, t_min: int) -
 
 
 def _scan_chunk(args) -> list[tuple[int, int, int, int, int, int]]:
-    (n, m, abc_list, d_lo, d_hi, e_rng, f_rng, x_max, t_min) = args
-    s = SectorSpec(n, m)
-    pts = lattice_window(s, x_max)
-    xs = np.array([pt[0] for pt in pts], dtype=np.int64)
-    ys = np.array([pt[1] for pt in pts], dtype=np.int64)
+    (s, xs, ys, abc_list, d_lo, d_hi, e_rng, f_rng, x_max, t_min) = args
     half_x = (xs * (xs - 1)) // 2
     half_y = (ys * (ys - 1)) // 2
     xy = xs * ys
@@ -334,11 +363,14 @@ def brute_force_search(
 
     Restricted mode pins (A, B, C) to the sector's forced quadratic part and
     scans (D, E, F); full mode scans all six (A >= 1).  Candidates are
-    prescreened with exact 64-bit integer arithmetic (only provably failing
-    candidates are dropped); each accepted polynomial carries a passing
-    certificate from ``packing_window_verify`` at the configured window, with
-    threshold at least ``t_min`` when given.  Output is deterministic and
-    sorted by coefficient tuple, independent of ``jobs``.
+    prescreened in int64 on the window arrays from ``_window``, whose bound
+    covers every alpha-form value with coefficients inside the box, so the
+    prescreen is exact and drops only provably failing candidates.  Bounds for
+    which ``_window`` cannot prove that are refused with ``ValueError``.  Each
+    accepted polynomial carries a passing certificate from
+    ``packing_window_verify`` at the configured window, with threshold at
+    least ``t_min`` when given.  Output is deterministic and sorted by
+    coefficient tuple, independent of ``jobs``.
     """
     if mode not in ("restricted", "full"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -351,25 +383,19 @@ def brute_force_search(
         fixed = forced_quadratic_coeffs(s)
         if fixed is None:
             return []
-        abc_list = [fixed]
+        abc_ranges = [(c, c) for c in fixed]
     else:
         if bounds.a is None or bounds.b is None or bounds.c is None:
             raise ValueError("full mode needs a, b and c bounds")
         if bounds.a[0] < 1:
             raise ValueError(f"full mode needs A >= 1, got lower bound {bounds.a[0]}")
-        abc_list = [
-            (A, B, C)
-            for A in range(bounds.a[0], bounds.a[1] + 1)
-            for B in range(bounds.b[0], bounds.b[1] + 1)
-            for C in range(bounds.c[0], bounds.c[1] + 1)
-        ]
+        abc_ranges = [bounds.a, bounds.b, bounds.c]
 
-    coeff_cap = max(
-        max(abs(r[0]), abs(r[1]))
-        for r in (bounds.d, bounds.e, bounds.f, *[(a, a) for abc in abc_list for a in abc])
-    )
-    if 4 * coeff_cap * (x_max + 1) ** 2 >= 2 ** 62:
+    coeff_cap = max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc_ranges) for v in r)
+    _, xs, ys = _window(s, x_max, coeff_cap)
+    if xs.dtype == object:
         raise ValueError("search bounds too large for exact 64-bit prescreening")
+    abc_list = list(product(*(range(lo, hi + 1) for lo, hi in abc_ranges)))
 
     d_lo, d_hi = bounds.d
     if jobs == 1:
@@ -378,7 +404,7 @@ def brute_force_search(
         span = d_hi - d_lo + 1
         step = max(1, -(-span // (jobs * 4)))
         chunks = [(lo, min(lo + step - 1, d_hi)) for lo in range(d_lo, d_hi + 1, step)]
-    tasks = [(s.n, s.m, abc_list, lo, hi, bounds.e, bounds.f, x_max, t_min) for lo, hi in chunks]
+    tasks = [(s, xs, ys, abc_list, lo, hi, bounds.e, bounds.f, x_max, t_min) for lo, hi in chunks]
 
     if jobs == 1:
         results = [_scan_chunk(task) for task in tasks]

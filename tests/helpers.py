@@ -2,15 +2,17 @@
 
 The expansion helper here multiplies factored forms out with its own algebra,
 so expected coefficient tuples in tests never flow through the code under
-test.
+test.  ``reference_window_verify`` is the per-point ``Fraction`` form of the
+window check, the reference that the integer evaluation path is compared with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
-from qpacking import QuadPoly, SectorSpec, classify, make_sector, packing_window_verify
+from qpacking import QuadPoly, SectorSpec, classify, lattice_window, make_sector, packing_window_verify
+from qpacking.verify import Failure, WindowCertificate, _window_tail_floor
 
 
 def frac(value) -> Fraction:
@@ -57,3 +59,41 @@ def window_for_threshold(s: SectorSpec, polys, t_target: int, x_start: int = 8) 
             return x
         x = max(x + 1, x * 14 // 10)
     raise AssertionError(f"no window reached threshold {t_target} on {s}")
+
+
+def reference_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCertificate:
+    """``packing_window_verify`` evaluated point by point in ``Fraction`` arithmetic."""
+    if x_max < 1:
+        raise ValueError(f"x_max must be >= 1, got {x_max}")
+    seen: dict[int, tuple[int, int]] = {}
+    for pt in lattice_window(s, x_max):
+        value = p(*pt)
+        if value.denominator != 1:
+            return WindowCertificate(x_max, None, None, Failure(
+                "non_integral_value", f"value {value} at {pt} is not an integer",
+                witnesses=(pt,), value=value))
+        v = int(value)
+        if v < 0:
+            return WindowCertificate(x_max, None, None, Failure(
+                "negative_value", f"value {v} at {pt} is negative",
+                witnesses=(pt,), value=value))
+        if v in seen:
+            return WindowCertificate(x_max, None, None, Failure(
+                "collision", f"value {v} taken at both {seen[v]} and {pt}",
+                witnesses=(seen[v], pt), value=value))
+        seen[v] = pt
+
+    bound = _window_tail_floor(p, s, x_max)
+    if bound is None:
+        return WindowCertificate(x_max, None, None, Failure(
+            "tail_unbounded", f"polynomial is unbounded below outside the window x <= {x_max}"))
+    threshold = floor(bound) - 1
+    if threshold < 0:
+        return WindowCertificate(x_max, threshold, bound, Failure(
+            "tail_below_zero",
+            f"tail lower bound {bound} certifies no threshold; enlarge the window"))
+    for t in range(threshold + 1):
+        if t not in seen:
+            return WindowCertificate(x_max, threshold, bound, Failure(
+                "coverage_gap", f"value {t} is not attained on the window", missing=t))
+    return WindowCertificate(x_max, threshold, bound, None)

@@ -190,7 +190,6 @@ class TestReduceGeneralSector:
         with pytest.raises(ValueError):
             reduce_general_sector((2, 4), (1, 0))
 
-    def test_inexact_ray_reports_no_sector(self):
-        total, sector = reduce_general_sector((1, 0), (1.0, 1.4142135623730951))
-        assert sector is None
-        assert total.determinant in (1, -1)
+    def test_inexact_ray_raises_type_error(self):
+        with pytest.raises(TypeError):
+            reduce_general_sector((1, 0), (1.0, 1.4142135623730951))

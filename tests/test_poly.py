@@ -36,14 +36,14 @@ quad_polys = st.builds(QuadPoly, *([rationals] * 6))
 
 class TestEvaluate:
     def test_apex(self):
-        assert EX1.evaluate((0, 0)) == 0
+        assert EX1(0, 0) == 0
 
     def test_interior(self):
-        assert EX1.evaluate((1, 1)) == 1
-        assert EX1.evaluate((3, 4)) == 4
+        assert EX1(1, 1) == 1
+        assert EX1(3, 4) == 4
 
     def test_rational_point(self):
-        assert EX1.evaluate((Fraction(1, 2), 1)) == Fraction(1, 2) - 1 + Fraction(1, 2) + Fraction(1, 2)
+        assert EX1(Fraction(1, 2), 1) == Fraction(1, 2) - 1 + Fraction(1, 2) + Fraction(1, 2)
 
 
 class TestAlphaForm:
@@ -85,7 +85,7 @@ class TestConjugate:
     @given(quad_polys, unimodular_maps, st.integers(-6, 6), st.integers(-6, 6))
     def test_defining_property(self, p, m, x, y):
         q = p.conjugate(m)
-        assert q.evaluate(m.apply((x, y))) == p.evaluate((x, y))
+        assert q(*m.apply((x, y))) == p(x, y)
 
 
 class TestStepDifference:

@@ -144,8 +144,9 @@ class TestPartition:
             # staircases restricted to the window reproduce it exactly
             max_i = max(by_index)
             rebuilt = []
+            window_set = set(window)
             for i in range(max_i + 1):
-                rebuilt.extend(p for p in staircase_points(s, i) if p in set(window))
+                rebuilt.extend(p for p in staircase_points(s, i) if p in window_set)
             assert sorted(rebuilt) == window
 
 

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpacking import (
     QuadPoly,
@@ -18,9 +19,17 @@ from qpacking import (
     value_floor,
 )
 
-from helpers import all_classified, coprime_sectors, window_for_threshold
+from helpers import all_classified, coprime_sectors, reference_window_verify, window_for_threshold
 
 EX1 = packing_polynomial(make_sector(4, 3), 1)
+
+# Random coefficients almost never pack, so classified polynomials and their
+# +1 shifts are drawn too, to reach the tail floor and the coverage check.
+wide_rationals = st.builds(Fraction, st.integers(-10**30, 10**30) | st.integers(-12, 12), st.integers(1, 6))
+random_cases = st.tuples(st.builds(QuadPoly, *[wide_rationals] * 6), st.sampled_from(coprime_sectors(8, 8)))
+classified_cases = st.builds(
+    lambda e, shift: (QuadPoly(*e.poly.coefficients()[:5], e.poly.c_0 + shift), e.sector),
+    st.sampled_from(list(all_classified(8, 8))), st.integers(0, 1))
 
 
 class TestValueFloor:
@@ -126,6 +135,19 @@ class TestPackingWindowVerify:
         with pytest.raises(ValueError):
             packing_window_verify(EX1, make_sector(4, 3), 0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(random_cases | classified_cases, st.integers(1, 10))
+    def test_matches_fraction_reference(self, case, x_max):
+        p, s = case
+        assert packing_window_verify(p, s, x_max) == reference_window_verify(p, s, x_max)
+
+    def test_values_beyond_int64_stay_exact(self):
+        # x + 2^57 y takes 1 + 2^63 at (1, 64), which does not fit in int64
+        p, s = QuadPoly(0, 0, 0, 1, 2**57, 0), make_sector(64, 1)
+        cert = packing_window_verify(p, s, 1)
+        assert cert.ok
+        assert cert == reference_window_verify(p, s, 1)
+
     def test_monotone_under_window_growth(self):
         rng = random.Random(20260809)
         pool = list(all_classified(12, 12))
@@ -186,6 +208,12 @@ class TestBruteForceSearch:
         with pytest.raises(ValueError):
             SearchBounds(d=(5, -5), e=(0, 0), f=(0, 0))
 
+    def test_refuses_window_beyond_int64(self):
+        # y reaches 64 at x_max = 1, so E * y overflows although E * (x_max + 1)^2 does not
+        bounds = SearchBounds(d=(1, 1), e=(2**57, 2**57), f=(0, 0))
+        with pytest.raises(ValueError):
+            brute_force_search(make_sector(64, 1), bounds, x_max=1)
+
     def test_full_mode_needs_abc(self):
         with pytest.raises(ValueError):
             brute_force_search(make_sector(2, 1), SearchBounds(d=(0, 0), e=(0, 0), f=(0, 0)), mode="full")
@@ -213,7 +241,7 @@ class TestStructuralConsequences:
             hat = e.poly.conjugate(skew_map(e.sector))
             residues = {}
             for i in range(40 + abs(e.k) + 1):
-                values = [hat.evaluate(pt) for pt in staircase_points(e.sector, i, transformed=True)]
+                values = [hat(*pt) for pt in staircase_points(e.sector, i, transformed=True)]
                 if not values:
                     continue
                 classes = {v % abs(e.k) for v in values}
