@@ -68,44 +68,47 @@ def forced_quadratic_coeffs(s: SectorSpec) -> tuple[int, int, int] | None:
     return (s.n, 1 - s.m, (s.m - 1) ** 2 // s.n)
 
 
+def _admissible_ks(s: SectorSpec, ar: SectorArithmetic) -> list[int]:
+    """``admissible_ks`` in ``K_ORDER`` from the sector's arithmetic; |k| = 2, 3 need l^2/n = 4, 3."""
+    if not ar.divides_n_l2:
+        return []
+    u = (s.m - 1) // ar.l
+    need = {2: 4, 3: 3}
+    return [k for k in K_ORDER if need.get(abs(k), ar.l2_over_n) == ar.l2_over_n and (k - u) % ar.n_over_l == 0]
+
+
 def admissible_ks(s: SectorSpec) -> set[int]:
     """The step constants k for which the sector carries a packing polynomial."""
-    ar = sector_arithmetic(s)
-    if not ar.divides_n_l2:
-        return set()
-    u = (s.m - 1) // ar.l
-    ks = set()
-    for k in K_ORDER:
-        if abs(k) == 2 and ar.l2_over_n != 4:
-            continue
-        if abs(k) == 3 and ar.l2_over_n != 3:
-            continue
-        if (k - u) % ar.n_over_l == 0:
-            ks.add(k)
-    return ks
+    return set(_admissible_ks(s, sector_arithmetic(s)))
+
+
+def _constant_term(s: SectorSpec, ar: SectorArithmetic, k: int, ks: list[int]) -> int:
+    value = ar.l2_over_n * (abs(k) - 1) * (abs(k) + 1) / 12
+    if value.denominator != 1:
+        raise ValueError(f"constant term {value} is not an integer: k={k} is not admissible for {s}")
+    assert k not in ks or value == abs(k) - 1
+    return int(value)
 
 
 def constant_term(s: SectorSpec, k: int) -> int:
     """Forced constant term (l^2/n)(|k|-1)(|k|+1)/12; equals |k| - 1 when k is admissible."""
     ar = sector_arithmetic(s)
-    value = ar.l2_over_n * (abs(k) - 1) * (abs(k) + 1) / 12
-    if value.denominator != 1:
-        raise ValueError(f"constant term {value} is not an integer: k={k} is not admissible for {s}")
-    if k in admissible_ks(s):
-        assert value == abs(k) - 1
-    return int(value)
+    return _constant_term(s, ar, k, _admissible_ks(s, ar))
 
 
 def classify(s: SectorSpec) -> list[ClassifiedQPP]:
     """All packing polynomials of the sector, in the fixed order k = 1, -1, 2, -2, 3, -3."""
-    ks = admissible_ks(s)
+    return _classify(s, sector_arithmetic(s))
+
+
+def _classify(s: SectorSpec, ar: SectorArithmetic) -> list[ClassifiedQPP]:
+    """``classify`` from the sector's arithmetic ``ar``, computed once by the caller."""
+    ks = _admissible_ks(s, ar)
     out = []
-    for k in K_ORDER:
-        if k not in ks:
-            continue
+    for k in ks:
         poly = packing_polynomial(s, k)
         alpha = to_alpha_form(poly)
-        f_const = constant_term(s, k)
+        f_const = _constant_term(s, ar, k, ks)
         assert alpha.F == f_const == abs(k) - 1
         assert alpha.A == s.n and alpha.B == 1 - s.m
         out.append(ClassifiedQPP(s, k, poly, alpha, f_const))
@@ -117,7 +120,7 @@ def no_qpp_reason(s: SectorSpec) -> str | None:
     ar = sector_arithmetic(s)
     if not ar.divides_n_l2:
         return f"{s.n} does not divide ({s.m}-1)^2 = {(s.m - 1) ** 2}"
-    if not admissible_ks(s):
+    if not _admissible_ks(s, ar):
         return "no admissible k: the congruence and l^2/n conditions all fail"
     return None
 

@@ -315,10 +315,10 @@ class SearchBounds:
 
 
 def _covers_initial_segment(sorted_vals: np.ndarray, f_shift: int, t_min: int) -> bool:
-    """Whether {0..t_min} is contained in sorted_vals + f_shift (values distinct)."""
+    """Whether {0..t_min} is contained in sorted_vals + f_shift (values distinct, t_min >= 0)."""
     lo = int(np.searchsorted(sorted_vals, -f_shift))
     hi = lo + t_min
-    if hi >= sorted_vals.size or lo >= sorted_vals.size:
+    if hi >= sorted_vals.size:
         return False
     return int(sorted_vals[lo]) == -f_shift and int(sorted_vals[hi]) == t_min - f_shift
 
@@ -378,6 +378,8 @@ def brute_force_search(
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if t_min is not None and t_min < 0:
+        raise ValueError(f"t_min must be >= 0, got {t_min}")
 
     if mode == "restricted":
         fixed = forced_quadratic_coeffs(s)

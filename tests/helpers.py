@@ -4,10 +4,14 @@ The expansion helper here multiplies factored forms out with its own algebra,
 so expected coefficient tuples in tests never flow through the code under
 test.  ``reference_window_verify`` is the per-point ``Fraction`` form of the
 window check, the reference that the integer evaluation path is compared with.
+``reference_atlas_json`` is the atlas JSON as ``json.dumps(indent=2)`` writes
+it, the reference for the directly written text of ``atlas_to_json``.
 """
 
 from __future__ import annotations
 
+import json
+from collections import Counter
 from fractions import Fraction
 from math import floor, gcd
 
@@ -97,3 +101,36 @@ def reference_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCer
             return WindowCertificate(x_max, threshold, bound, Failure(
                 "coverage_gap", f"value {t} is not attained on the window", missing=t))
     return WindowCertificate(x_max, threshold, bound, None)
+
+
+def _rational_payload(q: Fraction) -> dict[str, str]:
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
+def reference_atlas_payload(rows, nmax: int, mmax: int) -> dict:
+    """The atlas as the JSON value that ``atlas_to_json`` must encode."""
+    counts = sorted(Counter(row.qpp_count for row in rows).items())
+    return {
+        "nmax": nmax,
+        "mmax": mmax,
+        "rows": [
+            {
+                "n": row.n,
+                "m": row.m,
+                "l": row.l,
+                "n_over_l": row.n_over_l,
+                "l2_over_n": _rational_payload(row.l2_over_n),
+                "qpp_count": row.qpp_count,
+                "ks": list(row.ks),
+                "polynomials": [[_rational_payload(c) for c in poly] for poly in row.polynomials],
+                "canonical_sector": list(row.canonical),
+            }
+            for row in rows
+        ],
+        "summary": {"total": len(rows), "by_count": {str(c): n for c, n in counts}},
+    }
+
+
+def reference_atlas_json(rows, nmax: int, mmax: int) -> str:
+    """``atlas_to_json`` as ``json.dumps(payload, indent=2)`` plus a newline."""
+    return json.dumps(reference_atlas_payload(rows, nmax, mmax), indent=2) + "\n"

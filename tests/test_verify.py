@@ -214,6 +214,12 @@ class TestBruteForceSearch:
         with pytest.raises(ValueError):
             brute_force_search(make_sector(64, 1), bounds, x_max=1)
 
+    def test_rejects_negative_t_min(self):
+        # a negative t_min once indexed the sorted window values from the end
+        # and pruned every candidate
+        with pytest.raises(ValueError):
+            brute_force_search(make_sector(4, 3), SearchBounds(d=(-6, 6), e=(-6, 6), f=(0, 6)), x_max=12, t_min=-1)
+
     def test_full_mode_needs_abc(self):
         with pytest.raises(ValueError):
             brute_force_search(make_sector(2, 1), SearchBounds(d=(0, 0), e=(0, 0), f=(0, 0)), mode="full")
