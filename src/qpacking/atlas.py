@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -54,24 +53,12 @@ def atlas_row(n: int, m: int) -> AtlasRow:
     )
 
 
-def _rows_chunk(sectors: list[tuple[int, int]]) -> list[AtlasRow]:
-    return [atlas_row(n, m) for n, m in sectors]
-
-
-def build_atlas(nmax: int, mmax: int, jobs: int = 1) -> list[AtlasRow]:
+def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
     """All rows for coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0), in (n, m) order."""
     if nmax < 1 or mmax < 1:
         raise ValueError(f"nmax and mmax must be >= 1, got {nmax}, {mmax}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
     sectors = [(1, 0)] + [(n, m) for n in range(1, nmax + 1) for m in range(1, mmax + 1) if gcd(n, m) == 1]
-    if jobs == 1:
-        return _rows_chunk(sectors)
-    step = max(1, -(-len(sectors) // (jobs * 4)))
-    chunks = [sectors[i:i + step] for i in range(0, len(sectors), step)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_rows_chunk, chunks))
-    return [row for part in parts for row in part]
+    return [atlas_row(n, m) for n, m in sectors]
 
 
 def summary_counts(rows: list[AtlasRow]) -> dict[int, int]:

@@ -19,6 +19,9 @@ from .render import render_figure
 from .verify import SearchBounds, brute_force_search, packing_window_verify
 
 
+JOBS_HELP = "accepted for compatibility (>= 1); the work runs in one process"
+
+
 def _int_at_least(lo: int):
     """argparse type for an integer option that must be >= lo."""
     def integer(text: str) -> int:
@@ -166,7 +169,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    rows = build_atlas(args.nmax, args.mmax, jobs=args.jobs)
+    rows = build_atlas(args.nmax, args.mmax)
     text = atlas_to_json(rows, args.nmax, args.mmax) if args.format == "json" else atlas_to_csv(rows)
     out = args.out or f"atlas.{args.format}"
     try:
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=_int_at_least(1), default=25)
     p.add_argument("--tmin", type=_int_at_least(0), default=None,
                    help="only accept candidates certified to threshold at least this")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_search)
 
@@ -240,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=_int_at_least(1), required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("render", help="labeled lattice figure for a classified polynomial")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .classify import admissible_ks, classify, no_qpp_reason
+from .classify import classify, no_qpp_reason
 from .geometry import SectorSpec
 from .poly import QuadPoly
 from .verify import window_values
@@ -21,14 +21,14 @@ SVG_MARGIN = 30
 
 
 def _classified_poly(s: SectorSpec, k: int) -> QuadPoly:
-    reason = no_qpp_reason(s)
-    if reason is not None:
-        raise ValueError(f"no QPPs on sector {s}: {reason}")
-    ks = admissible_ks(s)
-    if k not in ks:
-        ordered = sorted(ks, key=lambda x: (abs(x), -x))
-        raise ValueError(f"k={k} is not admissible for sector {s}; admissible: {ordered}")
-    return next(e.poly for e in classify(s) if e.k == k)
+    entries = classify(s)
+    if not entries:
+        raise ValueError(f"no QPPs on sector {s}: {no_qpp_reason(s)}")
+    for e in entries:
+        if e.k == k:
+            return e.poly
+    # classify lists k in K_ORDER, which is the (|k|, -k) order of the message
+    raise ValueError(f"k={k} is not admissible for sector {s}; admissible: {[e.k for e in entries]}")
 
 
 def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fmt: str = "ascii") -> str:

@@ -13,15 +13,15 @@ L*p, with L the lcm of p's coefficient denominators, on the arrays of
 that nothing can overflow, and hold Python ints otherwise.
 
 ``brute_force_search`` rediscovers classifications without trusting them: it
-scans integer coefficient boxes, discards candidates by exact integer
-arithmetic (a negative value or a collision inside the window is final), and
-accepts only candidates that earn a passing certificate from
-``packing_window_verify``.
+scans integer boxes of the non-constant alpha-form coefficients in the calling
+process, derives the one constant term that puts the window minimum at 0 (no
+other can pass), discards candidates by exact integer arithmetic (a constant
+term outside its box or a collision inside the window is final), and accepts
+only candidates that earn a passing certificate from ``packing_window_verify``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -314,43 +314,6 @@ class SearchBounds:
                 raise ValueError(f"empty bound for {name}: [{rng[0]}, {rng[1]}]")
 
 
-def _covers_initial_segment(sorted_vals: np.ndarray, f_shift: int, t_min: int) -> bool:
-    """Whether {0..t_min} is contained in sorted_vals + f_shift (values distinct, t_min >= 0)."""
-    lo = int(np.searchsorted(sorted_vals, -f_shift))
-    hi = lo + t_min
-    if hi >= sorted_vals.size:
-        return False
-    return int(sorted_vals[lo]) == -f_shift and int(sorted_vals[hi]) == t_min - f_shift
-
-
-def _scan_chunk(args) -> list[tuple[int, int, int, int, int, int]]:
-    (s, xs, ys, abc_list, d_lo, d_hi, e_rng, f_rng, x_max, t_min) = args
-    half_x = (xs * (xs - 1)) // 2
-    half_y = (ys * (ys - 1)) // 2
-    xy = xs * ys
-    accepted = []
-    for (A, B, C) in abc_list:
-        base = A * half_x + B * xy + C * half_y
-        for D in range(d_lo, d_hi + 1):
-            base_d = base + D * xs
-            for E in range(e_rng[0], e_rng[1] + 1):
-                vals = base_d + E * ys
-                sorted_vals = np.sort(vals)
-                if sorted_vals.size > 1 and (np.diff(sorted_vals) == 0).any():
-                    continue  # a collision is independent of F
-                v_min = int(sorted_vals[0])
-                for F in range(f_rng[0], f_rng[1] + 1):
-                    if v_min + F < 0:
-                        continue
-                    if t_min is not None and not _covers_initial_segment(sorted_vals, F, t_min):
-                        continue
-                    candidate = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
-                    cert = packing_window_verify(candidate, s, x_max)
-                    if cert.ok and (t_min is None or cert.threshold >= t_min):
-                        accepted.append((A, B, C, D, E, F))
-    return accepted
-
-
 def brute_force_search(
     s: SectorSpec,
     bounds: SearchBounds,
@@ -362,15 +325,22 @@ def brute_force_search(
     """Exhaustively search integer alpha-form coefficients for packing polynomials.
 
     Restricted mode pins (A, B, C) to the sector's forced quadratic part and
-    scans (D, E, F); full mode scans all six (A >= 1).  Candidates are
-    prescreened in int64 on the window arrays from ``_window``, whose bound
-    covers every alpha-form value with coefficients inside the box, so the
-    prescreen is exact and drops only provably failing candidates.  Bounds for
-    which ``_window`` cannot prove that are refused with ``ValueError``.  Each
+    scans (D, E); full mode scans (A, B, C, D, E) with A >= 1.  A passing
+    certificate needs every window value non-negative and the value 0 taken,
+    so the window minimum of the candidate is 0: each (A, B, C, D, E) fixes
+    its constant term F as minus the minimum of the rest, and only that F,
+    when it lies in ``bounds.f``, can be accepted.  Candidates are prescreened
+    in int64 on the window arrays from ``_window``, whose bound covers every
+    alpha-form value with coefficients inside the box, so the prescreen is
+    exact and drops only provably failing candidates.  Bounds for which
+    ``_window`` cannot prove that are refused with ``ValueError``.  Each
     accepted polynomial carries a passing certificate from
     ``packing_window_verify`` at the configured window, with threshold at
-    least ``t_min`` when given.  Output is deterministic and sorted by
-    coefficient tuple, independent of ``jobs``.
+    least ``t_min`` when given.  Output is sorted by coefficient tuple.
+
+    The search runs in the calling process.  ``jobs`` is still validated and
+    otherwise unused: the CLI's ``--jobs`` passes it, and the benchmark's
+    tracer reads it from each call.
     """
     if mode not in ("restricted", "full"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -397,23 +367,27 @@ def brute_force_search(
     _, xs, ys = _window(s, x_max, coeff_cap)
     if xs.dtype == object:
         raise ValueError("search bounds too large for exact 64-bit prescreening")
-    abc_list = list(product(*(range(lo, hi + 1) for lo, hi in abc_ranges)))
+    half_x = (xs * (xs - 1)) // 2
+    half_y = (ys * (ys - 1)) // 2
+    xy = xs * ys
 
-    d_lo, d_hi = bounds.d
-    if jobs == 1:
-        chunks = [(d_lo, d_hi)]
-    else:
-        span = d_hi - d_lo + 1
-        step = max(1, -(-span // (jobs * 4)))
-        chunks = [(lo, min(lo + step - 1, d_hi)) for lo in range(d_lo, d_hi + 1, step)]
-    tasks = [(s, xs, ys, abc_list, lo, hi, bounds.e, bounds.f, x_max, t_min) for lo, hi in chunks]
-
-    if jobs == 1:
-        results = [_scan_chunk(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_chunk, tasks))
-
-    polys = [AlphaFormCoeffs(*tup).to_poly() for chunk in results for tup in chunk]
-    polys.sort(key=QuadPoly.coefficients)
-    return polys
+    found = []
+    for A, B, C in product(*(range(lo, hi + 1) for lo, hi in abc_ranges)):
+        base = A * half_x + B * xy + C * half_y
+        for D in range(bounds.d[0], bounds.d[1] + 1):
+            base_d = base + D * xs
+            for E in range(bounds.e[0], bounds.e[1] + 1):
+                vals = np.sort(base_d + E * ys)
+                F = -int(vals[0])
+                if not bounds.f[0] <= F <= bounds.f[1] or (np.diff(vals) == 0).any():
+                    continue
+                # With F added the distinct values start at 0, so they hold
+                # {0..t_min} exactly when the one at rank t_min is t_min.
+                if t_min is not None and (t_min >= vals.size or int(vals[t_min]) + F != t_min):
+                    continue
+                candidate = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
+                cert = packing_window_verify(candidate, s, x_max)
+                if cert.ok and (t_min is None or cert.threshold >= t_min):
+                    found.append(candidate)
+    found.sort(key=QuadPoly.coefficients)
+    return found

@@ -4,8 +4,10 @@ The expansion helper here multiplies factored forms out with its own algebra,
 so expected coefficient tuples in tests never flow through the code under
 test.  ``reference_window_verify`` is the per-point ``Fraction`` form of the
 window check, the reference that the integer evaluation path is compared with.
-``reference_atlas_json`` is the atlas JSON as ``json.dumps(indent=2)`` writes
-it, the reference for the directly written text of ``atlas_to_json``.
+``reference_search`` certifies every candidate of a search box, the reference
+for the prescreened ``brute_force_search``.  ``reference_atlas_json`` is the
+atlas JSON as ``json.dumps(indent=2)`` writes it, the reference for the
+directly written text of ``atlas_to_json``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,20 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import floor, gcd
 
-from qpacking import QuadPoly, SectorSpec, classify, lattice_window, make_sector, packing_window_verify
+from qpacking import (
+    AlphaFormCoeffs,
+    QuadPoly,
+    SearchBounds,
+    SectorSpec,
+    classify,
+    forced_quadratic_coeffs,
+    lattice_window,
+    make_sector,
+    packing_window_verify,
+)
 from qpacking.verify import Failure, WindowCertificate, _window_tail_floor
 
 
@@ -101,6 +114,25 @@ def reference_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCer
             return WindowCertificate(x_max, threshold, bound, Failure(
                 "coverage_gap", f"value {t} is not attained on the window", missing=t))
     return WindowCertificate(x_max, threshold, bound, None)
+
+
+def reference_search(s: SectorSpec, bounds: SearchBounds, mode: str, x_max: int, t_min: int = 0) -> list[QuadPoly]:
+    """Every alpha-form candidate of the box whose window certificate passes
+    with threshold >= t_min, sorted by coefficients; no prescreen."""
+    if mode == "restricted":
+        fixed = forced_quadratic_coeffs(s)
+        if fixed is None:
+            return []
+        abc_ranges = [(c, c) for c in fixed]
+    else:
+        abc_ranges = [bounds.a, bounds.b, bounds.c]
+    found = []
+    for coeffs in product(*(range(lo, hi + 1) for lo, hi in (*abc_ranges, bounds.d, bounds.e, bounds.f))):
+        p = AlphaFormCoeffs(*coeffs).to_poly()
+        cert = packing_window_verify(p, s, x_max)
+        if cert.ok and cert.threshold >= t_min:
+            found.append(p)
+    return sorted(found, key=QuadPoly.coefficients)
 
 
 def _rational_payload(q: Fraction) -> dict[str, str]:

@@ -49,7 +49,3 @@ def test_rows_match_public_classification():
         assert row.ks == tuple(e.k for e in entries)
         assert row.polynomials == tuple(e.poly.coefficients() for e in entries)
         assert row.canonical == (row.n, row.m % row.n)
-
-
-def test_rows_are_independent_of_jobs():
-    assert build_atlas(40, 40, jobs=2) == build_atlas(40, 40, jobs=1)

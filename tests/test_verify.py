@@ -19,9 +19,19 @@ from qpacking import (
     value_floor,
 )
 
-from helpers import all_classified, coprime_sectors, reference_window_verify, window_for_threshold
+from helpers import (
+    all_classified,
+    coprime_sectors,
+    reference_search,
+    reference_window_verify,
+    window_for_threshold,
+)
 
 EX1 = packing_polynomial(make_sector(4, 3), 1)
+
+# A full-mode box whose F range reaches below 0; at these small windows the
+# search accepts many polynomials that classify() does not list.
+SMALL_FULL_BOX = SearchBounds(a=(1, 2), b=(-2, 2), c=(0, 2), d=(-3, 3), e=(-3, 3), f=(-1, 3))
 
 # Random coefficients almost never pack, so classified polynomials and their
 # +1 shifts are drawn too, to reach the tail floor and the coverage check.
@@ -223,6 +233,21 @@ class TestBruteForceSearch:
     def test_full_mode_needs_abc(self):
         with pytest.raises(ValueError):
             brute_force_search(make_sector(2, 1), SearchBounds(d=(0, 0), e=(0, 0), f=(0, 0)), mode="full")
+
+    @pytest.mark.parametrize("n, m, bounds, mode, x_max, t_min", [
+        (1, 1, SMALL_FULL_BOX, "full", 2, None),
+        (2, 1, SMALL_FULL_BOX, "full", 2, None),
+        (3, 1, SMALL_FULL_BOX, "full", 2, None),
+        (1, 0, SMALL_FULL_BOX, "full", 1, None),
+        (1, 1, SMALL_FULL_BOX, "full", 3, 2),
+        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 2, None),
+        # the window has 6 points, too few to certify {0..100}
+        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 2, 100),
+    ], ids=["1-1", "2-1", "3-1", "1-0", "1-1-tmin-2", "4-3-restricted", "4-3-tmin-beyond-window"])
+    def test_matches_certifying_every_candidate(self, n, m, bounds, mode, x_max, t_min):
+        s = make_sector(n, m)
+        got = brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min)
+        assert got == reference_search(s, bounds, mode, x_max, t_min or 0)
 
     def test_jobs_deterministic(self):
         s = make_sector(8, 5)
