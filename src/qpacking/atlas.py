@@ -2,8 +2,10 @@
 
 One row per coprime (n, m) sector plus the first-quadrant row (1, 0), each
 carrying the derived arithmetic, the admissible step constants, the polynomial
-coefficient tuples and the canonical shear representative.  Serialization is
-byte-reproducible: JSON keeps rationals as numerator/denominator strings,
+coefficient tuples and the canonical shear representative (n, m mod n).  The
+shear (x, y) -> (x + t y, y) leaves all but the polynomials unchanged, so the
+rows of a class share them; polynomials are classified per row.  Serialization
+is byte-reproducible: JSON keeps rationals as numerator/denominator strings,
 CSV as "p/q" text.  The JSON text is written directly, in the layout of
 ``json.dumps(payload, indent=2)``; every key is fixed and every value is an
 integer or a string of decimal digits, so nothing needs escaping.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .classify import _classify, canonical_sector, sector_arithmetic
+from .classify import _admissible_ks, _classify, sector_arithmetic
 from .geometry import SectorSpec
 
 
@@ -35,30 +37,25 @@ class AtlasRow:
     canonical: tuple[int, int]
 
 
-def atlas_row(n: int, m: int) -> AtlasRow:
-    s = SectorSpec(n, m)
-    ar = sector_arithmetic(s)
-    entries = _classify(s, ar)
-    canon = canonical_sector(s)
-    return AtlasRow(
-        n=n,
-        m=m,
-        l=ar.l,
-        n_over_l=ar.n_over_l,
-        l2_over_n=ar.l2_over_n,
-        qpp_count=len(entries),
-        ks=tuple(e.k for e in entries),
-        polynomials=tuple(e.poly.coefficients() for e in entries),
-        canonical=(canon.n, canon.m),
-    )
-
-
 def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
-    """All rows for coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0), in (n, m) order."""
+    """All rows for coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0), in (n, m) order.
+
+    Arithmetic, ks and canonical pair come once per class (n, m mod n); polynomials, per row.
+    """
     if nmax < 1 or mmax < 1:
         raise ValueError(f"nmax and mmax must be >= 1, got {nmax}, {mmax}")
-    sectors = [(1, 0)] + [(n, m) for n in range(1, nmax + 1) for m in range(1, mmax + 1) if gcd(n, m) == 1]
-    return [atlas_row(n, m) for n, m in sectors]
+    rows = []
+    for n in range(1, nmax + 1):
+        classes = {}  # m mod n -> (arithmetic, ks, canonical pair) of the class, for this n only
+        for m in (m for m in range(mmax + 1) if gcd(n, m) == 1):  # m = 0 only in (1, 0)
+            if m % n not in classes:
+                canon = SectorSpec(n, m % n)
+                ar = sector_arithmetic(canon)
+                classes[m % n] = (ar, tuple(_admissible_ks(canon, ar)), (canon.n, canon.m))
+            ar, ks, canonical = classes[m % n]
+            polys = tuple(e.poly.coefficients() for e in _classify(SectorSpec(n, m), ar)) if ks else ()
+            rows.append(AtlasRow(n, m, ar.l, ar.n_over_l, ar.l2_over_n, len(polys), ks, polys, canonical))
+    return rows
 
 
 def summary_counts(rows: list[AtlasRow]) -> dict[int, int]:

@@ -20,6 +20,7 @@ from .verify import SearchBounds, brute_force_search, packing_window_verify
 
 
 JOBS_HELP = "accepted for compatibility (>= 1); the work runs in one process"
+UNCLASSIFIED_HIT = "  [window-certified to x <= {} only; not a classified packing polynomial]"
 
 
 def _int_at_least(lo: int):
@@ -84,8 +85,7 @@ def _cmd_classify(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    title = f"sector {s.n}/{s.m}" + (" (first quadrant)" if s.is_quadrant else "")
-    print(title)
+    print(f"sector {s.n}/{s.m}" + (" (first quadrant)" if s.is_quadrant else ""))
     print(f"l = {ar.l}, n/l = {ar.n_over_l}, l^2/n = {ar.l2_over_n}")
     print(f"n | (m-1)^2: {'yes' if ar.divides_n_l2 else 'no'}")
     reason = no_qpp_reason(s)
@@ -162,9 +162,10 @@ def _cmd_search(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
+    classified = {e.poly for e in classify(s)}
     for p in found:
-        print(format_poly(p))
-    print(f"found {len(found)} packing polynomial(s) on sector {s.n}/{s.m}")
+        print(format_poly(p) + ("" if p in classified else UNCLASSIFIED_HIT.format(args.xmax)))
+    print(f"found {sum(p in classified for p in found)} packing polynomial(s) on sector {s.n}/{s.m}")
     return 0
 
 

@@ -19,6 +19,8 @@ from math import floor, gcd
 
 
 def _frac(value) -> Fraction:
+    if type(value) is Fraction:  # immutable, so shared rather than copied
+        return value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} not allowed in exact arithmetic")
     return Fraction(value)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qpacking import SectorSpec, classify, sector_arithmetic
+from qpacking.classify import _admissible_ks
 from qpacking.atlas import AtlasRow, atlas_to_json, build_atlas
 
 from helpers import coprime_sectors, reference_atlas_json, reference_atlas_payload
@@ -49,3 +50,12 @@ def test_rows_match_public_classification():
         assert row.ks == tuple(e.k for e in entries)
         assert row.polynomials == tuple(e.poly.coefficients() for e in entries)
         assert row.canonical == (row.n, row.m % row.n)
+
+
+def test_class_arithmetic_is_shear_invariant_over_atlas_range():
+    # build_atlas computes these once per class (n, m mod n) and copies them to every row
+    for s in coprime_sectors(300, 300):
+        canon = SectorSpec(s.n, s.m % s.n)
+        ar, canon_ar = sector_arithmetic(s), sector_arithmetic(canon)
+        assert ar == canon_ar
+        assert _admissible_ks(s, ar) == _admissible_ks(canon, canon_ar)

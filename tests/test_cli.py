@@ -1,8 +1,13 @@
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from qpacking.atlas import atlas_to_csv, atlas_to_json, build_atlas
 from qpacking.cli import main
+
+BENCH_GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
 
 EX1 = "2,-2,1/2,0,1/2,0"  # the 4/3 packing polynomial with k = 1
 EX1_SHIFTED = "2,-2,1/2,0,1/2,1"
@@ -70,6 +75,38 @@ def test_atlas_files_match_goldens(fmt, jobs, tmp_path, capsys):
     assert run(["atlas", "--nmax", "30", "--mmax", "30", "--format", fmt, "--jobs", jobs, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ATLAS_30_SHA256[fmt]
     assert capsys.readouterr().out == f"sectors=556 qpp0=387 qpp1=17 qpp2=132 qpp4=20 -> {out}\n"
+
+
+def test_atlas_300_matches_bench_goldens():
+    goldens = json.loads(BENCH_GOLDENS.read_text(encoding="utf-8"))
+    rows = build_atlas(300, 300)
+    json_sha = hashlib.sha256(atlas_to_json(rows, 300, 300).encode("utf-8")).hexdigest()
+    csv_sha = hashlib.sha256(atlas_to_csv(rows).encode("utf-8")).hexdigest()
+    assert json_sha == goldens["atlas 300x300 json jobs=1"]["file"]
+    assert csv_sha == goldens["atlas 300x300 csv jobs=2"]["file"]
+
+
+UNCLASSIFIED = "  [window-certified to x <= {} only; not a classified packing polynomial]"
+
+
+@pytest.mark.parametrize("argv, out", [
+    # collides at --xmax 40: value 9 at (6, 1) and at (9, 2)
+    (["search", "1", "4", "--mode", "full", "--bounds", "3:3:3:3:3:3", "--xmax", "8"],
+     "1/2*x^2 - 2*x*y + 1/2*x" + UNCLASSIFIED.format(8) + "\n"
+     "found 0 packing polynomial(s) on sector 1/4\n"),
+    (["search", "1", "2", "--mode", "full", "--bounds", "2:2:2:2:2:2", "--xmax", "4"],
+     "1/2*x^2 - x*y + 1/2*y^2 + 1/2*x + 1/2*y\n"
+     "1/2*x^2 - x*y + 1/2*y^2 + 3/2*x - 5/2*y\n"
+     "x^2 - 2*x*y + 1/2*y^2 + x - 3/2*y" + UNCLASSIFIED.format(4) + "\n"
+     "found 2 packing polynomial(s) on sector 1/2\n"),
+    (["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12"],
+     "2*x^2 - 2*x*y + 1/2*y^2 + 1/2*y\n"
+     "2*x^2 - 2*x*y + 1/2*y^2 + 2*x - 3/2*y\n"
+     "found 2 packing polynomial(s) on sector 4/3\n"),
+], ids=["1-4-unclassified-only", "1-2-mixed", "4-3-all-classified"])
+def test_search_marks_unclassified_hits(argv, out, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 # SHA-256 of render stdout at --xmax 6; the same digests as the

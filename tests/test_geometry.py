@@ -14,6 +14,7 @@ from qpacking import (
     skew_map,
     x_axis_reflection,
 )
+from qpacking.geometry import _frac
 from qpacking.staircase import lattice_window
 
 from helpers import coprime_sectors
@@ -114,6 +115,27 @@ unimodular_maps = st.builds(
     _random_unimodular,
     st.lists(st.tuples(st.integers(0, 2), st.integers(-4, 4)), min_size=0, max_size=5),
 )
+
+
+class TestFrac:
+    def test_fraction_is_returned_as_is(self):
+        q = Fraction(-7, 3)
+        assert _frac(q) is q
+
+    def test_converts_int(self):
+        q = _frac(5)
+        assert type(q) is Fraction and q == 5
+
+    def test_rejects_float(self):
+        with pytest.raises(TypeError):
+            _frac(0.5)
+
+    def test_copies_fraction_subclass(self):
+        class Tagged(Fraction):
+            pass
+
+        q = _frac(Tagged(2, 4))
+        assert type(q) is Fraction and q == Fraction(1, 2)
 
 
 class TestUnimodularMap:
