@@ -148,7 +148,7 @@ def _cmd_search(args) -> int:
     try:
         bounds = _parse_bounds(args.bounds, args.mode)
         found = brute_force_search(s, bounds, mode=args.mode, x_max=args.xmax,
-                                   t_min=args.tmin, jobs=args.jobs)
+                                   t_min=args.tmin, jobs=args.jobs, max_candidates=args.max_candidates)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -236,6 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=_int_at_least(0), default=None,
                    help="only accept candidates certified to threshold at least this")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
+    p.add_argument("--max-candidates", type=_int_at_least(0), default=1_000_000,
+                   help="refuse a box of more (A,B,C,D,E) candidates than this (default: %(default)s)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_search)
 

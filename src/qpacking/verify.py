@@ -10,7 +10,11 @@ initial segment {0, ..., T} correctly, no matter what happens further out.
 Window values are exact integers from one place: ``window_values`` evaluates
 L*p, with L the lcm of p's coefficient denominators, on the arrays of
 ``_window``.  These are int64 only when the window's real x and y extents prove
-that nothing can overflow, and hold Python ints otherwise.
+that nothing can overflow, and hold Python ints otherwise.  The exact tail
+floor ``value_floor`` works on the same integer coefficients of L*p: its case
+analysis keeps every candidate minimum as an integer pair (num, den), compares
+them by cross-multiplication, and builds one ``Fraction`` at the end, for the
+result.
 
 ``brute_force_search`` rediscovers classifications without trusting them: it
 scans integer boxes of the non-constant alpha-form coefficients in the calling
@@ -31,7 +35,7 @@ from typing import Literal
 import numpy as np
 
 from .classify import forced_quadratic_coeffs
-from .geometry import SectorSpec
+from .geometry import SectorSpec, _frac
 from .poly import AlphaFormCoeffs, QuadPoly, transformed_polynomial
 from .staircase import first_step_y, lattice_window
 
@@ -76,52 +80,20 @@ class WindowCertificate:
 # -- exact infimum over the truncated sector ---------------------------------
 
 
-def _qform(p: QuadPoly, d) -> Fraction:
-    return p.c_xx * d[0] * d[0] + p.c_xy * d[0] * d[1] + p.c_yy * d[1] * d[1]
+def _scaled(p: QuadPoly) -> tuple[int, tuple[int, ...]]:
+    """(L, the coefficients of L*p) with L the lcm of p's coefficient denominators."""
+    coeffs = p.coefficients()
+    scale = lcm(*(q.denominator for q in coeffs))
+    return scale, tuple(q.numerator * (scale // q.denominator) for q in coeffs)
 
 
-def _qbil(p: QuadPoly, z, d) -> Fraction:
-    return (
-        p.c_xx * z[0] * d[0]
-        + p.c_xy * (z[0] * d[1] + z[1] * d[0]) / 2
-        + p.c_yy * z[1] * d[1]
-    )
-
-
-def _linear(p: QuadPoly, d) -> Fraction:
-    return p.c_x * d[0] + p.c_y * d[1]
-
-
-def _restrict(p: QuadPoly, base, direction) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients (a, b, c) of t -> p(base + t * direction)."""
-    return (
-        _qform(p, direction),
-        2 * _qbil(p, base, direction) + _linear(p, direction),
-        p(*base),
-    )
-
-
-def _min_halfline(g) -> Fraction | None:
-    """Exact min of a t^2 + b t + c over t >= 0; None when unbounded below."""
-    a, b, c = g
-    if a > 0:
-        if -b <= 0:
-            return c
-        return c - b * b / (4 * a)
-    if a == 0:
-        return c if b >= 0 else None
-    return None
-
-
-def _min_segment(g, t_hi: Fraction) -> Fraction:
-    """Exact min of a t^2 + b t + c over 0 <= t <= t_hi."""
-    a, b, c = g
-    end = a * t_hi * t_hi + b * t_hi + c
-    if a > 0:
-        t_star = -b / (2 * a)
-        if 0 < t_star < t_hi:
-            return c - b * b / (4 * a)
-    return min(c, end)
+def _halfline_min(a: int, bn: int, cn: int, den: int) -> tuple[int, int] | None:
+    """Min over t >= 0 of a t^2 + (bn/den) t + cn/den^2 as (num, den > 0); None when unbounded below."""
+    if a < 0 or (a == 0 and bn < 0):
+        return None
+    if a > 0 and bn < 0:
+        return 4 * a * cn - bn * bn, 4 * a * den * den
+    return cn, den * den
 
 
 def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
@@ -132,64 +104,69 @@ def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
     infimum is found by exact case analysis: recession directions first (to
     detect unboundedness, including interior valley directions the boundary
     never sees), then the boundary rays, the truncation edge, and any interior
-    stationary point.
+    stationary point.  The analysis runs in integers on L*p, with L the lcm of
+    p's coefficient denominators: every candidate minimum is an integer pair
+    (num, den > 0), candidates are compared by cross-multiplication, and one
+    ``Fraction`` is built for the result.
     """
-    x_min = Fraction(x_min)
-    d0 = (Fraction(1), Fraction(0))
-    d1 = (Fraction(0), Fraction(1)) if s.m == 0 else (Fraction(s.m), Fraction(s.n))
+    x_min = _frac(x_min)
+    xn, xd = x_min.numerator, x_min.denominator
+    scale, (a, b, c, d, e, f) = _scaled(p)
+    m, n = (0, 1) if s.m == 0 else (s.m, s.n)  # the second cone direction; the first is (1, 0)
 
-    # Unboundedness over the recession cone spanned by d0 and d1.
-    qa, qc = _qform(p, d0), _qform(p, d1)
-    qb = 2 * _qbil(p, d0, d1)
-    if qa < 0 or qc < 0:
+    # Unboundedness over the recession cone spanned by (1, 0) and (m, n).
+    qc = a * m * m + b * m * n + c * n * n
+    qb = 2 * a * m + b * n
+    lin = d * m + e * n
+    if a < 0 or qc < 0:
         return None
-    if qb < 0 and qb * qb > 4 * qa * qc:
+    if qb < 0 and qb * qb > 4 * a * qc:
         return None
-    if qa == 0 and _linear(p, d0) < 0:
+    if (a == 0 and d < 0) or (qc == 0 and lin < 0):
         return None
-    if qc == 0 and _linear(p, d1) < 0:
+    if qb < 0 and qb * qb == 4 * a * qc and a > 0 and d * (2 * a * m - qb) + e * 2 * a * n < 0:
+        # The quadratic part vanishes along the interior direction
+        # (2a m - qb, 2a n); the linear part decides boundedness there.
         return None
-    if qb < 0 and qb * qb == 4 * qa * qc and qa > 0:
-        # The quadratic part vanishes along one interior direction; the
-        # linear part decides boundedness there.
-        null_dir = (-qb * d0[0] + 2 * qa * d1[0], -qb * d0[1] + 2 * qa * d1[1])
-        if _linear(p, null_dir) < 0:
-            return None
 
-    x_lo = max(x_min, Fraction(0))
-    candidates = []
-
-    r = _min_halfline(_restrict(p, (x_lo, Fraction(0)), d0))
-    if r is None:
-        return None
-    candidates.append(r)
-
+    # Boundary rays from the truncation edge at x_lo = max(x_min, 0) = xl/xd.
+    xl = max(xn, 0)
+    corner = a * xl * xl + d * xl * xd + f * xd * xd  # xd^2 L p(x_lo, 0)
+    up = b * xl + e * xd  # xd times the slope of t -> L p(x_lo, t) at t = 0
+    rays = [(a, 2 * a * xl + d * xd, corner, xd)]
     if s.m == 0:
-        r = _min_halfline(_restrict(p, (x_lo, Fraction(0)), d1))
-        if r is None:
-            return None
-        candidates.append(r)
+        rays.append((c, up, corner, xd))
     else:
-        y_edge = Fraction(s.n, s.m) * x_lo
-        r = _min_halfline(_restrict(p, (x_lo, y_edge), d1))
+        # from (x_lo, n x_lo / m) = (m xl, n xl) / (m xd) along (m, n)
+        md = m * xd
+        rays.append((qc, 2 * xl * qc + lin * md, xl * xl * qc + xl * lin * md + f * md * md, md))
+    candidates = []
+    for ray in rays:
+        r = _halfline_min(*ray)
         if r is None:
             return None
         candidates.append(r)
-        if x_lo > 0:
-            candidates.append(_min_segment(_restrict(p, (x_lo, Fraction(0)), (Fraction(0), Fraction(1))), y_edge))
+    if s.m != 0 and c > 0 and up < 0 and -up * m < 2 * c * n * xl:
+        # The minimum of the edge segment x = x_lo, 0 <= y <= n x_lo / m lies
+        # inside it; its end values are the starts of the two rays.
+        candidates.append((4 * c * corner - up * up, 4 * c * xd * xd))
 
-    det = 4 * p.c_xx * p.c_yy - p.c_xy * p.c_xy
+    det = 4 * a * c - b * b
     if det != 0:
-        # Unique stationary point; a minimum can hide in the interior only
-        # when the Hessian is nonsingular (otherwise the critical value also
-        # occurs on the boundary).
-        x_star = (p.c_xy * p.c_y - 2 * p.c_yy * p.c_x) / det
-        y_star = (p.c_xy * p.c_x - 2 * p.c_xx * p.c_y) / det
-        inside = x_star >= x_min and y_star >= 0 and (s.m == 0 or s.m * y_star <= s.n * x_star)
-        if inside:
-            candidates.append(p(x_star, y_star))
+        # Unique stationary point (xs, ys) / det; a minimum can hide in the
+        # interior only when the Hessian is nonsingular (otherwise the
+        # critical value also occurs on the boundary).
+        xs, ys = b * e - 2 * c * d, b * d - 2 * a * e
+        if det < 0:
+            det, xs, ys = -det, -xs, -ys
+        if xs * xd >= xn * det and ys >= 0 and (s.m == 0 or m * ys <= n * xs):
+            candidates.append((2 * f * det + d * xs + e * ys, 2 * det))
 
-    return min(candidates)
+    num, den = candidates[0]
+    for cn, cd in candidates[1:]:
+        if cn * den < num * cd:
+            num, den = cn, cd
+    return Fraction(num, den * scale)
 
 
 # -- certified window verification --------------------------------------------
@@ -232,9 +209,9 @@ def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[list[tuple[in
 
     L is the lcm of p's coefficient denominators: p(pt) is integral iff L divides L*p(pt).
     """
-    scale = lcm(*(c.denominator for c in p.coefficients()))
-    a, b, c, d, e, f = (int(q * scale) for q in p.coefficients())
-    pts, xs, ys = _window(s, x_max, max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f)))
+    scale, coeffs = _scaled(p)
+    a, b, c, d, e, f = coeffs
+    pts, xs, ys = _window(s, x_max, max(map(abs, coeffs)))
     return pts, scale, a * xs * xs + b * xs * ys + c * ys * ys + d * xs + e * ys + f
 
 
@@ -321,6 +298,7 @@ def brute_force_search(
     x_max: int = 25,
     t_min: int | None = None,
     jobs: int = 1,
+    max_candidates: int = 1_000_000,
 ) -> list[QuadPoly]:
     """Exhaustively search integer alpha-form coefficients for packing polynomials.
 
@@ -333,7 +311,9 @@ def brute_force_search(
     in int64 on the window arrays from ``_window``, whose bound covers every
     alpha-form value with coefficients inside the box, so the prescreen is
     exact and drops only provably failing candidates.  Bounds for which
-    ``_window`` cannot prove that are refused with ``ValueError``.  Each
+    ``_window`` cannot prove that are refused with ``ValueError``, and so are
+    boxes of more than ``max_candidates`` (A, B, C, D, E) candidates, before
+    any window is built.  Each
     accepted polynomial carries a passing certificate from
     ``packing_window_verify`` at the configured window, with threshold at
     least ``t_min`` when given.  Output is sorted by coefficient tuple.
@@ -363,6 +343,11 @@ def brute_force_search(
             raise ValueError(f"full mode needs A >= 1, got lower bound {bounds.a[0]}")
         abc_ranges = [bounds.a, bounds.b, bounds.c]
 
+    size = (bounds.d[1] - bounds.d[0] + 1) * (bounds.e[1] - bounds.e[0] + 1)
+    for lo, hi in abc_ranges:
+        size *= hi - lo + 1
+    if size > max_candidates:
+        raise ValueError(f"search box has {size} candidates, more than the limit of {max_candidates}")
     coeff_cap = max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc_ranges) for v in r)
     _, xs, ys = _window(s, x_max, coeff_cap)
     if xs.dtype == object:

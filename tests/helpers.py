@@ -4,9 +4,12 @@ The expansion helper here multiplies factored forms out with its own algebra,
 so expected coefficient tuples in tests never flow through the code under
 test.  ``reference_window_verify`` is the per-point ``Fraction`` form of the
 window check, the reference that the integer evaluation path is compared with.
-``reference_search`` certifies every candidate of a search box, the reference
-for the prescreened ``brute_force_search``.  ``reference_atlas_json`` is the
-atlas JSON as ``json.dumps(indent=2)`` writes it, the reference for the
+``reference_value_floor`` is the exact tail floor as a ``Fraction`` case
+analysis, the reference for the integer ``value_floor``; the window reference
+bounds its tail with it, so it shares no floor code with the certificate it
+checks.  ``reference_search`` certifies every candidate of a search box, the
+reference for the prescreened ``brute_force_search``.  ``reference_atlas_json``
+is the atlas JSON as ``json.dumps(indent=2)`` writes it, the reference for the
 directly written text of ``atlas_to_json``.
 """
 
@@ -29,7 +32,7 @@ from qpacking import (
     make_sector,
     packing_window_verify,
 )
-from qpacking.verify import Failure, WindowCertificate, _window_tail_floor
+from qpacking.verify import Failure, WindowCertificate
 
 
 def frac(value) -> Fraction:
@@ -78,6 +81,139 @@ def window_for_threshold(s: SectorSpec, polys, t_target: int, x_start: int = 8) 
     raise AssertionError(f"no window reached threshold {t_target} on {s}")
 
 
+# -- the Fraction form of the exact tail floor ----------------------------------
+
+
+def _qform(p: QuadPoly, d) -> Fraction:
+    return p.c_xx * d[0] * d[0] + p.c_xy * d[0] * d[1] + p.c_yy * d[1] * d[1]
+
+
+def _qbil(p: QuadPoly, z, d) -> Fraction:
+    return (
+        p.c_xx * z[0] * d[0]
+        + p.c_xy * (z[0] * d[1] + z[1] * d[0]) / 2
+        + p.c_yy * z[1] * d[1]
+    )
+
+
+def _linear(p: QuadPoly, d) -> Fraction:
+    return p.c_x * d[0] + p.c_y * d[1]
+
+
+def _restrict(p: QuadPoly, base, direction) -> tuple[Fraction, Fraction, Fraction]:
+    """Coefficients (a, b, c) of t -> p(base + t * direction)."""
+    return (
+        _qform(p, direction),
+        2 * _qbil(p, base, direction) + _linear(p, direction),
+        p(*base),
+    )
+
+
+def _min_halfline(g) -> Fraction | None:
+    """Exact min of a t^2 + b t + c over t >= 0; None when unbounded below."""
+    a, b, c = g
+    if a > 0:
+        if -b <= 0:
+            return c
+        return c - b * b / (4 * a)
+    if a == 0:
+        return c if b >= 0 else None
+    return None
+
+
+def _min_segment(g, t_hi: Fraction) -> Fraction:
+    """Exact min of a t^2 + b t + c over 0 <= t <= t_hi."""
+    a, b, c = g
+    end = a * t_hi * t_hi + b * t_hi + c
+    if a > 0:
+        t_star = -b / (2 * a)
+        if 0 < t_star < t_hi:
+            return c - b * b / (4 * a)
+    return min(c, end)
+
+
+def reference_value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
+    """Exact infimum of p over {(x, y): x >= x_min} within the sector region.
+
+    For the first quadrant the region is {x >= x_min, y >= 0}.  Returns None
+    when the infimum is -infinity.  The region is a 2-D truncated cone, so the
+    infimum is found by exact case analysis: recession directions first (to
+    detect unboundedness, including interior valley directions the boundary
+    never sees), then the boundary rays, the truncation edge, and any interior
+    stationary point.
+    """
+    x_min = Fraction(x_min)
+    d0 = (Fraction(1), Fraction(0))
+    d1 = (Fraction(0), Fraction(1)) if s.m == 0 else (Fraction(s.m), Fraction(s.n))
+
+    # Unboundedness over the recession cone spanned by d0 and d1.
+    qa, qc = _qform(p, d0), _qform(p, d1)
+    qb = 2 * _qbil(p, d0, d1)
+    if qa < 0 or qc < 0:
+        return None
+    if qb < 0 and qb * qb > 4 * qa * qc:
+        return None
+    if qa == 0 and _linear(p, d0) < 0:
+        return None
+    if qc == 0 and _linear(p, d1) < 0:
+        return None
+    if qb < 0 and qb * qb == 4 * qa * qc and qa > 0:
+        # The quadratic part vanishes along one interior direction; the
+        # linear part decides boundedness there.
+        null_dir = (-qb * d0[0] + 2 * qa * d1[0], -qb * d0[1] + 2 * qa * d1[1])
+        if _linear(p, null_dir) < 0:
+            return None
+
+    x_lo = max(x_min, Fraction(0))
+    candidates = []
+
+    r = _min_halfline(_restrict(p, (x_lo, Fraction(0)), d0))
+    if r is None:
+        return None
+    candidates.append(r)
+
+    if s.m == 0:
+        r = _min_halfline(_restrict(p, (x_lo, Fraction(0)), d1))
+        if r is None:
+            return None
+        candidates.append(r)
+    else:
+        y_edge = Fraction(s.n, s.m) * x_lo
+        r = _min_halfline(_restrict(p, (x_lo, y_edge), d1))
+        if r is None:
+            return None
+        candidates.append(r)
+        if x_lo > 0:
+            candidates.append(_min_segment(_restrict(p, (x_lo, Fraction(0)), (Fraction(0), Fraction(1))), y_edge))
+
+    det = 4 * p.c_xx * p.c_yy - p.c_xy * p.c_xy
+    if det != 0:
+        # Unique stationary point; a minimum can hide in the interior only
+        # when the Hessian is nonsingular (otherwise the critical value also
+        # occurs on the boundary).
+        x_star = (p.c_xy * p.c_y - 2 * p.c_yy * p.c_x) / det
+        y_star = (p.c_xy * p.c_x - 2 * p.c_xx * p.c_y) / det
+        inside = x_star >= x_min and y_star >= 0 and (s.m == 0 or s.m * y_star <= s.n * x_star)
+        if inside:
+            candidates.append(p(x_star, y_star))
+
+    return min(candidates)
+
+
+def reference_tail_floor(p: QuadPoly, s: SectorSpec, x_max: int) -> Fraction | None:
+    """Exact lower bound for p outside the window x <= x_max, from ``reference_value_floor``.
+
+    On the first quadrant the window is a box, and the strip y > x_max is
+    bounded through the polynomial with x and y swapped.
+    """
+    bound = reference_value_floor(p, s, x_max + 1)
+    if s.m != 0 or bound is None:
+        return bound
+    swapped = QuadPoly(p.c_yy, p.c_xy, p.c_xx, p.c_y, p.c_x, p.c_0)
+    other = reference_value_floor(swapped, s, x_max + 1)
+    return None if other is None else min(bound, other)
+
+
 def reference_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCertificate:
     """``packing_window_verify`` evaluated point by point in ``Fraction`` arithmetic."""
     if x_max < 1:
@@ -100,7 +236,7 @@ def reference_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCer
                 witnesses=(seen[v], pt), value=value))
         seen[v] = pt
 
-    bound = _window_tail_floor(p, s, x_max)
+    bound = reference_tail_floor(p, s, x_max)
     if bound is None:
         return WindowCertificate(x_max, None, None, Failure(
             "tail_unbounded", f"polynomial is unbounded below outside the window x <= {x_max}"))

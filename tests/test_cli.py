@@ -1,6 +1,7 @@
 import hashlib
 import json
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -25,16 +26,34 @@ def run(argv):
     ["search", "4", "3", "--jobs", "0"],
     ["atlas", "--nmax", "3", "--mmax", "3", "--jobs", "0"],
     ["search", "4", "3", "--bounds", f"1:{2**62}:1"],
+    ["search", "4", "3", "--bounds", f"0:0:{2**62}"],
     ["search", "4", "3", "--bounds=-2:-2:-2"],
     ["verify", "4", "3", EX1, "--xmax", "0"],
     ["render", "4", "3", "1", "--value-max", "-1"],
     ["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12", "--tmin", "-1"],
-], ids=["search-jobs-0", "atlas-jobs-0", "search-bounds-too-large", "search-bounds-negative",
+], ids=["search-jobs-0", "atlas-jobs-0", "search-bounds-too-large", "search-f-beyond-int64", "search-bounds-negative",
         "verify-xmax-0", "render-value-max-negative", "search-tmin-negative"])
 def test_usage_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_search_candidate_limit(capsys):
+    # 2:2:0 is D and E in [-2, 2]: 25 candidates; F is derived and not counted
+    argv = ["search", "4", "3", "--bounds", "2:2:0"]
+    assert run(argv + ["--max-candidates", "25"]) == 0
+    assert capsys.readouterr() == (
+        "2*x^2 - 2*x*y + 1/2*y^2 + 1/2*y\nfound 1 packing polynomial(s) on sector 4/3\n", "")
+    assert run(argv + ["--max-candidates", "24"]) == 2
+    assert capsys.readouterr() == ("", "error: search box has 25 candidates, more than the limit of 24\n")
+
+
+def test_search_refuses_huge_box_at_once(capsys):
+    start = perf_counter()
+    assert run(["search", "4", "3", "--bounds", "99999999:1:1"]) == 2
+    assert perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: search box has 599999997 candidates, more than the limit of 1000000\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpacking import (
     QuadPoly,
@@ -23,6 +23,7 @@ from helpers import (
     all_classified,
     coprime_sectors,
     reference_search,
+    reference_value_floor,
     reference_window_verify,
     window_for_threshold,
 )
@@ -40,6 +41,31 @@ random_cases = st.tuples(st.builds(QuadPoly, *[wide_rationals] * 6), st.sampled_
 classified_cases = st.builds(
     lambda e, shift: (QuadPoly(*e.poly.coefficients()[:5], e.poly.c_0 + shift), e.sector),
     st.sampled_from(list(all_classified(8, 8))), st.integers(0, 1))
+
+
+# For the tail floor: numerators small or up to 10^30 over denominators 1..6.
+# Half of the polynomials have a positive semidefinite quadratic part, so that
+# most floors are finite; see ``_semidefinite``.
+floor_rationals = st.builds(Fraction, st.integers(-6, 6) | st.integers(-10**30, 10**30), st.integers(1, 6))
+floor_weights = st.just(Fraction(0)) | floor_rationals.map(abs)
+floor_drifts = st.just(Fraction(0)) | floor_rationals
+
+
+def _semidefinite(s1, al, be, s2, ga, de, x0, y0, lin_x, lin_y, const) -> QuadPoly:
+    """s1 (al X + be Y)^2 + s2 (ga X + de Y)^2 + lin_x x + lin_y y + const with
+    (X, Y) = (x - x0, y - y0): rank one when s2 = 0, and without the linear
+    part its minimum is at (x0, y0), often far out in the sector."""
+    a, b, c = s1 * al * al + s2 * ga * ga, 2 * (s1 * al * be + s2 * ga * de), s1 * be * be + s2 * de * de
+    return QuadPoly(a, b, c, lin_x - 2 * a * x0 - b * y0, lin_y - b * x0 - 2 * c * y0,
+                    const + a * x0 * x0 + b * x0 * y0 + c * y0 * y0)
+
+
+semidefinite_polys = st.builds(
+    _semidefinite, floor_weights, floor_rationals, floor_rationals, floor_weights, floor_rationals,
+    floor_rationals, floor_rationals, floor_rationals, floor_drifts, floor_drifts, floor_rationals)
+floor_polys = st.builds(QuadPoly, *[floor_rationals] * 6) | semidefinite_polys
+floor_sectors = st.just(make_sector(1, 0)) | st.sampled_from(coprime_sectors(9, 9))
+floor_x_mins = st.integers(-5, 30) | st.builds(Fraction, st.integers(-60, 300), st.integers(1, 7))
 
 
 class TestValueFloor:
@@ -78,6 +104,22 @@ class TestValueFloor:
 
     def test_negative_x_min_means_whole_sector(self):
         assert value_floor(EX1, make_sector(4, 3), -5) == 0
+
+    def test_rejects_float_x_min(self):
+        # exact arithmetic would read 0.1 as its binary fraction 3602879701896397/2^55
+        with pytest.raises(TypeError):
+            value_floor(QuadPoly(1, 0, 0, 0, 0, 0), make_sector(1, 1), 0.1)
+
+    # On the quadrant, a stationary point with x_min <= x* < 0 counts as
+    # inside when x_min < 0: a minimum, (x + 1)^2 + (y - 1)^2, and a saddle
+    # of an indefinite Hessian, x^2 + xy + 2x + y - 1.  Random draws rarely
+    # reach either case.
+    @example(QuadPoly(1, 0, 1, 2, -2, 2), make_sector(1, 0), -5)
+    @example(QuadPoly(1, 1, 0, 2, 1, -1), make_sector(1, 0), -5)
+    @settings(max_examples=1000, deadline=None)
+    @given(floor_polys, floor_sectors, floor_x_mins)
+    def test_matches_fraction_reference(self, p, s, x_min):
+        assert value_floor(p, s, x_min) == reference_value_floor(p, s, x_min)
 
     def test_grid_never_undercuts(self):
         cases = [
