@@ -1,109 +1,15 @@
-"""Quadratic packing polynomials on rational sectors.
+"""Quadratic packing polynomials on rational sectors, in exact rational arithmetic.
 
-Classification, certified window verification, exhaustive coefficient search,
-atlas tabulation and figure rendering, all in exact rational arithmetic.
+Each name has one import path, the module that defines it:
+
+- ``geometry``: sectors (``SectorSpec``, ``make_sector``) and the unimodular maps between them.
+- ``poly``: ``QuadPoly``, the alpha form, the closed forms and the text rendering.
+- ``classify``: the decision procedure ``classify`` and the sector arithmetic behind it.
+- ``staircase``: lattice windows and the staircase decomposition.
+- ``verify``: certified window checks, the exact tail floor and the coefficient search.
+- ``atlas``: classification tables over slope ranges, as JSON or CSV.
+- ``render``: labeled lattice figures, as SVG or ASCII.
+- ``cli``: the ``qpacking`` command, also run by ``python -m qpacking``.
 """
 
-from .classify import (
-    ClassifiedQPP,
-    SectorArithmetic,
-    admissible_ks,
-    canonical_sector,
-    classify,
-    constant_term,
-    flipped_sector,
-    forced_quadratic_coeffs,
-    no_qpp_reason,
-    sector_arithmetic,
-)
-from .geometry import (
-    SectorSpec,
-    UnimodularMap,
-    extended_gcd,
-    flip_map,
-    make_sector,
-    reduce_general_sector,
-    shear_map,
-    skew_map,
-    x_axis_reflection,
-)
-from .poly import (
-    AlphaFormCoeffs,
-    NonConstantStepDifference,
-    NonIntegralCoefficient,
-    QuadPoly,
-    alpha_form_d,
-    format_factored,
-    format_poly,
-    packing_polynomial,
-    parse_poly,
-    step_difference,
-    to_alpha_form,
-    transformed_polynomial,
-)
-from .staircase import (
-    first_step_y,
-    lattice_window,
-    staircase_index,
-    staircase_points,
-    staircase_size,
-    staircase_size_formula,
-)
-from .verify import (
-    Failure,
-    SearchBounds,
-    WindowCertificate,
-    brute_force_search,
-    first_steps_cover_range,
-    packing_window_verify,
-    value_floor,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaFormCoeffs",
-    "ClassifiedQPP",
-    "Failure",
-    "NonConstantStepDifference",
-    "NonIntegralCoefficient",
-    "QuadPoly",
-    "SearchBounds",
-    "SectorArithmetic",
-    "SectorSpec",
-    "UnimodularMap",
-    "WindowCertificate",
-    "admissible_ks",
-    "alpha_form_d",
-    "brute_force_search",
-    "canonical_sector",
-    "classify",
-    "constant_term",
-    "extended_gcd",
-    "first_step_y",
-    "first_steps_cover_range",
-    "flip_map",
-    "flipped_sector",
-    "forced_quadratic_coeffs",
-    "format_factored",
-    "format_poly",
-    "lattice_window",
-    "make_sector",
-    "no_qpp_reason",
-    "packing_polynomial",
-    "packing_window_verify",
-    "parse_poly",
-    "reduce_general_sector",
-    "sector_arithmetic",
-    "shear_map",
-    "skew_map",
-    "staircase_index",
-    "staircase_points",
-    "staircase_size",
-    "staircase_size_formula",
-    "step_difference",
-    "to_alpha_form",
-    "transformed_polynomial",
-    "value_floor",
-    "x_axis_reflection",
-]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .classify import _admissible_ks, _classify, sector_arithmetic
+from .classify import _classify, admissible_ks, sector_arithmetic
 from .geometry import SectorSpec
 
 
@@ -51,7 +51,7 @@ def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
             if m % n not in classes:
                 canon = SectorSpec(n, m % n)
                 ar = sector_arithmetic(canon)
-                classes[m % n] = (ar, tuple(_admissible_ks(canon, ar)), (canon.n, canon.m))
+                classes[m % n] = (ar, tuple(admissible_ks(canon, ar)), (canon.n, canon.m))
             ar, ks, canonical = classes[m % n]
             polys = tuple(e.poly.coefficients() for e in _classify(SectorSpec(n, m), ar)) if ks else ()
             rows.append(AtlasRow(n, m, ar.l, ar.n_over_l, ar.l2_over_n, len(polys), ks, polys, canonical))

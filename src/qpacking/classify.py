@@ -43,7 +43,6 @@ class ClassifiedQPP:
     k: int
     poly: QuadPoly
     alpha_form: AlphaFormCoeffs
-    constant_F: int
 
 
 def sector_arithmetic(s: SectorSpec) -> SectorArithmetic:
@@ -68,8 +67,11 @@ def forced_quadratic_coeffs(s: SectorSpec) -> tuple[int, int, int] | None:
     return (s.n, 1 - s.m, (s.m - 1) ** 2 // s.n)
 
 
-def _admissible_ks(s: SectorSpec, ar: SectorArithmetic) -> list[int]:
-    """``admissible_ks`` in ``K_ORDER`` from the sector's arithmetic; |k| = 2, 3 need l^2/n = 4, 3."""
+def admissible_ks(s: SectorSpec, ar: SectorArithmetic) -> list[int]:
+    """The step constants k, in ``K_ORDER``, for which the sector carries a packing polynomial.
+
+    ``ar`` is ``sector_arithmetic(s)``; |k| = 2, 3 need l^2/n = 4, 3.
+    """
     if not ar.divides_n_l2:
         return []
     u = (s.m - 1) // ar.l
@@ -77,23 +79,15 @@ def _admissible_ks(s: SectorSpec, ar: SectorArithmetic) -> list[int]:
     return [k for k in K_ORDER if need.get(abs(k), ar.l2_over_n) == ar.l2_over_n and (k - u) % ar.n_over_l == 0]
 
 
-def admissible_ks(s: SectorSpec) -> set[int]:
-    """The step constants k for which the sector carries a packing polynomial."""
-    return set(_admissible_ks(s, sector_arithmetic(s)))
+def constant_term(ar: SectorArithmetic, k: int) -> int:
+    """Forced constant term (l^2/n)(|k|-1)(|k|+1)/12 from the sector's arithmetic ``ar``.
 
-
-def _constant_term(s: SectorSpec, ar: SectorArithmetic, k: int, ks: list[int]) -> int:
+    It equals |k| - 1 when k is admissible; ``_classify`` asserts that.
+    """
     value = ar.l2_over_n * (abs(k) - 1) * (abs(k) + 1) / 12
     if value.denominator != 1:
-        raise ValueError(f"constant term {value} is not an integer: k={k} is not admissible for {s}")
-    assert k not in ks or value == abs(k) - 1
+        raise ValueError(f"constant term {value} is not an integer: k={k} is not admissible for l^2/n = {ar.l2_over_n}")
     return int(value)
-
-
-def constant_term(s: SectorSpec, k: int) -> int:
-    """Forced constant term (l^2/n)(|k|-1)(|k|+1)/12; equals |k| - 1 when k is admissible."""
-    ar = sector_arithmetic(s)
-    return _constant_term(s, ar, k, _admissible_ks(s, ar))
 
 
 def classify(s: SectorSpec) -> list[ClassifiedQPP]:
@@ -103,15 +97,14 @@ def classify(s: SectorSpec) -> list[ClassifiedQPP]:
 
 def _classify(s: SectorSpec, ar: SectorArithmetic) -> list[ClassifiedQPP]:
     """``classify`` from the sector's arithmetic ``ar``, computed once by the caller."""
-    ks = _admissible_ks(s, ar)
     out = []
-    for k in ks:
+    for k in admissible_ks(s, ar):
         poly = packing_polynomial(s, k)
         alpha = to_alpha_form(poly)
-        f_const = _constant_term(s, ar, k, ks)
+        f_const = constant_term(ar, k)
         assert alpha.F == f_const == abs(k) - 1
         assert alpha.A == s.n and alpha.B == 1 - s.m
-        out.append(ClassifiedQPP(s, k, poly, alpha, f_const))
+        out.append(ClassifiedQPP(s, k, poly, alpha))
     return out
 
 
@@ -120,7 +113,7 @@ def no_qpp_reason(s: SectorSpec) -> str | None:
     ar = sector_arithmetic(s)
     if not ar.divides_n_l2:
         return f"{s.n} does not divide ({s.m}-1)^2 = {(s.m - 1) ** 2}"
-    if not _admissible_ks(s, ar):
+    if not admissible_ks(s, ar):
         return "no admissible k: the congruence and l^2/n conditions all fail"
     return None
 

@@ -40,6 +40,9 @@ def _parse_coeffs(spec: str) -> QuadPoly:
         raise ValueError(f"need 6 coefficients, got {len(items)}")
     coeffs = []
     for pos, item in enumerate(items, start=1):
+        # an exponent makes Fraction build (or print) a number of any size
+        if "e" in item.lower():
+            raise ValueError(f"coefficient {pos}: exponent notation is not accepted ({item!r})")
         try:
             coeffs.append(Fraction(item))
         except (ValueError, ZeroDivisionError) as exc:
@@ -73,7 +76,7 @@ def _cmd_classify(args) -> int:
             "qpps": [
                 {
                     "k": e.k,
-                    "constant_F": e.constant_F,
+                    "constant_F": e.alpha_form.F,
                     "coefficients": [rational_json(c) for c in e.poly.coefficients()],
                     "alpha_form": {"A": e.alpha_form.A, "B": e.alpha_form.B, "C": e.alpha_form.C,
                                    "D": e.alpha_form.D, "E": e.alpha_form.E, "F": e.alpha_form.F},
@@ -94,7 +97,7 @@ def _cmd_classify(args) -> int:
         return 0
     print(f"admissible k: {', '.join(str(e.k) for e in entries)}")
     for e in entries:
-        print(f"k = {e.k} (F = {e.constant_F}):")
+        print(f"k = {e.k} (F = {e.alpha_form.F}):")
         print(f"  factored: {format_factored(s, e.k)}")
         print(f"  expanded: {format_poly(e.poly)}")
         a = e.alpha_form

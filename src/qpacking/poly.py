@@ -9,7 +9,6 @@ is provided as a conversion.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
@@ -171,27 +170,6 @@ def transformed_polynomial(s: SectorSpec, k: int, f_const: int) -> QuadPoly:
     return QuadPoly(Fraction(s.n, 2), 0, 0, 1 - Fraction(kl, 2), Fraction(kl, s.n), f_const)
 
 
-def alpha_form_d(s: SectorSpec, k: int) -> int:
-    """The forced alpha-basis x-coefficient D = 1 + (n - kl)/2 of a classified polynomial.
-
-    Like ``packing_polynomial`` it makes no admissibility check: for any k it
-    equals ``c_x + c_xx`` of ``packing_polynomial(s, k)``, whether or not that
-    polynomial has an integral alpha form.  Whether k is admissible is decided
-    by ``classify.admissible_ks``.
-    """
-    _check_k(k)
-    l = gcd(s.m - 1, s.n)
-    v = s.n // l
-    if l % v != 0:
-        raise ValueError(f"sector {s}: n/l = {v} does not divide l = {l}")
-    value = Fraction(2 + s.n - k * l, 2)
-    if value.denominator != 1:
-        raise ValueError(f"forced x-coefficient {value} is not an integer for {s}, k={k}")
-    d = int(value)
-    assert Fraction(d) - Fraction(s.n, 2) == transformed_polynomial(s, k, 0).c_x
-    return d
-
-
 # -- canonical text rendering -------------------------------------------------
 
 _MONOMIAL_FIELDS = (("x^2", "c_xx"), ("x*y", "c_xy"), ("y^2", "c_yy"), ("x", "c_x"), ("y", "c_y"), ("", "c_0"))
@@ -225,39 +203,6 @@ def format_poly(p: QuadPoly) -> str:
             continue
         parts.append(("-" if coeff < 0 else "+", _term_body(coeff, monomial)))
     return _join_terms(parts)
-
-
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)(?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?P<mono1>x\^2|x\*y|y\^2|x|y))?"
-    r"|(?P<mono2>x\^2|x\*y|y\^2|x|y))$"
-)
-_FIELD_BY_MONO = {"x^2": "c_xx", "x*y": "c_xy", "y^2": "c_yy", "x": "c_x", "y": "c_y", "": "c_0"}
-
-
-def parse_poly(text: str) -> QuadPoly:
-    """Parse the canonical rendering back into a QuadPoly."""
-    compact = text.replace(" ", "")
-    if not compact:
-        raise ValueError("empty polynomial string")
-    if compact == "0":
-        return QuadPoly(0, 0, 0, 0, 0, 0)
-    coeffs = {field: Fraction(0) for _, field in _MONOMIAL_FIELDS}
-    seen = set()
-    for match in re.finditer(r"[+-]?[^+-]+", compact):
-        term = match.group(0)
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError(f"cannot parse term {term!r} at position {match.start()}")
-        mono = m.group("mono1") or m.group("mono2") or ""
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        if m.group("sign") == "-":
-            coeff = -coeff
-        field = _FIELD_BY_MONO[mono]
-        if field in seen:
-            raise ValueError(f"monomial {mono or '1'} appears twice (term {term!r})")
-        seen.add(field)
-        coeffs[field] = coeff
-    return QuadPoly(**coeffs)
 
 
 def _linear_factor_str(y_coeff: Fraction, const: Fraction) -> str:

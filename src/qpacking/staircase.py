@@ -84,16 +84,12 @@ def staircase_points(s: SectorSpec, i: int, transformed: bool = False):
     return out
 
 
-def staircase_size(s: SectorSpec, i: int) -> int:
-    """Number of steps on staircase i, by direct enumeration."""
-    return len(staircase_points(s, i, transformed=True))
-
-
 def staircase_size_formula(s: SectorSpec, i: int) -> Fraction:
     """The closed count (l^2/n) i + [n/l | i].
 
-    Matches staircase_size whenever n divides l^2; without that hypothesis it
-    need not even be an integer, so the enumerated count stays authoritative.
+    Matches the number of ``staircase_points`` whenever n divides l^2; without
+    that hypothesis it need not even be an integer, so the enumerated count
+    stays authoritative.
     """
     if i < 0:
         raise ValueError(f"staircase index must be >= 0, got {i}")

@@ -97,17 +97,19 @@ def _halfline_min(a: int, bn: int, cn: int, den: int) -> tuple[int, int] | None:
 
 
 def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
-    """Exact infimum of p over {(x, y): x >= x_min} within the sector region.
+    """Exact infimum of p over the points of the sector region with x >= x_min.
 
-    For the first quadrant the region is {x >= x_min, y >= 0}.  Returns None
-    when the infimum is -infinity.  The region is a 2-D truncated cone, so the
-    infimum is found by exact case analysis: recession directions first (to
-    detect unboundedness, including interior valley directions the boundary
-    never sees), then the boundary rays, the truncation edge, and any interior
-    stationary point.  The analysis runs in integers on L*p, with L the lcm of
-    p's coefficient denominators: every candidate minimum is an integer pair
-    (num, den > 0), candidates are compared by cross-multiplication, and one
-    ``Fraction`` is built for the result.
+    The region is the real cone 0 <= y <= (n/m) x, the first quadrant when
+    m = 0; it holds no point with x < 0, so any x_min <= 0 gives the infimum
+    over the whole region.  Returns None when the infimum is -infinity.  The
+    region is a 2-D truncated cone, so the infimum is found by exact case
+    analysis: recession directions first (to detect unboundedness, including
+    interior valley directions the boundary never sees), then the boundary
+    rays, the truncation edge, and any interior stationary point.  The
+    analysis runs in integers on L*p, with L the lcm of p's coefficient
+    denominators: every candidate minimum is an integer pair (num, den > 0),
+    candidates are compared by cross-multiplication, and one ``Fraction`` is
+    built for the result.
     """
     x_min = _frac(x_min)
     xn, xd = x_min.numerator, x_min.denominator
@@ -159,7 +161,7 @@ def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
         xs, ys = b * e - 2 * c * d, b * d - 2 * a * e
         if det < 0:
             det, xs, ys = -det, -xs, -ys
-        if xs * xd >= xn * det and ys >= 0 and (s.m == 0 or m * ys <= n * xs):
+        if xs * xd >= xl * det and ys >= 0 and (s.m == 0 or m * ys <= n * xs):
             candidates.append((2 * f * det + d * xs + e * ys, 2 * det))
 
     num, den = candidates[0]

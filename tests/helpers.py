@@ -10,29 +10,24 @@ bounds its tail with it, so it shares no floor code with the certificate it
 checks.  ``reference_search`` certifies every candidate of a search box, the
 reference for the prescreened ``brute_force_search``.  ``reference_atlas_json``
 is the atlas JSON as ``json.dumps(indent=2)`` writes it, the reference for the
-directly written text of ``atlas_to_json``.
+directly written text of ``atlas_to_json``.  ``parse_poly`` reads the text of
+``format_poly`` back, the oracle of its round-trip test.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import floor, gcd
 
-from qpacking import (
-    AlphaFormCoeffs,
-    QuadPoly,
-    SearchBounds,
-    SectorSpec,
-    classify,
-    forced_quadratic_coeffs,
-    lattice_window,
-    make_sector,
-    packing_window_verify,
-)
-from qpacking.verify import Failure, WindowCertificate
+from qpacking.classify import classify, forced_quadratic_coeffs
+from qpacking.geometry import SectorSpec, make_sector
+from qpacking.poly import _MONOMIAL_FIELDS, AlphaFormCoeffs, QuadPoly
+from qpacking.staircase import lattice_window
+from qpacking.verify import Failure, SearchBounds, WindowCertificate, packing_window_verify
 
 
 def frac(value) -> Fraction:
@@ -79,6 +74,42 @@ def window_for_threshold(s: SectorSpec, polys, t_target: int, x_start: int = 8) 
             return x
         x = max(x + 1, x * 14 // 10)
     raise AssertionError(f"no window reached threshold {t_target} on {s}")
+
+
+# -- the parser of the canonical text rendering ---------------------------------
+
+
+_TERM_RE = re.compile(
+    r"(?P<sign>[+-]?)(?:(?P<coeff>\d+(?:/\d+)?)(?:\*(?P<mono1>x\^2|x\*y|y\^2|x|y))?"
+    r"|(?P<mono2>x\^2|x\*y|y\^2|x|y))$"
+)
+_FIELD_BY_MONO = {"x^2": "c_xx", "x*y": "c_xy", "y^2": "c_yy", "x": "c_x", "y": "c_y", "": "c_0"}
+
+
+def parse_poly(text: str) -> QuadPoly:
+    """Parse the canonical rendering back into a QuadPoly."""
+    compact = text.replace(" ", "")
+    if not compact:
+        raise ValueError("empty polynomial string")
+    if compact == "0":
+        return QuadPoly(0, 0, 0, 0, 0, 0)
+    coeffs = {field: Fraction(0) for _, field in _MONOMIAL_FIELDS}
+    seen = set()
+    for match in re.finditer(r"[+-]?[^+-]+", compact):
+        term = match.group(0)
+        m = _TERM_RE.match(term)
+        if not m:
+            raise ValueError(f"cannot parse term {term!r} at position {match.start()}")
+        mono = m.group("mono1") or m.group("mono2") or ""
+        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        if m.group("sign") == "-":
+            coeff = -coeff
+        field = _FIELD_BY_MONO[mono]
+        if field in seen:
+            raise ValueError(f"monomial {mono or '1'} appears twice (term {term!r})")
+        seen.add(field)
+        coeffs[field] = coeff
+    return QuadPoly(**coeffs)
 
 
 # -- the Fraction form of the exact tail floor ----------------------------------
@@ -133,14 +164,15 @@ def _min_segment(g, t_hi: Fraction) -> Fraction:
 
 
 def reference_value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
-    """Exact infimum of p over {(x, y): x >= x_min} within the sector region.
+    """Exact infimum of p over the points of the sector region with x >= x_min.
 
-    For the first quadrant the region is {x >= x_min, y >= 0}.  Returns None
-    when the infimum is -infinity.  The region is a 2-D truncated cone, so the
-    infimum is found by exact case analysis: recession directions first (to
-    detect unboundedness, including interior valley directions the boundary
-    never sees), then the boundary rays, the truncation edge, and any interior
-    stationary point.
+    The region is the real cone 0 <= y <= (n/m) x, the first quadrant when
+    m = 0; it holds no point with x < 0, so any x_min <= 0 gives the infimum
+    over the whole region.  Returns None when the infimum is -infinity.  The
+    region is a 2-D truncated cone, so the infimum is found by exact case
+    analysis: recession directions first (to detect unboundedness, including
+    interior valley directions the boundary never sees), then the boundary
+    rays, the truncation edge, and any interior stationary point.
     """
     x_min = Fraction(x_min)
     d0 = (Fraction(1), Fraction(0))
@@ -193,7 +225,7 @@ def reference_value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
         # occurs on the boundary).
         x_star = (p.c_xy * p.c_y - 2 * p.c_yy * p.c_x) / det
         y_star = (p.c_xy * p.c_x - 2 * p.c_xx * p.c_y) / det
-        inside = x_star >= x_min and y_star >= 0 and (s.m == 0 or s.m * y_star <= s.n * x_star)
+        inside = x_star >= x_lo and y_star >= 0 and (s.m == 0 or s.m * y_star <= s.n * x_star)
         if inside:
             candidates.append(p(x_star, y_star))
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qpacking import SectorSpec, classify, sector_arithmetic
-from qpacking.classify import _admissible_ks
 from qpacking.atlas import AtlasRow, atlas_to_json, build_atlas
+from qpacking.classify import admissible_ks, classify, sector_arithmetic
+from qpacking.geometry import SectorSpec
 
 from helpers import coprime_sectors, reference_atlas_json, reference_atlas_payload
 
@@ -58,4 +58,4 @@ def test_class_arithmetic_is_shear_invariant_over_atlas_range():
         canon = SectorSpec(s.n, s.m % s.n)
         ar, canon_ar = sector_arithmetic(s), sector_arithmetic(canon)
         assert ar == canon_ar
-        assert _admissible_ks(s, ar) == _admissible_ks(canon, canon_ar)
+        assert admissible_ks(s, ar) == admissible_ks(canon, canon_ar)

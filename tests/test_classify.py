@@ -2,25 +2,29 @@ from fractions import Fraction
 
 import pytest
 
-from qpacking import (
+from qpacking.classify import (
     admissible_ks,
     canonical_sector,
     classify,
     constant_term,
-    flip_map,
     flipped_sector,
     forced_quadratic_coeffs,
-    make_sector,
     no_qpp_reason,
     sector_arithmetic,
-    shear_map,
-    skew_map,
-    step_difference,
-    to_alpha_form,
-    transformed_polynomial,
 )
+from qpacking.geometry import flip_map, make_sector, shear_map, skew_map
+from qpacking.poly import step_difference, to_alpha_form, transformed_polynomial
 
 from helpers import all_classified, coprime_sectors, product_poly
+
+
+def ks_of(n, m):
+    s = make_sector(n, m)
+    return admissible_ks(s, sector_arithmetic(s))
+
+
+def constant_of(n, m, k):
+    return constant_term(sector_arithmetic(make_sector(n, m)), k)
 
 
 class TestSectorArithmetic:
@@ -55,27 +59,27 @@ class TestForcedQuadraticCoeffs:
 
 class TestAdmissibleKs:
     def test_12_7(self):
-        assert admissible_ks(make_sector(12, 7)) == {1, -1, 3, -3}
+        assert ks_of(12, 7) == [1, -1, 3, -3]
 
     def test_4_1(self):
-        assert admissible_ks(make_sector(4, 1)) == {1, -1, 2, -2}
+        assert ks_of(4, 1) == [1, -1, 2, -2]
 
     def test_8_5(self):
-        assert admissible_ks(make_sector(8, 5)) == {1, -1}
+        assert ks_of(8, 5) == [1, -1]
 
     def test_3_2_empty(self):
-        assert admissible_ks(make_sector(3, 2)) == set()
+        assert ks_of(3, 2) == []
 
     def test_sign_matched_congruence(self):
         # n/l >= 3 separates the signs: 9/4 admits only the ascending k = 1,
         # its descending partner living on the flipped sector 9/7
-        assert admissible_ks(make_sector(9, 4)) == {1}
-        assert admissible_ks(make_sector(9, 7)) == {-1}
-        assert admissible_ks(make_sector(16, 5)) == {1}
+        assert ks_of(9, 4) == [1]
+        assert ks_of(9, 7) == [-1]
+        assert ks_of(16, 5) == [1]
 
     def test_mixed_magnitudes(self):
         # l^2/n = 4 with n/l = 3 pairs k = 1 with k = -2
-        assert admissible_ks(make_sector(36, 13)) == {1, -2}
+        assert ks_of(36, 13) == [1, -2]
 
 
 class TestClassify:
@@ -133,24 +137,25 @@ class TestClassify:
 
 class TestConstantTerm:
     def test_12_7_k3(self):
-        assert constant_term(make_sector(12, 7), 3) == 2
+        assert constant_of(12, 7, 3) == 2
 
     def test_k1_always_zero(self):
         for s in coprime_sectors(8, 8):
-            if 1 in admissible_ks(s):
-                assert constant_term(s, 1) == 0
+            ar = sector_arithmetic(s)
+            if 1 in admissible_ks(s, ar):
+                assert constant_term(ar, 1) == 0
 
     def test_4_1_k2(self):
-        assert constant_term(make_sector(4, 1), 2) == 1
+        assert constant_of(4, 1, 2) == 1
 
     def test_non_integral_signals(self):
         with pytest.raises(ValueError):
-            constant_term(make_sector(8, 5), 2)  # l^2/n = 2 makes 2*1*3/12 non-integral
+            constant_of(8, 5, 2)  # l^2/n = 2 makes 2*1*3/12 non-integral
 
     def test_equals_abs_k_minus_one(self):
         for e in all_classified(12, 12):
-            assert e.constant_F == abs(e.k) - 1
-            assert constant_term(e.sector, e.k) == abs(e.k) - 1
+            assert e.alpha_form.F == abs(e.k) - 1
+            assert constant_term(sector_arithmetic(e.sector), e.k) == abs(e.k) - 1
 
 
 class TestCanonicalSector:

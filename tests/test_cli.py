@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+import qpacking
 from qpacking.atlas import atlas_to_csv, atlas_to_json, build_atlas
 from qpacking.cli import main
 
@@ -31,8 +35,11 @@ def run(argv):
     ["verify", "4", "3", EX1, "--xmax", "0"],
     ["render", "4", "3", "1", "--value-max", "-1"],
     ["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12", "--tmin", "-1"],
+    ["verify", "4", "3", "1e5000,0,0,0,0,0", "--xmax", "2"],
+    ["verify", "4", "3", "1e-10000000,0,0,0,0,0", "--xmax", "2"],
 ], ids=["search-jobs-0", "atlas-jobs-0", "search-bounds-too-large", "search-f-beyond-int64", "search-bounds-negative",
-        "verify-xmax-0", "render-value-max-negative", "search-tmin-negative"])
+        "verify-xmax-0", "render-value-max-negative", "search-tmin-negative",
+        "verify-exponent-huge", "verify-exponent-tiny"])
 def test_usage_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -147,3 +154,75 @@ def test_render_matches_goldens(n, m, k, fmt, capsys):
     assert run(["render", n, m, k, "--xmax", "6", "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RENDER_6_SHA256[(n, m, k, fmt)]
+
+
+# SHA-256 of classify stdout: 0, 1, 2 and 4 polynomials, both reasons for
+# having none (3/2 and 25/11), and the first quadrant.
+CLASSIFY_SHA256 = {
+    ("4", "3", "text"): "7c4c4d85c31d3346a681b44ce7abcaa62fc98fc61a047a2880eb3b17dc45beba",
+    ("4", "3", "json"): "4515a55b9baa3d221e500cdc64bcaebc4008b9f44d5e43f637d3dc154dd09980",
+    ("12", "7", "text"): "66c0618491227c93d400cbd7e7fbc0a8a5377d7ec2f7f9113447f3b8fe0350f9",
+    ("12", "7", "json"): "4630510827175824d65def954cbf0a073e937ed1683c9122d9673746434a18af",
+    ("9", "4", "text"): "a0127e72e0fe8fa4acc52787c39ca89f4d40ce8b5483c4a9e6e18a30a12ae604",
+    ("9", "4", "json"): "6cca9fc889b7a2ef48bb0021501b395d0f3fef2ce1e85e432cf9e62974009837",
+    ("1", "0", "text"): "2f0483fc2115ab968dc7d88f15ebbd2a80a6cc9f86821161d981624adfb482b9",
+    ("1", "0", "json"): "aa28f8bba37e1828fecf4189383de73a4a2ccef265e6b03a8666e88e8d918b47",
+    ("36", "13", "text"): "01cc98c45f42b5d22f0eed76a454f4530184f6ce468bb67c799549bcdddec526",
+    ("36", "13", "json"): "f0f8e7b3180fd551d9ae36916f23079b44f49cc70e65839f63dd5d1974fa123b",
+    ("3", "2", "text"): "8897bec86528d613cefbfd4fd0dd357cfe4c5f10c8a8a3bf4f3ba698f3837e26",
+    ("3", "2", "json"): "1bd8d03923852faeda9c0b6c57fba5656b899f834b87f356176933eeeca87541",
+    ("25", "11", "text"): "273552ba3c921a7d3d1883d4c5ecfc1523ff22cf7f1247ed4f0edd6f80603d18",
+    ("25", "11", "json"): "aa5f747d812e26b372e3a5d4637c007a668fb1be2af1eaaa99bda2f17fb38d0c",
+}
+
+
+@pytest.mark.parametrize("n, m, fmt", list(CLASSIFY_SHA256))
+def test_classify_matches_goldens(n, m, fmt, capsys):
+    assert run(["classify", n, m, "--format", fmt]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CLASSIFY_SHA256[(n, m, fmt)]
+    assert err == ""
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["verify", "4", "3", EX1], 0,
+     "polynomial: 2*x^2 - 2*x*y + 1/2*y^2 + 1/2*y\n"
+     "window: x <= 30\n"
+     "tail floor (x > 30): 2108/9\n"
+     "threshold T: 233\n"
+     "verdict: PASS (values 0..233 all packed exactly once)\n"),
+    (["verify", "4", "3", EX1_SHIFTED], 1,
+     "polynomial: 2*x^2 - 2*x*y + 1/2*y^2 + 1/2*y + 1\n"
+     "window: x <= 30\n"
+     "tail floor (x > 30): 2117/9\n"
+     "threshold T: 234\n"
+     "verdict: FAIL [coverage_gap] value 0 is not attained on the window\n"),
+    (["verify", "1", "0", "1/2,1,1/2,1/2,3/2,0", "--xmax", "3"], 0,
+     "polynomial: 1/2*x^2 + x*y + 1/2*y^2 + 1/2*x + 3/2*y\n"
+     "window: x <= 3\n"
+     "tail floor (x > 3): 10\n"
+     "threshold T: 9\n"
+     "verdict: PASS (values 0..9 all packed exactly once)\n"),
+], ids=["4-3-pass", "4-3-shifted-fail", "quadrant-pass"])
+def test_verify_output(argv, code, out, capsys):
+    assert run(argv) == code
+    assert capsys.readouterr() == (out, "")
+
+
+def run_module(*args):
+    """Run ``python -m qpacking`` on the package that the tests import."""
+    src = str(Path(qpacking.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "qpacking", *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_module_entry_point(capsys):
+    done = run_module("classify", "4", "3")
+    assert done.returncode == 0
+    assert run(["classify", "4", "3"]) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert run_module("verify", "4", "3", EX1_SHIFTED).returncode == 1
+    usage = run_module("classify", "0", "0")
+    assert usage.returncode == 2
+    assert "error:" in usage.stderr and "Traceback" not in usage.stderr

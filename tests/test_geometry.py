@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qpacking import (
+from qpacking.geometry import (
     SectorSpec,
     UnimodularMap,
+    _frac,
     extended_gcd,
     flip_map,
     make_sector,
@@ -14,7 +15,6 @@ from qpacking import (
     skew_map,
     x_axis_reflection,
 )
-from qpacking.geometry import _frac
 from qpacking.staircase import lattice_window
 
 from helpers import coprime_sectors

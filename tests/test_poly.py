@@ -1,29 +1,25 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qpacking import (
+from qpacking.classify import admissible_ks, classify, sector_arithmetic
+from qpacking.geometry import UnimodularMap, make_sector, skew_map
+from qpacking.poly import (
     AlphaFormCoeffs,
     NonConstantStepDifference,
     NonIntegralCoefficient,
     QuadPoly,
-    UnimodularMap,
-    admissible_ks,
-    alpha_form_d,
-    classify,
     format_factored,
     format_poly,
-    make_sector,
     packing_polynomial,
-    parse_poly,
-    skew_map,
     step_difference,
     to_alpha_form,
     transformed_polynomial,
 )
 
-from helpers import coprime_sectors, product_poly
+from helpers import coprime_sectors, parse_poly, product_poly
 from test_geometry import unimodular_maps
 
 EX1 = QuadPoly(2, -2, Fraction(1, 2), 0, Fraction(1, 2), 0)
@@ -153,29 +149,37 @@ class TestTransformedPolynomial:
                 assert conjugated == transformed_polynomial(s, k, abs(k) - 1)
 
 
+def forced_d(s, k):
+    """The forced alpha-basis x-coefficient D = 1 + (n - kl)/2, with its skewed-lattice check."""
+    d = 1 + Fraction(s.n - k * gcd(s.m - 1, s.n), 2)
+    assert d.denominator == 1
+    assert d - Fraction(s.n, 2) == transformed_polynomial(s, k, 0).c_x
+    return d
+
+
 class TestForcedLinearCoefficient:
     def test_examples(self):
-        assert alpha_form_d(make_sector(4, 3), 1) == 2
-        assert alpha_form_d(make_sector(5, 1), 1) == 1
-        assert alpha_form_d(make_sector(12, 7), 3) == -2
+        assert to_alpha_form(packing_polynomial(make_sector(4, 3), 1)).D == 2
+        assert to_alpha_form(packing_polynomial(make_sector(5, 1), 1)).D == 1
+        assert to_alpha_form(packing_polynomial(make_sector(12, 7), 3)).D == -2
 
     def test_matches_alpha_form(self):
         for s in coprime_sectors(12, 12):
             # Every classified polynomial: the forced D is its alpha-form D.
             for entry in classify(s):
-                assert alpha_form_d(s, entry.k) == entry.alpha_form.D
+                assert forced_d(s, entry.k) == entry.alpha_form.D
             # The closed form for any k: D is c_x + c_xx, and an alpha form exists
             # unless k is inadmissible, in which case only the y coefficient fails.
             if (s.m - 1) ** 2 % s.n != 0:
                 continue
             for k in (1, -1, 3, -3):
                 p = packing_polynomial(s, k)
-                d = alpha_form_d(s, k)
+                d = forced_d(s, k)
                 assert d == p.c_x + p.c_xx
                 try:
                     alpha = to_alpha_form(p)
                 except NonIntegralCoefficient as exc:
-                    assert k not in admissible_ks(s)
+                    assert k not in admissible_ks(s, sector_arithmetic(s))
                     assert exc.monomial == "y"
                 else:
                     assert d == alpha.D

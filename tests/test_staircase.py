@@ -3,14 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qpacking import (
+from qpacking.geometry import make_sector, skew_map
+from qpacking.staircase import (
     first_step_y,
     lattice_window,
-    make_sector,
-    skew_map,
     staircase_index,
     staircase_points,
-    staircase_size,
     staircase_size_formula,
 )
 
@@ -152,16 +150,16 @@ class TestPartition:
 
 class TestStaircaseSize:
     def test_12_7(self):
-        assert staircase_size(make_sector(12, 7), 2) == 7
+        assert len(staircase_points(make_sector(12, 7), 2, transformed=True)) == 7
         assert staircase_size_formula(make_sector(12, 7), 2) == 7
 
     def test_apex(self):
         for s in coprime_sectors(6, 6):
-            assert staircase_size(s, 0) == 1
+            assert len(staircase_points(s, 0, transformed=True)) == 1
 
     def test_formula_needs_divisibility(self):
         s = make_sector(8, 3)
-        assert staircase_size(s, 3) == 2
+        assert len(staircase_points(s, 3, transformed=True)) == 2
         assert staircase_size_formula(s, 3) == Fraction(3, 2)
 
     def test_formula_matches_when_divides(self):
@@ -169,4 +167,4 @@ class TestStaircaseSize:
             if (s.m - 1) ** 2 % s.n != 0:
                 continue
             for i in range(101):
-                assert staircase_size(s, i) == staircase_size_formula(s, i)
+                assert len(staircase_points(s, i, transformed=True)) == staircase_size_formula(s, i)

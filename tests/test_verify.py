@@ -4,18 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpacking import (
-    QuadPoly,
+from qpacking.classify import classify
+from qpacking.geometry import make_sector, skew_map
+from qpacking.poly import QuadPoly, packing_polynomial
+from qpacking.staircase import first_step_y, staircase_points
+from qpacking.verify import (
     SearchBounds,
     brute_force_search,
-    classify,
-    first_step_y,
     first_steps_cover_range,
-    make_sector,
-    packing_polynomial,
     packing_window_verify,
-    skew_map,
-    staircase_points,
     value_floor,
 )
 
@@ -104,22 +101,34 @@ class TestValueFloor:
 
     def test_negative_x_min_means_whole_sector(self):
         assert value_floor(EX1, make_sector(4, 3), -5) == 0
+        assert value_floor(QuadPoly(1, 0, 1, 2, -2, 2), make_sector(1, 0), -5) == 1
+        assert value_floor(QuadPoly(1, 1, 0, 2, 1, -1), make_sector(1, 0), -5) == -1
 
     def test_rejects_float_x_min(self):
         # exact arithmetic would read 0.1 as its binary fraction 3602879701896397/2^55
         with pytest.raises(TypeError):
             value_floor(QuadPoly(1, 0, 0, 0, 0, 0), make_sector(1, 1), 0.1)
 
-    # On the quadrant, a stationary point with x_min <= x* < 0 counts as
-    # inside when x_min < 0: a minimum, (x + 1)^2 + (y - 1)^2, and a saddle
-    # of an indefinite Hessian, x^2 + xy + 2x + y - 1.  Random draws rarely
-    # reach either case.
+    # Stationary points left of the quadrant, at x_min <= x* < 0, which must
+    # not count when x_min < 0: a minimum, (x + 1)^2 + (y - 1)^2, whose
+    # quadrant infimum is 1, and a saddle of an indefinite Hessian,
+    # x^2 + xy + 2x + y - 1, whose quadrant infimum is -1.  Random draws
+    # rarely reach either case.
     @example(QuadPoly(1, 0, 1, 2, -2, 2), make_sector(1, 0), -5)
     @example(QuadPoly(1, 1, 0, 2, 1, -1), make_sector(1, 0), -5)
     @settings(max_examples=1000, deadline=None)
     @given(floor_polys, floor_sectors, floor_x_mins)
     def test_matches_fraction_reference(self, p, s, x_min):
         assert value_floor(p, s, x_min) == reference_value_floor(p, s, x_min)
+
+    # The sector holds no point with x < 0, so any x_min <= 0 floors the whole
+    # sector; the examples are the two quadrant cases above.
+    @example(QuadPoly(1, 0, 1, 2, -2, 2), make_sector(1, 0), -5)
+    @example(QuadPoly(1, 1, 0, 2, 1, -1), make_sector(1, 0), -5)
+    @settings(max_examples=300, deadline=None)
+    @given(floor_polys, floor_sectors, st.integers(-5, 0) | st.builds(Fraction, st.integers(-60, 0), st.integers(1, 7)))
+    def test_nonpositive_x_min_means_whole_sector(self, p, s, x_min):
+        assert value_floor(p, s, x_min) == value_floor(p, s, 0)
 
     def test_grid_never_undercuts(self):
         cases = [
