@@ -47,6 +47,8 @@ def _parse_coeffs(spec: str) -> QuadPoly:
             coeffs.append(Fraction(item))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"coefficient {pos}: invalid rational {item!r} ({exc})") from exc
+        if max(abs(coeffs[-1].numerator), coeffs[-1].denominator) >= 10 ** 1000:
+            raise ValueError(f"coefficient {pos}: numerator or denominator has more than 1000 digits")
     return QuadPoly(*coeffs)
 
 

@@ -19,9 +19,9 @@ result.
 ``brute_force_search`` rediscovers classifications without trusting them: it
 scans integer boxes of the non-constant alpha-form coefficients in the calling
 process, derives the one constant term that puts the window minimum at 0 (no
-other can pass), discards candidates by exact integer arithmetic (a constant
-term outside its box or a collision inside the window is final), and accepts
-only candidates that earn a passing certificate from ``packing_window_verify``.
+other can pass), discards candidates by exact int64 arithmetic in blocks of
+the (D, E) plane (an F outside its box or a window collision is final), and
+accepts only those that pass ``packing_window_verify``'s certificate.
 """
 
 from __future__ import annotations
@@ -293,6 +293,35 @@ class SearchBounds:
                 raise ValueError(f"empty bound for {name}: [{rng[0]}, {rng[1]}]")
 
 
+_BLOCK = 2 ** 14  # int64 window values per prescreen block
+
+
+def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray, t_min: int | None):
+    """Yield, in coefficient order, each (A, B, C, D, E, F) that the int64 prescreen keeps.
+
+    A block is about ``_BLOCK // xs.size`` consecutive (D, E), D-major, one row of values each.
+    """
+    half_x, half_y, xy = (xs * (xs - 1)) // 2, (ys * (ys - 1)) // 2, xs * ys
+    n_e = bounds.e[1] - bounds.e[0] + 1
+    n_de = (bounds.d[1] - bounds.d[0] + 1) * n_e
+    rows = max(1, _BLOCK // xs.size)
+    for A, B, C in product(*(range(lo, hi + 1) for lo, hi in abc_ranges)):
+        base = A * half_x + B * xy + C * half_y
+        for start in range(0, n_de, rows):
+            d, e = np.divmod(np.arange(start, min(start + rows, n_de)), n_e)
+            d, e = d + bounds.d[0], e + bounds.e[0]
+            vals = base + d[:, None] * xs + e[:, None] * ys
+            f = -vals.min(axis=1)
+            kept = np.flatnonzero((bounds.f[0] <= f) & (f <= bounds.f[1]))
+            ranked = np.sort(vals[kept], axis=1)
+            ok = (np.diff(ranked, axis=1) != 0).all(axis=1)
+            if t_min is not None:
+                # with F added, distinct values hold {0..t_min} iff rank t_min holds t_min
+                ok &= t_min < xs.size and ranked[:, t_min] + f[kept] == t_min
+            for i in kept[ok].tolist():
+                yield A, B, C, int(d[i]), int(e[i]), int(f[i])
+
+
 def brute_force_search(
     s: SectorSpec,
     bounds: SearchBounds,
@@ -309,14 +338,14 @@ def brute_force_search(
     certificate needs every window value non-negative and the value 0 taken,
     so the window minimum of the candidate is 0: each (A, B, C, D, E) fixes
     its constant term F as minus the minimum of the rest, and only that F,
-    when it lies in ``bounds.f``, can be accepted.  Candidates are prescreened
-    in int64 on the window arrays from ``_window``, whose bound covers every
-    alpha-form value with coefficients inside the box, so the prescreen is
-    exact and drops only provably failing candidates.  Bounds for which
-    ``_window`` cannot prove that are refused with ``ValueError``, and so are
-    boxes of more than ``max_candidates`` (A, B, C, D, E) candidates, before
-    any window is built.  Each
-    accepted polynomial carries a passing certificate from
+    when it lies in ``bounds.f``, can be accepted.  ``_prescreen`` drops
+    candidates in int64 blocks of the (D, E) plane.  Its sums (A, B, C part +
+    D x) + E y are the alpha-form partial sums that the bound of ``_window``
+    covers inside the box, so the prescreen is exact and drops only provably
+    failing candidates.  Bounds for which ``_window`` cannot prove that are
+    refused with ``ValueError``, and so are boxes of more than
+    ``max_candidates`` (A, B, C, D, E) candidates, before any window is
+    built.  Each accepted polynomial carries a passing certificate from
     ``packing_window_verify`` at the configured window, with threshold at
     least ``t_min`` when given.  Output is sorted by coefficient tuple.
 
@@ -354,27 +383,11 @@ def brute_force_search(
     _, xs, ys = _window(s, x_max, coeff_cap)
     if xs.dtype == object:
         raise ValueError("search bounds too large for exact 64-bit prescreening")
-    half_x = (xs * (xs - 1)) // 2
-    half_y = (ys * (ys - 1)) // 2
-    xy = xs * ys
-
     found = []
-    for A, B, C in product(*(range(lo, hi + 1) for lo, hi in abc_ranges)):
-        base = A * half_x + B * xy + C * half_y
-        for D in range(bounds.d[0], bounds.d[1] + 1):
-            base_d = base + D * xs
-            for E in range(bounds.e[0], bounds.e[1] + 1):
-                vals = np.sort(base_d + E * ys)
-                F = -int(vals[0])
-                if not bounds.f[0] <= F <= bounds.f[1] or (np.diff(vals) == 0).any():
-                    continue
-                # With F added the distinct values start at 0, so they hold
-                # {0..t_min} exactly when the one at rank t_min is t_min.
-                if t_min is not None and (t_min >= vals.size or int(vals[t_min]) + F != t_min):
-                    continue
-                candidate = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
-                cert = packing_window_verify(candidate, s, x_max)
-                if cert.ok and (t_min is None or cert.threshold >= t_min):
-                    found.append(candidate)
+    for A, B, C, D, E, F in _prescreen(abc_ranges, bounds, xs, ys, t_min):
+        candidate = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
+        cert = packing_window_verify(candidate, s, x_max)
+        if cert.ok and (t_min is None or cert.threshold >= t_min):
+            found.append(candidate)
     found.sort(key=QuadPoly.coefficients)
     return found

@@ -8,7 +8,9 @@ window check, the reference that the integer evaluation path is compared with.
 analysis, the reference for the integer ``value_floor``; the window reference
 bounds its tail with it, so it shares no floor code with the certificate it
 checks.  ``reference_search`` certifies every candidate of a search box, the
-reference for the prescreened ``brute_force_search``.  ``reference_atlas_json``
+reference for the prescreened ``brute_force_search``.  ``reference_prescreen``
+is the search's int64 prescreen with one sort per candidate, the reference for
+the blocked ``_prescreen``.  ``reference_atlas_json``
 is the atlas JSON as ``json.dumps(indent=2)`` writes it, the reference for the
 directly written text of ``atlas_to_json``.  ``parse_poly`` reads the text of
 ``format_poly`` back, the oracle of its round-trip test.
@@ -22,6 +24,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import floor, gcd
+
+import numpy as np
 
 from qpacking.classify import classify, forced_quadratic_coeffs
 from qpacking.geometry import SectorSpec, make_sector
@@ -301,6 +305,27 @@ def reference_search(s: SectorSpec, bounds: SearchBounds, mode: str, x_max: int,
         if cert.ok and cert.threshold >= t_min:
             found.append(p)
     return sorted(found, key=QuadPoly.coefficients)
+
+
+def reference_prescreen(abc_ranges, bounds: SearchBounds, xs, ys, t_min):
+    """Each (A, B, C, D, E, F) that survives the int64 prescreen, one sort per candidate."""
+    half_x = (xs * (xs - 1)) // 2
+    half_y = (ys * (ys - 1)) // 2
+    xy = xs * ys
+    for A, B, C in product(*(range(lo, hi + 1) for lo, hi in abc_ranges)):
+        base = A * half_x + B * xy + C * half_y
+        for D in range(bounds.d[0], bounds.d[1] + 1):
+            base_d = base + D * xs
+            for E in range(bounds.e[0], bounds.e[1] + 1):
+                vals = np.sort(base_d + E * ys)
+                F = -int(vals[0])
+                if not bounds.f[0] <= F <= bounds.f[1] or (np.diff(vals) == 0).any():
+                    continue
+                # With F added the distinct values start at 0, so they hold
+                # {0..t_min} exactly when the one at rank t_min is t_min.
+                if t_min is not None and (t_min >= vals.size or int(vals[t_min]) + F != t_min):
+                    continue
+                yield A, B, C, D, E, F
 
 
 def _rational_payload(q: Fraction) -> dict[str, str]:

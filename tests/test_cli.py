@@ -10,7 +10,10 @@ import pytest
 
 import qpacking
 from qpacking.atlas import atlas_to_csv, atlas_to_json, build_atlas
+from qpacking.classify import classify
 from qpacking.cli import main
+from qpacking.geometry import make_sector
+from qpacking.poly import QuadPoly, format_poly
 
 BENCH_GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
 
@@ -37,9 +40,11 @@ def run(argv):
     ["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12", "--tmin", "-1"],
     ["verify", "4", "3", "1e5000,0,0,0,0,0", "--xmax", "2"],
     ["verify", "4", "3", "1e-10000000,0,0,0,0,0", "--xmax", "2"],
+    # 4,299 digits parse, but the tail floor B * 31^2 has too many to print
+    ["verify", "1", "1", "9" * 4299 + ",0,0,0,1,0", "--xmax", "30"],
 ], ids=["search-jobs-0", "atlas-jobs-0", "search-bounds-too-large", "search-f-beyond-int64", "search-bounds-negative",
         "verify-xmax-0", "render-value-max-negative", "search-tmin-negative",
-        "verify-exponent-huge", "verify-exponent-tiny"])
+        "verify-exponent-huge", "verify-exponent-tiny", "verify-coefficient-huge"])
 def test_usage_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -61,6 +66,15 @@ def test_search_refuses_huge_box_at_once(capsys):
     assert run(["search", "4", "3", "--bounds", "99999999:1:1"]) == 2
     assert perf_counter() - start < 1
     assert capsys.readouterr().err == "error: search box has 599999997 candidates, more than the limit of 1000000\n"
+
+
+def test_search_over_many_prescreen_blocks(capsys):
+    # 4,001 x 3 (D, E) candidates: the prescreen runs in many blocks
+    polys = sorted((e.poly for e in classify(make_sector(4, 3))), key=QuadPoly.coefficients)
+    assert len(polys) == 2
+    assert run(["search", "4", "3", "--bounds", "2000:1:1", "--xmax", "12"]) == 0
+    assert capsys.readouterr() == (
+        "".join(format_poly(p) + "\n" for p in polys) + "found 2 packing polynomial(s) on sector 4/3\n", "")
 
 
 @pytest.mark.parametrize("argv", [

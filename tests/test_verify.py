@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpacking.classify import classify
+from qpacking import verify
+from qpacking.classify import classify, forced_quadratic_coeffs
 from qpacking.geometry import make_sector, skew_map
 from qpacking.poly import QuadPoly, packing_polynomial
 from qpacking.staircase import first_step_y, staircase_points
 from qpacking.verify import (
     SearchBounds,
+    _prescreen,
+    _window,
     brute_force_search,
     first_steps_cover_range,
     packing_window_verify,
@@ -19,6 +22,7 @@ from qpacking.verify import (
 from helpers import (
     all_classified,
     coprime_sectors,
+    reference_prescreen,
     reference_search,
     reference_value_floor,
     reference_window_verify,
@@ -30,6 +34,13 @@ EX1 = packing_polynomial(make_sector(4, 3), 1)
 # A full-mode box whose F range reaches below 0; at these small windows the
 # search accepts many polynomials that classify() does not list.
 SMALL_FULL_BOX = SearchBounds(a=(1, 2), b=(-2, 2), c=(0, 2), d=(-3, 3), e=(-3, 3), f=(-1, 3))
+
+# The benchmark's search boxes.  5/2 is left out: it has no forced quadratic
+# part, so its restricted search returns before any prescreen.
+BENCH_RESTRICTED = SearchBounds(d=(-16, 16), e=(-16, 16), f=(0, 10))
+BENCH_FULL = SearchBounds(a=(1, 3), b=(-3, 3), c=(0, 3), d=(-3, 3), e=(-3, 3), f=(0, 3))
+BENCH_SEARCHES = [(n, m, BENCH_RESTRICTED, "restricted", 16) for n, m in ((12, 7), (9, 4), (1, 1), (25, 11))]
+BENCH_SEARCHES += [(n, m, BENCH_FULL, "full", 12) for n, m in ((1, 1), (2, 1), (1, 0))]
 
 # Random coefficients almost never pack, so classified polynomials and their
 # +1 shifts are drawn too, to reach the tail floor and the coverage check.
@@ -238,6 +249,13 @@ class TestFirstSteps:
             first_steps_cover_range(make_sector(4, 1), -1, 0)
 
 
+def prescreen_inputs(s, bounds, mode, x_max):
+    """(A, B, C) ranges and window arrays as ``brute_force_search`` hands them to ``_prescreen``."""
+    abc = [(c, c) for c in forced_quadratic_coeffs(s)] if mode == "restricted" else [bounds.a, bounds.b, bounds.c]
+    _, xs, ys = _window(s, x_max, max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc) for v in r))
+    return abc, xs, ys
+
+
 class TestBruteForceSearch:
     def test_4_3_matches_classify(self):
         got = brute_force_search(make_sector(4, 3), SearchBounds(d=(-10, 10), e=(-10, 10), f=(0, 10)), x_max=25)
@@ -299,6 +317,37 @@ class TestBruteForceSearch:
         s = make_sector(n, m)
         got = brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min)
         assert got == reference_search(s, bounds, mode, x_max, t_min or 0)
+
+    @pytest.mark.parametrize("t_min", [None, 0, 5, "last"])
+    @pytest.mark.parametrize("n, m, bounds, mode, x_max", BENCH_SEARCHES,
+                             ids=[f"{n}-{m}-{mode}" for n, m, _, mode, _ in BENCH_SEARCHES])
+    def test_prescreen_matches_one_sort_per_candidate(self, n, m, bounds, mode, x_max, t_min):
+        # survivors are compared as (A..F) tuples in order, so a block row
+        # mapped to the wrong (D, E) fails here even when no output changes
+        abc, xs, ys = prescreen_inputs(make_sector(n, m), bounds, mode, x_max)
+        t_min = xs.size - 1 if t_min == "last" else t_min
+        assert list(_prescreen(abc, bounds, xs, ys, t_min)) == list(reference_prescreen(abc, bounds, xs, ys, t_min))
+
+    @pytest.mark.parametrize("n, m, bounds, mode, x_max, t_min", [
+        (1, 1, SMALL_FULL_BOX, "full", 2, None),
+        (1, 1, SMALL_FULL_BOX, "full", 3, 2),
+        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 2, None),
+        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 12, 5),
+        # F = -min >= 0, as the window holds the origin; only this box drops F = 0
+        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(1, 6)), "restricted", 12, None),
+    ], ids=["1-1", "1-1-tmin-2", "4-3-restricted", "4-3-tmin-5", "4-3-f-from-1"])
+    def test_block_boundaries(self, monkeypatch, n, m, bounds, mode, x_max, t_min):
+        s = make_sector(n, m)
+        default = brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min)
+        assert default == reference_search(s, bounds, mode, x_max, t_min or 0)
+        abc, xs, ys = prescreen_inputs(s, bounds, mode, x_max)
+        survivors = list(reference_prescreen(abc, bounds, xs, ys, t_min))
+        # one (D, E) per block, then blocks of 5 with a short last block
+        # (the (D, E) planes have 49 and 169 points)
+        for block in (1, 6 * xs.size - 1):
+            monkeypatch.setattr(verify, "_BLOCK", block)
+            assert list(_prescreen(abc, bounds, xs, ys, t_min)) == survivors
+            assert brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min) == default
 
     def test_jobs_deterministic(self):
         s = make_sector(8, 5)
