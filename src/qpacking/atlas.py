@@ -4,7 +4,8 @@ One row per coprime (n, m) sector plus the first-quadrant row (1, 0), each
 carrying the derived arithmetic, the admissible step constants, the polynomial
 coefficient tuples and the canonical shear representative (n, m mod n).  The
 shear (x, y) -> (x + t y, y) leaves all but the polynomials unchanged, so the
-rows of a class share them; polynomials are classified per row.  Serialization
+rows of a class share them; each row's polynomials are the closed forms
+``packing_polynomial`` gives for the ks of its class.  Serialization
 is byte-reproducible: JSON keeps rationals as numerator/denominator strings,
 CSV as "p/q" text.  The JSON text is written directly, in the layout of
 ``json.dumps(payload, indent=2)``; every key is fixed and every value is an
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .classify import _classify, admissible_ks, sector_arithmetic
+from .classify import admissible_ks, sector_arithmetic
 from .geometry import SectorSpec
+from .poly import packing_polynomial
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,8 @@ class AtlasRow:
 def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
     """All rows for coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0), in (n, m) order.
 
-    Arithmetic, ks and canonical pair come once per class (n, m mod n); polynomials, per row.
+    Arithmetic, ks and canonical pair come once per class (n, m mod n); each row's polynomials
+    are ``packing_polynomial`` of the row's sector for those ks, as ``classify`` lists them.
     """
     if nmax < 1 or mmax < 1:
         raise ValueError(f"nmax and mmax must be >= 1, got {nmax}, {mmax}")
@@ -53,7 +56,7 @@ def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
                 ar = sector_arithmetic(canon)
                 classes[m % n] = (ar, tuple(admissible_ks(canon, ar)), (canon.n, canon.m))
             ar, ks, canonical = classes[m % n]
-            polys = tuple(e.poly.coefficients() for e in _classify(SectorSpec(n, m), ar)) if ks else ()
+            polys = tuple(packing_polynomial(SectorSpec(n, m), k).coefficients() for k in ks)
             rows.append(AtlasRow(n, m, ar.l, ar.n_over_l, ar.l2_over_n, len(polys), ks, polys, canonical))
     return rows
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .geometry import SectorSpec
 from .poly import AlphaFormCoeffs, QuadPoly, packing_polynomial, to_alpha_form
@@ -46,14 +45,8 @@ class ClassifiedQPP:
 
 
 def sector_arithmetic(s: SectorSpec) -> SectorArithmetic:
-    l = gcd(s.m - 1, s.n)
-    v = s.n // l
-    l2_over_n = Fraction(l * l, s.n)
-    divides = l2_over_n.denominator == 1
-    # n | l^2 and n | (m-1)^2 are equivalent; keep both routes computed.
-    assert divides == ((s.m - 1) ** 2 % s.n == 0)
-    assert gcd((s.m - 1) // l, v) == 1
-    return SectorArithmetic(l, v, l2_over_n, divides)
+    l2_over_n = Fraction(s.l ** 2, s.n)
+    return SectorArithmetic(s.l, s.n_over_l, l2_over_n, l2_over_n.denominator == 1)
 
 
 def forced_quadratic_coeffs(s: SectorSpec) -> tuple[int, int, int] | None:
@@ -82,7 +75,7 @@ def admissible_ks(s: SectorSpec, ar: SectorArithmetic) -> list[int]:
 def constant_term(ar: SectorArithmetic, k: int) -> int:
     """Forced constant term (l^2/n)(|k|-1)(|k|+1)/12 from the sector's arithmetic ``ar``.
 
-    It equals |k| - 1 when k is admissible; ``_classify`` asserts that.
+    It equals |k| - 1 when k is admissible.
     """
     value = ar.l2_over_n * (abs(k) - 1) * (abs(k) + 1) / 12
     if value.denominator != 1:
@@ -92,19 +85,10 @@ def constant_term(ar: SectorArithmetic, k: int) -> int:
 
 def classify(s: SectorSpec) -> list[ClassifiedQPP]:
     """All packing polynomials of the sector, in the fixed order k = 1, -1, 2, -2, 3, -3."""
-    return _classify(s, sector_arithmetic(s))
-
-
-def _classify(s: SectorSpec, ar: SectorArithmetic) -> list[ClassifiedQPP]:
-    """``classify`` from the sector's arithmetic ``ar``, computed once by the caller."""
     out = []
-    for k in admissible_ks(s, ar):
+    for k in admissible_ks(s, sector_arithmetic(s)):
         poly = packing_polynomial(s, k)
-        alpha = to_alpha_form(poly)
-        f_const = constant_term(ar, k)
-        assert alpha.F == f_const == abs(k) - 1
-        assert alpha.A == s.n and alpha.B == 1 - s.m
-        out.append(ClassifiedQPP(s, k, poly, alpha))
+        out.append(ClassifiedQPP(s, k, poly, to_alpha_form(poly)))
     return out
 
 

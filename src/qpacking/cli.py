@@ -16,7 +16,7 @@ from .classify import classify, no_qpp_reason, sector_arithmetic
 from .geometry import make_sector
 from .poly import QuadPoly, format_factored, format_poly
 from .render import render_figure
-from .verify import SearchBounds, brute_force_search, packing_window_verify
+from .verify import SearchBounds, brute_force_search, number_text, packing_window_verify
 
 
 JOBS_HELP = "accepted for compatibility (>= 1); the work runs in one process"
@@ -113,16 +113,16 @@ def _cmd_verify(args) -> int:
         return 2
     try:
         poly = _parse_coeffs(args.coefficients)
+        cert = packing_window_verify(poly, s, args.xmax)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cert = packing_window_verify(poly, s, args.xmax)
     print(f"polynomial: {format_poly(poly)}")
     print(f"window: x <= {cert.x_max}")
     if cert.floor_bound is not None:
-        print(f"tail floor (x > {cert.x_max}): {cert.floor_bound}")
+        print(f"tail floor (x > {cert.x_max}): {number_text(cert.floor_bound)}")
     if cert.threshold is not None:
-        print(f"threshold T: {cert.threshold}")
+        print(f"threshold T: {number_text(cert.threshold)}")
     if cert.ok:
         print(f"verdict: PASS (values 0..{cert.threshold} all packed exactly once)")
         return 0

@@ -57,6 +57,16 @@ class SectorSpec:
     def is_quadrant(self) -> bool:
         return self.m == 0
 
+    @property
+    def l(self) -> int:
+        """l = gcd(m-1, n): it fixes the staircase spacing n/l, the test n | l^2 and the admissible k."""
+        return gcd(self.m - 1, self.n)
+
+    @property
+    def n_over_l(self) -> int:
+        """n/l, the spacing of the steps on a straightened staircase."""
+        return self.n // self.l
+
     def slope(self) -> Fraction | None:
         """Slope n/m, or None for the first quadrant (infinite slope)."""
         return None if self.m == 0 else Fraction(self.n, self.m)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .geometry import SectorSpec, UnimodularMap, _frac
@@ -115,9 +114,8 @@ def step_difference(p: QuadPoly, s: SectorSpec) -> Fraction:
     the step, which is asserted symbolically (the difference polynomial has to
     be degree 0), not sampled.
     """
-    l = gcd(s.m - 1, s.n)
-    dx = Fraction(s.m - 1, l)
-    dy = Fraction(s.n, l)
+    dx = Fraction(s.m - 1, s.l)
+    dy = Fraction(s.n_over_l)
     rem_x = 2 * p.c_xx * dx + p.c_xy * dy
     rem_y = p.c_xy * dx + 2 * p.c_yy * dy
     if rem_x != 0 or rem_y != 0:
@@ -144,7 +142,7 @@ def packing_polynomial(s: SectorSpec, k: int) -> QuadPoly:
     """
     _check_k(k)
     n, m = s.n, s.m
-    kl = k * gcd(m - 1, n)
+    kl = k * s.l
     return QuadPoly(
         Fraction(n, 2),
         Fraction(1 - m),
@@ -162,8 +160,7 @@ def transformed_polynomial(s: SectorSpec, k: int, f_const: int) -> QuadPoly:
     sector's skew map yields exactly this with F = |k| - 1.
     """
     _check_k(k)
-    l = gcd(s.m - 1, s.n)
-    v = s.n // l
+    l, v = s.l, s.n_over_l
     if l % v != 0:
         raise ValueError(f"sector {s}: n/l = {v} does not divide l = {l}")
     kl = k * l
@@ -223,7 +220,7 @@ def format_factored(s: SectorSpec, k: int) -> str:
     """
     _check_k(k)
     n, m = s.n, s.m
-    kl = k * gcd(m - 1, n)
+    kl = k * s.l
     beta = Fraction(m - 1, n)
     scale = Fraction(n, 2)
     first = _linear_factor_str(-beta, Fraction(0))

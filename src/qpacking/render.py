@@ -9,7 +9,6 @@ coordinates computed in exact arithmetic before formatting.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .classify import classify, no_qpp_reason
 from .geometry import SectorSpec
@@ -107,7 +106,7 @@ def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> st
 
     # Staircase lines: staircase i starts on the x-axis at x = l i / n and
     # climbs in direction (m - 1, n) (anti-diagonal for the quadrant).
-    l = gcd(s.m - 1, s.n)
+    l = s.l
     direction = (Fraction(s.m - 1), Fraction(s.n))
     i = 0
     while Fraction(l * i, s.n) <= x_edge:

@@ -11,15 +11,8 @@ vertical line x = i/(n/l), where its steps are the y with
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .geometry import SectorSpec
-
-
-def _spacing(s: SectorSpec) -> tuple[int, int]:
-    """(l, n/l) with l = gcd(m-1, n)."""
-    l = gcd(s.m - 1, s.n)
-    return l, s.n // l
 
 
 def lattice_window(s: SectorSpec, x_max: int) -> list[tuple[int, int]]:
@@ -42,7 +35,7 @@ def staircase_index(s: SectorSpec, p: tuple[int, int]) -> int:
     x, y = p
     if not s.contains(x, y):
         raise ValueError(f"point {p} lies outside sector {s}")
-    i, rem = divmod(s.n * x - (s.m - 1) * y, _spacing(s)[0])
+    i, rem = divmod(s.n * x - (s.m - 1) * y, s.l)
     assert rem == 0, "staircase index is integral for every lattice point"
     assert i >= 0
     return i
@@ -56,7 +49,7 @@ def first_step_y(s: SectorSpec, i: int) -> int:
     """
     if i < 0:
         raise ValueError(f"staircase index must be >= 0, got {i}")
-    l, v = _spacing(s)
+    l, v = s.l, s.n_over_l
     if v == 1:
         return 0
     u = (s.m - 1) // l
@@ -71,7 +64,7 @@ def staircase_points(s: SectorSpec, i: int, transformed: bool = False):
     """
     if i < 0:
         raise ValueError(f"staircase index must be >= 0, got {i}")
-    l, v = _spacing(s)
+    l, v = s.l, s.n_over_l
     x_hat = Fraction(i, v)
     ys = range(first_step_y(s, i), i * l + 1, v)
     if transformed:
@@ -93,5 +86,5 @@ def staircase_size_formula(s: SectorSpec, i: int) -> Fraction:
     """
     if i < 0:
         raise ValueError(f"staircase index must be >= 0, got {i}")
-    l, v = _spacing(s)
+    l, v = s.l, s.n_over_l
     return Fraction(l * l, s.n) * i + (1 if i % v == 0 else 0)

@@ -27,9 +27,10 @@ accepts only those that pass ``packing_window_verify``'s certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import product
-from math import floor, gcd, lcm
+from math import floor, lcm
 from typing import Literal
 
 import numpy as np
@@ -47,6 +48,24 @@ FailureKind = Literal[
     "tail_unbounded",
     "tail_below_zero",
 ]
+
+
+MAX_WINDOW_POINTS = 4_000_000  # lattice points in a window's bounding box (x_max + 1)(y_top + 1)
+_MAX_PRINTED_BITS = 13_000  # about 3,900 digits, under the 4,300 digits Python converts to text
+
+
+def number_text(q: int | Fraction) -> str:
+    """``str(q)``, or q rounded to 12 significant digits when it has too many digits to print.
+
+    Python refuses to convert an int of more than 4,300 digits to text.  A tail floor can be that
+    long even when every coefficient has at most 1,000 digits: its numerator and denominator grow
+    with products of the coefficients and the lcm of their denominators.  A window value can be
+    when a coefficient is longer.
+    """
+    q = Fraction(q)
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) <= _MAX_PRINTED_BITS:
+        return str(q)
+    return f"{Context(prec=12).divide(Decimal(q.numerator), Decimal(q.denominator))} (rounded)"
 
 
 @dataclass(frozen=True)
@@ -194,12 +213,19 @@ def _window_tail_floor(p: QuadPoly, s: SectorSpec, x_max: int) -> Fraction | Non
 def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
     """The window x <= x_max as its points and their x and y arrays.
 
-    On the window, a quadratic with integer coefficients of size at most cap,
-    and each of its partial sums, has size at most cap * (x_max + y_top + 1)^2.
+    A window whose bounding box (x_max + 1)(y_top + 1) holds more than
+    ``MAX_WINDOW_POINTS`` points is refused with ``ValueError`` before any
+    point is built.  On the window, a quadratic with integer coefficients of
+    size at most cap, and each of its partial sums, has size at most
+    cap * (x_max + y_top + 1)^2.
     The arrays are int64 when that is below 2^62, else Python-int object arrays.
     """
+    y_top = x_max if s.m == 0 else s.n * x_max // s.m
+    box = (x_max + 1) * (y_top + 1)
+    if box > MAX_WINDOW_POINTS:
+        raise ValueError(f"window x <= {x_max} has a bounding box of {number_text(box)} lattice points, "
+                         f"more than the limit of {MAX_WINDOW_POINTS}")
     pts = lattice_window(s, x_max)
-    y_top = pts[-1][1]
     dtype = np.int64 if cap * (x_max + y_top + 1) ** 2 < 2 ** 62 else object
     xs = np.array([x for x, _ in pts], dtype=dtype)
     ys = np.array([y for _, y in pts], dtype=dtype)
@@ -228,7 +254,7 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
         if rem:
             value = Fraction(scaled, scale)
             return WindowCertificate(x_max, None, None, Failure(
-                "non_integral_value", f"value {value} at {pt} is not an integer",
+                "non_integral_value", f"value {number_text(value)} at {pt} is not an integer",
                 witnesses=(pt,), value=value))
         if v < 0:
             return WindowCertificate(x_max, None, None, Failure(
@@ -248,7 +274,7 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
     if threshold < 0:
         return WindowCertificate(x_max, threshold, bound, Failure(
             "tail_below_zero",
-            f"tail lower bound {bound} certifies no threshold; enlarge the window"))
+            f"tail lower bound {number_text(bound)} certifies no threshold; enlarge the window"))
     for t in range(threshold + 1):
         if t not in seen:
             return WindowCertificate(x_max, threshold, bound, Failure(
@@ -262,7 +288,7 @@ def first_steps_cover_range(s: SectorSpec, k: int, f_const: int) -> bool:
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     p = transformed_polynomial(s, k, f_const)
-    v = s.n // gcd(s.m - 1, s.n)
+    v = s.n_over_l
     values = set()
     for i in range(k):
         value = p(Fraction(i, v), first_step_y(s, i))

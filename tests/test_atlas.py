@@ -1,11 +1,13 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from qpacking.atlas import AtlasRow, atlas_to_json, build_atlas
-from qpacking.classify import admissible_ks, classify, sector_arithmetic
+from qpacking.classify import admissible_ks, classify, constant_term, sector_arithmetic
 from qpacking.geometry import SectorSpec
+from qpacking.poly import QuadPoly, to_alpha_form
 
 from helpers import coprime_sectors, reference_atlas_json, reference_atlas_payload
 
@@ -53,9 +55,22 @@ def test_rows_match_public_classification():
 
 
 def test_class_arithmetic_is_shear_invariant_over_atlas_range():
-    # build_atlas computes these once per class (n, m mod n) and copies them to every row
-    for s in coprime_sectors(300, 300):
-        canon = SectorSpec(s.n, s.m % s.n)
+    # build_atlas computes these once per class (n, m mod n) and copies them to every row;
+    # the row's polynomials come from the closed form, whose alpha form the paper fixes
+    rows = build_atlas(300, 300)
+    sectors = coprime_sectors(300, 300)
+    assert len(rows) == len(sectors) == 54_796
+    for row, s in zip(rows, sectors):
+        n, m = s.n, s.m
+        canon = SectorSpec(n, m % n)
         ar, canon_ar = sector_arithmetic(s), sector_arithmetic(canon)
         assert ar == canon_ar
         assert admissible_ks(s, ar) == admissible_ks(canon, canon_ar)
+        assert (row.n, row.m, row.l, row.n_over_l, row.l2_over_n) == (n, m, ar.l, ar.n_over_l, ar.l2_over_n)
+        # n | l^2 iff n | (m-1)^2, and (m-1)/l is a unit mod n/l
+        assert ar.divides_n_l2 == (row.l2_over_n.denominator == 1) == ((m - 1) ** 2 % n == 0)
+        assert (m - 1) % row.l == 0 and gcd((m - 1) // row.l, row.n_over_l) == 1
+        for k, coeffs in zip(row.ks, row.polynomials, strict=True):
+            alpha = to_alpha_form(QuadPoly(*coeffs))
+            assert (alpha.A, alpha.B) == (n, 1 - m)
+            assert alpha.F == constant_term(ar, k) == abs(k) - 1

@@ -1,14 +1,17 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 
 import qpacking
+from qpacking import verify
 from qpacking.atlas import atlas_to_csv, atlas_to_json, build_atlas
 from qpacking.classify import classify
 from qpacking.cli import main
@@ -75,6 +78,53 @@ def test_search_over_many_prescreen_blocks(capsys):
     assert run(["search", "4", "3", "--bounds", "2000:1:1", "--xmax", "12"]) == 0
     assert capsys.readouterr() == (
         "".join(format_poly(p) + "\n" for p in polys) + "found 2 packing polynomial(s) on sector 4/3\n", "")
+
+
+WINDOW_REFUSED = ("error: window x <= 2000 has a bounding box of 4004001 lattice points, "
+                  "more than the limit of 4000000\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "1", "0", "1/2,1,1/2,1/2,3/2,0", "--xmax", "2000"], 2),
+    (["search", "1", "0", "--bounds", "1:1:1", "--xmax", "2000"], 2),
+    (["render", "1", "0", "1", "--xmax", "2000"], 1),
+], ids=["verify", "search", "render"])
+def test_window_one_step_above_limit_is_refused_at_once(argv, code, capsys):
+    # the quadrant's window at x_max 2000 is the box 2001 x 2001: 4,004,001 points
+    start = perf_counter()
+    assert run(argv) == code
+    assert perf_counter() - start < 1
+    assert capsys.readouterr() == ("", WINDOW_REFUSED)
+
+
+def test_window_at_limit_runs(monkeypatch, capsys):
+    # 12/7 at x_max 120, the largest benchmark window, has a box of 121 x 206 = 24,926 points
+    monkeypatch.setattr(verify, "MAX_WINDOW_POINTS", 121 * 206)
+    argv = ["verify", "12", "7", "6,-6,3/2,-2,3/2,0"]
+    assert run(argv + ["--xmax", "120"]) == 0
+    assert capsys.readouterr().out.endswith("verdict: PASS (values 0..1860 all packed exactly once)\n")
+    assert run(argv + ["--xmax", "121"]) == 2
+    assert capsys.readouterr().err == (
+        "error: window x <= 121 has a bounding box of 25376 lattice points, more than the limit of 24926\n")
+
+
+def test_verify_prints_a_tail_floor_too_long_for_str(capsys):
+    # each coefficient is under the 1,000-digit limit, but the tail floor's numerator and
+    # denominator grow with the lcm of all four denominators, past what str() converts
+    rng = random.Random(50)
+    big = lambda: rng.randrange(10**996, 10**997)
+    A, B, C = (Fraction(rng.randrange(1, 10**996), big()) for _ in range(3))
+    E = Fraction(-rng.randrange(1, 10**996), big())
+    assert run(["verify", "1", "100", ",".join(map(str, (A, B, C, -60 - A, E, 400))), "--xmax", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [
+        "window: x <= 1",
+        "tail floor (x > 1): -10433.6670850 (rounded)",
+        "threshold T: -10435",
+        "verdict: FAIL [tail_below_zero] tail lower bound -10433.6670850 (rounded) certifies no threshold; "
+        "enlarge the window",
+    ]
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -192,6 +192,12 @@ class TestPackingWindowVerify:
         cert = packing_window_verify(p, make_sector(2, 1), 5)
         assert not cert.ok and cert.failure.kind == "non_integral_value"
 
+    def test_non_integral_value_too_long_for_str(self):
+        # 3^10000 has 4,772 digits, more than str() converts
+        p = QuadPoly(Fraction(1, 3 ** 10_000), 0, 0, 0, 0, 0)
+        cert = packing_window_verify(p, make_sector(2, 1), 1)
+        assert cert.failure.message == "value 6.12989172395E-4772 (rounded) at (1, 0) is not an integer"
+
     def test_collision(self):
         p = QuadPoly(0, 0, 0, 1, 1, 0)  # x + y collides immediately
         cert = packing_window_verify(p, make_sector(1, 1), 5)
