@@ -33,6 +33,23 @@ def _int_at_least(lo: int):
     return integer
 
 
+MAX_DIGITS = 1000  # per sector number, and per numerator or denominator of a coefficient
+
+
+def _sector_number(text: str) -> int:
+    """argparse type for a sector's n or m: an integer of at most ``MAX_DIGITS`` digits.
+
+    The longest number the CLI derives from a sector is (m-1)^2, which then has at most 2,000
+    digits, well under the 4,300 that Python converts to text.
+    """
+    if sum(ch.isdigit() for ch in text) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"has more than {MAX_DIGITS} digits")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_coeffs(spec: str) -> QuadPoly:
     """Parse six comma-separated rationals in the order x^2, xy, y^2, x, y, 1."""
     items = [part.strip() for part in spec.split(",")]
@@ -47,8 +64,8 @@ def _parse_coeffs(spec: str) -> QuadPoly:
             coeffs.append(Fraction(item))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"coefficient {pos}: invalid rational {item!r} ({exc})") from exc
-        if max(abs(coeffs[-1].numerator), coeffs[-1].denominator) >= 10 ** 1000:
-            raise ValueError(f"coefficient {pos}: numerator or denominator has more than 1000 digits")
+        if max(abs(coeffs[-1].numerator), coeffs[-1].denominator) >= 10 ** MAX_DIGITS:
+            raise ValueError(f"coefficient {pos}: numerator or denominator has more than {MAX_DIGITS} digits")
     return QuadPoly(*coeffs)
 
 
@@ -219,21 +236,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="list all packing polynomials of a sector")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_sector_number)
+    p.add_argument("m", type=_sector_number)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("verify", help="certify a polynomial on a finite window")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_sector_number)
+    p.add_argument("m", type=_sector_number)
     p.add_argument("coefficients", help="six rationals 'x^2,xy,y^2,x,y,1', e.g. '2,-2,1/2,0,1/2,0'")
     p.add_argument("--xmax", type=_int_at_least(1), default=30)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive coefficient search with certified acceptance")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_sector_number)
+    p.add_argument("m", type=_sector_number)
     p.add_argument("--mode", choices=("restricted", "full"), default="restricted")
     p.add_argument("--bounds", default="12:12:12",
                    help="D:E:F (restricted) or A:B:C:D:E:F (full); D,E,B span [-X,X], F,C span [0,X], A spans [1,X]")
@@ -255,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("render", help="labeled lattice figure for a classified polynomial")
-    p.add_argument("n", type=int)
-    p.add_argument("m", type=int)
+    p.add_argument("n", type=_sector_number)
+    p.add_argument("m", type=_sector_number)
     p.add_argument("k", type=int)
     p.add_argument("--xmax", type=_int_at_least(1), default=6)
     p.add_argument("--value-max", type=_int_at_least(0), default=40)

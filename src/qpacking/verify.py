@@ -18,10 +18,16 @@ result.
 
 ``brute_force_search`` rediscovers classifications without trusting them: it
 scans integer boxes of the non-constant alpha-form coefficients in the calling
-process, derives the one constant term that puts the window minimum at 0 (no
-other can pass), discards candidates by exact int64 arithmetic in blocks of
-the (D, E) plane (an F outside its box or a window collision is final), and
-accepts only those that pass ``packing_window_verify``'s certificate.
+process and derives the one constant term that puts the window minimum at 0
+(no other can pass).  Its stages, each exact:
+
+1. ``_prescreen`` discards candidates by int64 arithmetic in blocks of the
+   (D, E) plane (an F outside its box or a window collision is final), and
+   yields each survivor with the first value missing from its window;
+2. ``_survivor_passes`` rejects a survivor whose tail floor, computed by the
+   integer core of ``value_floor`` on 2p, gives no threshold T >= t_min or
+   one that reaches that missing value (a coverage gap);
+3. each remaining hit gets ``packing_window_verify``'s certificate.
 """
 
 from __future__ import annotations
@@ -115,24 +121,21 @@ def _halfline_min(a: int, bn: int, cn: int, den: int) -> tuple[int, int] | None:
     return cn, den * den
 
 
-def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
-    """Exact infimum of p over the points of the sector region with x >= x_min.
+def _smallest(candidates: list[tuple[int, int]]) -> tuple[int, int]:
+    """The smallest of the fractions num/den (den > 0), compared by cross-multiplication."""
+    num, den = candidates[0]
+    for cn, cd in candidates[1:]:
+        if cn * den < num * cd:
+            num, den = cn, cd
+    return num, den
 
-    The region is the real cone 0 <= y <= (n/m) x, the first quadrant when
-    m = 0; it holds no point with x < 0, so any x_min <= 0 gives the infimum
-    over the whole region.  Returns None when the infimum is -infinity.  The
-    region is a 2-D truncated cone, so the infimum is found by exact case
-    analysis: recession directions first (to detect unboundedness, including
-    interior valley directions the boundary never sees), then the boundary
-    rays, the truncation edge, and any interior stationary point.  The
-    analysis runs in integers on L*p, with L the lcm of p's coefficient
-    denominators: every candidate minimum is an integer pair (num, den > 0),
-    candidates are compared by cross-multiplication, and one ``Fraction`` is
-    built for the result.
+
+def _floor_of_integers(coeffs: tuple[int, ...], s: SectorSpec, xn: int, xd: int) -> tuple[int, int] | None:
+    """Exact infimum of the integer quadratic ``coeffs`` over the sector region with x >= xn/xd (xd > 0).
+
+    Returns (num, den > 0), or None when the infimum is -infinity; see ``value_floor``.
     """
-    x_min = _frac(x_min)
-    xn, xd = x_min.numerator, x_min.denominator
-    scale, (a, b, c, d, e, f) = _scaled(p)
+    a, b, c, d, e, f = coeffs
     m, n = (0, 1) if s.m == 0 else (s.m, s.n)  # the second cone direction; the first is (1, 0)
 
     # Unboundedness over the recession cone spanned by (1, 0) and (m, n).
@@ -152,8 +155,8 @@ def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
 
     # Boundary rays from the truncation edge at x_lo = max(x_min, 0) = xl/xd.
     xl = max(xn, 0)
-    corner = a * xl * xl + d * xl * xd + f * xd * xd  # xd^2 L p(x_lo, 0)
-    up = b * xl + e * xd  # xd times the slope of t -> L p(x_lo, t) at t = 0
+    corner = a * xl * xl + d * xl * xd + f * xd * xd  # xd^2 p(x_lo, 0)
+    up = b * xl + e * xd  # xd times the slope of t -> p(x_lo, t) at t = 0
     rays = [(a, 2 * a * xl + d * xd, corner, xd)]
     if s.m == 0:
         rays.append((c, up, corner, xd))
@@ -183,11 +186,28 @@ def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
         if xs * xd >= xl * det and ys >= 0 and (s.m == 0 or m * ys <= n * xs):
             candidates.append((2 * f * det + d * xs + e * ys, 2 * det))
 
-    num, den = candidates[0]
-    for cn, cd in candidates[1:]:
-        if cn * den < num * cd:
-            num, den = cn, cd
-    return Fraction(num, den * scale)
+    return _smallest(candidates)
+
+
+def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
+    """Exact infimum of p over the points of the sector region with x >= x_min.
+
+    The region is the real cone 0 <= y <= (n/m) x, the first quadrant when
+    m = 0; it holds no point with x < 0, so any x_min <= 0 gives the infimum
+    over the whole region.  Returns None when the infimum is -infinity.  The
+    region is a 2-D truncated cone, so the infimum is found by exact case
+    analysis: recession directions first (to detect unboundedness, including
+    interior valley directions the boundary never sees), then the boundary
+    rays, the truncation edge, and any interior stationary point.  The
+    analysis (``_floor_of_integers``) runs in integers on L*p, with L the lcm
+    of p's coefficient denominators: every candidate minimum is an integer
+    pair (num, den > 0), candidates are compared by cross-multiplication, and
+    one ``Fraction`` is built for the result.
+    """
+    x_min = _frac(x_min)
+    scale, coeffs = _scaled(p)
+    floor_pair = _floor_of_integers(coeffs, s, x_min.numerator, x_min.denominator)
+    return None if floor_pair is None else Fraction(floor_pair[0], floor_pair[1] * scale)
 
 
 # -- certified window verification --------------------------------------------
@@ -323,7 +343,8 @@ _BLOCK = 2 ** 14  # int64 window values per prescreen block
 
 
 def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray, t_min: int | None):
-    """Yield, in coefficient order, each (A, B, C, D, E, F) that the int64 prescreen keeps.
+    """Yield, in coefficient order, each (A, B, C, D, E, F) that the int64 prescreen keeps,
+    followed by the first value >= 0 that its window does not take (xs.size if it takes 0..size-1).
 
     A block is about ``_BLOCK // xs.size`` consecutive (D, E), D-major, one row of values each.
     """
@@ -344,8 +365,41 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray,
             if t_min is not None:
                 # with F added, distinct values hold {0..t_min} iff rank t_min holds t_min
                 ok &= t_min < xs.size and ranked[:, t_min] + f[kept] == t_min
-            for i in kept[ok].tolist():
-                yield A, B, C, int(d[i]), int(e[i]), int(f[i])
+            # distinct values from 0 hold {0..t-1} iff rank t - 1 holds t - 1, so the
+            # first missing value is the first rank that differs from its value
+            survivors = kept[ok]
+            gaps = ranked[ok] + f[survivors, None] != np.arange(xs.size)
+            missing = np.where(gaps.any(axis=1), gaps.argmax(axis=1), xs.size)
+            for i, first_missing in zip(survivors.tolist(), missing.tolist()):
+                yield A, B, C, int(d[i]), int(e[i]), int(f[i]), first_missing
+
+
+def _survivor_tail_floor(survivor, s: SectorSpec, x_max: int) -> tuple[int, int] | None:
+    """``_window_tail_floor`` of a survivor's polynomial p, times 2, as (num, den > 0); None when unbounded.
+
+    2p has the integer coefficients (A, 2B, C, 2D - A, 2E - C, 2F) of the alpha form (A..F).
+    """
+    A, B, C, D, E, F = survivor[:6]
+    bound = _floor_of_integers((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), s, x_max + 1, 1)
+    if s.m != 0 or bound is None:
+        return bound
+    other = _floor_of_integers((C, 2 * B, A, 2 * E - C, 2 * D - A, 2 * F), s, x_max + 1, 1)
+    return None if other is None else _smallest([bound, other])
+
+
+def _survivor_passes(survivor, s: SectorSpec, x_max: int, t_min: int | None) -> bool:
+    """Whether a ``_prescreen`` survivor passes ``packing_window_verify`` with threshold >= t_min.
+
+    The prescreen has proved the window values distinct non-negative integers
+    that take 0, so the certificate can fail only on its tail floor (unbounded,
+    or a threshold T = floor(tail floor) - 1 below 0) or on coverage (T reaches
+    the first value missing from the window).
+    """
+    bound = _survivor_tail_floor(survivor, s, x_max)
+    if bound is None:
+        return False
+    threshold = bound[0] // (2 * bound[1]) - 1
+    return (t_min or 0) <= threshold < survivor[6]
 
 
 def brute_force_search(
@@ -364,11 +418,20 @@ def brute_force_search(
     certificate needs every window value non-negative and the value 0 taken,
     so the window minimum of the candidate is 0: each (A, B, C, D, E) fixes
     its constant term F as minus the minimum of the rest, and only that F,
-    when it lies in ``bounds.f``, can be accepted.  ``_prescreen`` drops
-    candidates in int64 blocks of the (D, E) plane.  Its sums (A, B, C part +
-    D x) + E y are the alpha-form partial sums that the bound of ``_window``
-    covers inside the box, so the prescreen is exact and drops only provably
-    failing candidates.  Bounds for which ``_window`` cannot prove that are
+    when it lies in ``bounds.f``, can be accepted.  The stages, in order:
+
+    - ``_prescreen`` drops candidates in int64 blocks of the (D, E) plane.
+      Its sums (A, B, C part + D x) + E y are the alpha-form partial sums that
+      the bound of ``_window`` covers inside the box, so the prescreen is
+      exact and drops only provably failing candidates.  A survivor's window
+      values are distinct non-negative integers that take 0.
+    - ``_survivor_passes`` rejects, in integers and without rebuilding the
+      window, each survivor whose tail floor is unbounded or certifies a
+      threshold below ``t_min`` (below 0 without one), or whose threshold
+      reaches the first value missing from its window.
+    - ``packing_window_verify`` certifies each remaining hit.
+
+    Bounds for which ``_window`` cannot prove the prescreen exact are
     refused with ``ValueError``, and so are boxes of more than
     ``max_candidates`` (A, B, C, D, E) candidates, before any window is
     built.  Each accepted polynomial carries a passing certificate from
@@ -410,8 +473,10 @@ def brute_force_search(
     if xs.dtype == object:
         raise ValueError("search bounds too large for exact 64-bit prescreening")
     found = []
-    for A, B, C, D, E, F in _prescreen(abc_ranges, bounds, xs, ys, t_min):
-        candidate = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
+    for survivor in _prescreen(abc_ranges, bounds, xs, ys, t_min):
+        if not _survivor_passes(survivor, s, x_max, t_min):
+            continue
+        candidate = AlphaFormCoeffs(*survivor[:6]).to_poly()
         cert = packing_window_verify(candidate, s, x_max)
         if cert.ok and (t_min is None or cert.threshold >= t_min):
             found.append(candidate)

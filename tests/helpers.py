@@ -9,11 +9,12 @@ analysis, the reference for the integer ``value_floor``; the window reference
 bounds its tail with it, so it shares no floor code with the certificate it
 checks.  ``reference_search`` certifies every candidate of a search box, the
 reference for the prescreened ``brute_force_search``.  ``reference_prescreen``
-is the search's int64 prescreen with one sort per candidate, the reference for
-the blocked ``_prescreen``.  ``reference_atlas_json``
-is the atlas JSON as ``json.dumps(indent=2)`` writes it, the reference for the
-directly written text of ``atlas_to_json``.  ``parse_poly`` reads the text of
-``format_poly`` back, the oracle of its round-trip test.
+is the search's int64 prescreen with one sort per candidate and each
+survivor's first missing value found in a set, the reference for the blocked
+``_prescreen``.  ``reference_atlas_json`` is the atlas JSON as
+``json.dumps(indent=2)`` writes it, the reference for the directly written
+text of ``atlas_to_json``.  ``parse_poly`` reads the text of ``format_poly``
+back, the oracle of its round-trip test.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import floor, gcd
 
 import numpy as np
@@ -308,7 +309,8 @@ def reference_search(s: SectorSpec, bounds: SearchBounds, mode: str, x_max: int,
 
 
 def reference_prescreen(abc_ranges, bounds: SearchBounds, xs, ys, t_min):
-    """Each (A, B, C, D, E, F) that survives the int64 prescreen, one sort per candidate."""
+    """Each (A, B, C, D, E, F) that survives the int64 prescreen, one sort per
+    candidate, with the first value >= 0 that its window does not take."""
     half_x = (xs * (xs - 1)) // 2
     half_y = (ys * (ys - 1)) // 2
     xy = xs * ys
@@ -325,7 +327,8 @@ def reference_prescreen(abc_ranges, bounds: SearchBounds, xs, ys, t_min):
                 # {0..t_min} exactly when the one at rank t_min is t_min.
                 if t_min is not None and (t_min >= vals.size or int(vals[t_min]) + F != t_min):
                     continue
-                yield A, B, C, D, E, F
+                present = set((vals + F).tolist())
+                yield A, B, C, D, E, F, next(t for t in count() if t not in present)
 
 
 def _rational_payload(q: Fraction) -> dict[str, str]:

@@ -54,6 +54,32 @@ def test_usage_error_exits_2(argv, capsys):
     assert "error:" in err and "Traceback" not in err
 
 
+M_1000_DIGITS = "1" + "0" * 998 + "1"  # 3 does not divide (m-1)^2 = 10^1998
+M_1001_DIGITS = "1" + "0" * 999 + "1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "3", M_1001_DIGITS],
+    ["verify", "3", M_1001_DIGITS, EX1],
+    ["search", "3", M_1001_DIGITS],
+    ["render", "3", M_1001_DIGITS, "1"],
+    ["classify", M_1001_DIGITS, "1"],
+], ids=["classify", "verify", "search", "render", "classify-n"])
+def test_sector_number_over_1000_digits_exits_2(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"qpacking {argv[0]}: error: argument {'n' if argv[1] == M_1001_DIGITS else 'm'}: has more than 1000 digits"]
+
+
+def test_sector_number_of_1000_digits_classifies(capsys):
+    # (m-1)^2 has 1,999 digits and is printed in the "no QPPs" line
+    assert run(["classify", "3", M_1000_DIGITS]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"no QPPs: 3 does not divide ({M_1000_DIGITS}-1)^2 = {10 ** 1998}" and err == ""
+
+
 def test_search_candidate_limit(capsys):
     # 2:2:0 is D and E in [-2, 2]: 25 candidates; F is derived and not counted
     argv = ["search", "4", "3", "--bounds", "2:2:0"]

@@ -7,12 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 from qpacking import verify
 from qpacking.classify import classify, forced_quadratic_coeffs
 from qpacking.geometry import make_sector, skew_map
-from qpacking.poly import QuadPoly, packing_polynomial
+from qpacking.poly import AlphaFormCoeffs, QuadPoly, packing_polynomial
 from qpacking.staircase import first_step_y, staircase_points
 from qpacking.verify import (
     SearchBounds,
     _prescreen,
+    _survivor_passes,
+    _survivor_tail_floor,
     _window,
+    _window_tail_floor,
     brute_force_search,
     first_steps_cover_range,
     packing_window_verify,
@@ -41,6 +44,11 @@ BENCH_RESTRICTED = SearchBounds(d=(-16, 16), e=(-16, 16), f=(0, 10))
 BENCH_FULL = SearchBounds(a=(1, 3), b=(-3, 3), c=(0, 3), d=(-3, 3), e=(-3, 3), f=(0, 3))
 BENCH_SEARCHES = [(n, m, BENCH_RESTRICTED, "restricted", 16) for n, m in ((12, 7), (9, 4), (1, 1), (25, 11))]
 BENCH_SEARCHES += [(n, m, BENCH_FULL, "full", 12) for n, m in ((1, 1), (2, 1), (1, 0))]
+
+# SMALL_FULL_BOX at windows small enough that its survivors fail in every way
+# a survivor can: unbounded tail, tail below 0, coverage gap, threshold < t_min.
+SMALL_FULL_SEARCHES = [(n, m, SMALL_FULL_BOX, "full", x_max) for n, m, x_max in
+                       ((1, 1, 2), (2, 1, 2), (3, 1, 2), (1, 0, 1), (1, 0, 3))]
 
 # Random coefficients almost never pack, so classified polynomials and their
 # +1 shifts are drawn too, to reach the tail floor and the coverage check.
@@ -354,6 +362,45 @@ class TestBruteForceSearch:
             monkeypatch.setattr(verify, "_BLOCK", block)
             assert list(_prescreen(abc, bounds, xs, ys, t_min)) == survivors
             assert brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min) == default
+
+    @pytest.mark.parametrize("t_min", [None, 0, 5, "last"])
+    @pytest.mark.parametrize("n, m, bounds, mode, x_max", BENCH_SEARCHES + SMALL_FULL_SEARCHES,
+                             ids=[f"{n}-{m}-{mode}-x{x_max}" for n, m, _, mode, x_max in
+                                  BENCH_SEARCHES + SMALL_FULL_SEARCHES])
+    def test_in_block_verdict_matches_certificate(self, n, m, bounds, mode, x_max, t_min):
+        s = make_sector(n, m)
+        abc, xs, ys = prescreen_inputs(s, bounds, mode, x_max)
+        t_min = xs.size - 1 if t_min == "last" else t_min
+        for survivor in _prescreen(abc, bounds, xs, ys, t_min):
+            p = AlphaFormCoeffs(*survivor[:6]).to_poly()
+            cert = packing_window_verify(p, s, x_max)
+            assert _survivor_passes(survivor, s, x_max, t_min) == (cert.ok and cert.threshold >= (t_min or 0))
+            doubled = _survivor_tail_floor(survivor, s, x_max)
+            assert (None if doubled is None else Fraction(*doubled) / 2) == _window_tail_floor(p, s, x_max)
+
+    def test_in_block_verdict_cases_are_reached(self):
+        # the differential test above sees every way a survivor fails, and on the
+        # quadrant a survivor whose swapped tail floor is the smaller one
+        s, x_max = make_sector(1, 0), 1
+        abc, xs, ys = prescreen_inputs(s, SMALL_FULL_BOX, "full", x_max)
+        outcomes, swapped_smaller = set(), 0
+        for t_min in (None, xs.size - 1):
+            for survivor in _prescreen(abc, SMALL_FULL_BOX, xs, ys, t_min):
+                p = AlphaFormCoeffs(*survivor[:6]).to_poly()
+                cert = packing_window_verify(p, s, x_max)
+                outcomes.add(cert.failure.kind if cert.failure else cert.threshold >= (t_min or 0))
+                plain = value_floor(p, s, x_max + 1)
+                swapped_smaller += plain is not None and _window_tail_floor(p, s, x_max) < plain
+        assert outcomes == {"tail_unbounded", "tail_below_zero", "coverage_gap", True, False}
+        assert swapped_smaller
+
+    def test_long_d_box(self):
+        # 40,001 x 3 (D, E) candidates, about half of them prescreen survivors,
+        # all but the two classified polynomials rejected inside the block
+        s = make_sector(4, 3)
+        got = brute_force_search(s, SearchBounds(d=(-20000, 20000), e=(-1, 1), f=(0, 1)), x_max=12)
+        assert [p.coefficients() for p in got] == sorted(e.poly.coefficients() for e in classify(s))
+        assert len(got) == 2
 
     def test_jobs_deterministic(self):
         s = make_sector(8, 5)
