@@ -21,9 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .classify import admissible_ks, sector_arithmetic
+from .classify import admissible_ks, canonical_sector, sector_arithmetic
 from .geometry import SectorSpec
 from .poly import packing_polynomial
+
+
+MAX_ATLAS_CELLS = 250_000  # nmax * mmax: the (n, m) pairs an atlas scans
 
 
 @dataclass(frozen=True)
@@ -44,15 +47,18 @@ def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
 
     Arithmetic, ks and canonical pair come once per class (n, m mod n); each row's polynomials
     are ``packing_polynomial`` of the row's sector for those ks, as ``classify`` lists them.
+    An atlas of more than ``MAX_ATLAS_CELLS`` pairs (n, m) is refused with ``ValueError``.
     """
     if nmax < 1 or mmax < 1:
         raise ValueError(f"nmax and mmax must be >= 1, got {nmax}, {mmax}")
+    if nmax * mmax > MAX_ATLAS_CELLS:
+        raise ValueError(f"atlas of nmax {nmax} by mmax {mmax} has more than {MAX_ATLAS_CELLS} cells")
     rows = []
     for n in range(1, nmax + 1):
         classes = {}  # m mod n -> (arithmetic, ks, canonical pair) of the class, for this n only
         for m in (m for m in range(mmax + 1) if gcd(n, m) == 1):  # m = 0 only in (1, 0)
             if m % n not in classes:
-                canon = SectorSpec(n, m % n)
+                canon = canonical_sector(SectorSpec(n, m))
                 ar = sector_arithmetic(canon)
                 classes[m % n] = (ar, tuple(admissible_ks(canon, ar)), (canon.n, canon.m))
             ar, ks, canonical = classes[m % n]

@@ -106,9 +106,9 @@ def canonical_sector(s: SectorSpec) -> SectorSpec:
     """Representative of the sector under the integral shears (x, y) -> (x + t y, y).
 
     Shearing moves the non-axis ray (m, n) to (m + t n, n); the canonical
-    choice takes the smallest non-negative m, i.e. m mod n.
+    choice takes the smallest non-negative m, i.e. m mod n; a sector with m < n is its own.
     """
-    return SectorSpec(s.n, s.m % s.n)
+    return s if s.m < s.n else SectorSpec(s.n, s.m % s.n)
 
 
 def flipped_sector(s: SectorSpec) -> SectorSpec:

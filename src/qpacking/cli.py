@@ -1,7 +1,11 @@
 """Command-line front end: classify, verify, search, atlas and render.
 
 Exit codes: 0 success (or a passing verdict), 1 negative verdict (failed
-verification, inadmissible figure request), 2 usage error.
+verification, inadmissible figure request, unwritable file), 2 usage error.
+Work limits, each checked before the work starts: ``MAX_DIGITS`` per sector
+number and coefficient part (exit 2), ``verify.MAX_WINDOW_POINTS`` per window
+(exit 2, or 1 from render), ``verify.MAX_CANDIDATES`` per search box (exit 2)
+and ``atlas.MAX_ATLAS_CELLS`` for nmax * mmax (exit 2).
 """
 
 from __future__ import annotations
@@ -69,18 +73,20 @@ def _parse_coeffs(spec: str) -> QuadPoly:
     return QuadPoly(*coeffs)
 
 
-def _sector_or_usage(n: int, m: int):
+def _write(path: str, text: str, note: str) -> int:
+    """Write text to the file at path and print note: exit code 0, or 1 with an error line."""
     try:
-        return make_sector(n, m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error writing {path}: {exc}", file=sys.stderr)
+        return 1
+    print(note)
+    return 0
 
 
 def _cmd_classify(args) -> int:
-    s = _sector_or_usage(args.n, args.m)
-    if s is None:
-        return 2
+    s = args.sector
     ar = sector_arithmetic(s)
     entries = classify(s)
     if args.format == "json":
@@ -125,9 +131,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    s = _sector_or_usage(args.n, args.m)
-    if s is None:
-        return 2
+    s = args.sector
     try:
         poly = _parse_coeffs(args.coefficients)
         cert = packing_window_verify(poly, s, args.xmax)
@@ -164,13 +168,11 @@ def _parse_bounds(text: str, mode: str) -> SearchBounds:
 
 
 def _cmd_search(args) -> int:
-    s = _sector_or_usage(args.n, args.m)
-    if s is None:
-        return 2
+    s = args.sector
     try:
         bounds = _parse_bounds(args.bounds, args.mode)
         found = brute_force_search(s, bounds, mode=args.mode, x_max=args.xmax,
-                                   t_min=args.tmin, jobs=args.jobs, max_candidates=args.max_candidates)
+                                   t_min=args.tmin, jobs=args.jobs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -192,38 +194,26 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    rows = build_atlas(args.nmax, args.mmax)
+    try:
+        rows = build_atlas(args.nmax, args.mmax)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = atlas_to_json(rows, args.nmax, args.mmax) if args.format == "json" else atlas_to_csv(rows)
     out = args.out or f"atlas.{args.format}"
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"error writing {out}: {exc}", file=sys.stderr)
-        return 1
-    print(f"{summary_line(rows)} -> {out}")
-    return 0
+    return _write(out, text, f"{summary_line(rows)} -> {out}")
 
 
 def _cmd_render(args) -> int:
-    s = _sector_or_usage(args.n, args.m)
-    if s is None:
-        return 2
+    s = args.sector
     try:
         text = render_figure(s, args.k, x_max=args.xmax, value_max=args.value_max, fmt=args.format)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            print(f"error writing {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+        return _write(args.out, text, f"wrote {args.out}")
+    sys.stdout.write(text)
     return 0
 
 
@@ -258,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=_int_at_least(0), default=None,
                    help="only accept candidates certified to threshold at least this")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
-    p.add_argument("--max-candidates", type=_int_at_least(0), default=1_000_000,
-                   help="refuse a box of more (A,B,C,D,E) candidates than this (default: %(default)s)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_search)
 
@@ -286,6 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "n" in args:  # every subcommand but atlas works on one sector
+        try:
+            args.sector = make_sector(args.n, args.m)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

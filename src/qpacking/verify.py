@@ -10,11 +10,11 @@ initial segment {0, ..., T} correctly, no matter what happens further out.
 Window values are exact integers from one place: ``window_values`` evaluates
 L*p, with L the lcm of p's coefficient denominators, on the arrays of
 ``_window``.  These are int64 only when the window's real x and y extents prove
-that nothing can overflow, and hold Python ints otherwise.  The exact tail
-floor ``value_floor`` works on the same integer coefficients of L*p: its case
-analysis keeps every candidate minimum as an integer pair (num, den), compares
-them by cross-multiplication, and builds one ``Fraction`` at the end, for the
-result.
+that nothing can overflow, and hold Python ints otherwise.  The bound on the
+points a window leaves out also has one place: ``_tail_floor`` works on
+integer coefficients, such as those of L*p.  Its case analysis keeps every
+candidate minimum as an integer pair (num, den), compares them by
+cross-multiplication, and the caller builds one ``Fraction`` at the end.
 
 ``brute_force_search`` rediscovers classifications without trusting them: it
 scans integer boxes of the non-constant alpha-form coefficients in the calling
@@ -24,9 +24,9 @@ process and derives the one constant term that puts the window minimum at 0
 1. ``_prescreen`` discards candidates by int64 arithmetic in blocks of the
    (D, E) plane (an F outside its box or a window collision is final), and
    yields each survivor with the first value missing from its window;
-2. ``_survivor_passes`` rejects a survivor whose tail floor, computed by the
-   integer core of ``value_floor`` on 2p, gives no threshold T >= t_min or
-   one that reaches that missing value (a coverage gap);
+2. ``_survivor_passes`` rejects a survivor whose ``_tail_floor`` on 2p, the
+   floor the certificate uses, gives no threshold T >= t_min or one that
+   reaches that missing value (a coverage gap), without rebuilding the window;
 3. each remaining hit gets ``packing_window_verify``'s certificate.
 """
 
@@ -57,6 +57,7 @@ FailureKind = Literal[
 
 
 MAX_WINDOW_POINTS = 4_000_000  # lattice points in a window's bounding box (x_max + 1)(y_top + 1)
+MAX_CANDIDATES = 1_000_000  # (A, B, C, D, E) candidates in a search box; F is derived, not scanned
 _MAX_PRINTED_BITS = 13_000  # about 3,900 digits, under the 4,300 digits Python converts to text
 
 
@@ -210,24 +211,22 @@ def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
     return None if floor_pair is None else Fraction(floor_pair[0], floor_pair[1] * scale)
 
 
-# -- certified window verification --------------------------------------------
+def _tail_floor(coeffs: tuple[int, ...], s: SectorSpec, x_max: int) -> tuple[int, int] | None:
+    """Exact lower bound of the integer quadratic ``coeffs`` on the sector points outside the window x <= x_max.
 
-
-def _window_tail_floor(p: QuadPoly, s: SectorSpec, x_max: int) -> Fraction | None:
-    """Exact lower bound for p over every sector point outside the window.
-
-    For m >= 1 the window is the full sector slice x <= x_max, so its
-    complement is {x > x_max}.  For the first quadrant the window is a box and
-    the complement is {x > x_max} union {y > x_max}; the second strip is the
-    first under coordinate swap, so it is bounded through the swapped
-    polynomial.
+    Returns (num, den > 0), or None when it is unbounded below there.  For m >= 1 the window's
+    complement is {x > x_max}.  The first quadrant's window is a box, and its second strip
+    {y > x_max} is the first under coordinate swap, so it is bounded through the swapped coefficients.
     """
-    bound = value_floor(p, s, x_max + 1)
+    bound = _floor_of_integers(coeffs, s, x_max + 1, 1)
     if s.m != 0 or bound is None:
         return bound
-    swapped = QuadPoly(p.c_yy, p.c_xy, p.c_xx, p.c_y, p.c_x, p.c_0)
-    other = value_floor(swapped, s, x_max + 1)
-    return None if other is None else min(bound, other)
+    a, b, c, d, e, f = coeffs
+    other = _floor_of_integers((c, b, a, e, d, f), s, x_max + 1, 1)
+    return None if other is None else _smallest([bound, other])
+
+
+# -- certified window verification --------------------------------------------
 
 
 def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
@@ -286,10 +285,12 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
                 witnesses=(seen[v], pt), value=Fraction(v)))
         seen[v] = pt
 
-    bound = _window_tail_floor(p, s, x_max)
-    if bound is None:
+    scale, coeffs = _scaled(p)
+    floor_pair = _tail_floor(coeffs, s, x_max)
+    if floor_pair is None:
         return WindowCertificate(x_max, None, None, Failure(
             "tail_unbounded", f"polynomial is unbounded below outside the window x <= {x_max}"))
+    bound = Fraction(floor_pair[0], floor_pair[1] * scale)
     threshold = floor(bound) - 1
     if threshold < 0:
         return WindowCertificate(x_max, threshold, bound, Failure(
@@ -374,19 +375,6 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray,
                 yield A, B, C, int(d[i]), int(e[i]), int(f[i]), first_missing
 
 
-def _survivor_tail_floor(survivor, s: SectorSpec, x_max: int) -> tuple[int, int] | None:
-    """``_window_tail_floor`` of a survivor's polynomial p, times 2, as (num, den > 0); None when unbounded.
-
-    2p has the integer coefficients (A, 2B, C, 2D - A, 2E - C, 2F) of the alpha form (A..F).
-    """
-    A, B, C, D, E, F = survivor[:6]
-    bound = _floor_of_integers((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), s, x_max + 1, 1)
-    if s.m != 0 or bound is None:
-        return bound
-    other = _floor_of_integers((C, 2 * B, A, 2 * E - C, 2 * D - A, 2 * F), s, x_max + 1, 1)
-    return None if other is None else _smallest([bound, other])
-
-
 def _survivor_passes(survivor, s: SectorSpec, x_max: int, t_min: int | None) -> bool:
     """Whether a ``_prescreen`` survivor passes ``packing_window_verify`` with threshold >= t_min.
 
@@ -395,7 +383,8 @@ def _survivor_passes(survivor, s: SectorSpec, x_max: int, t_min: int | None) -> 
     or a threshold T = floor(tail floor) - 1 below 0) or on coverage (T reaches
     the first value missing from the window).
     """
-    bound = _survivor_tail_floor(survivor, s, x_max)
+    A, B, C, D, E, F = survivor[:6]
+    bound = _tail_floor((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), s, x_max)  # of 2p, from its alpha form
     if bound is None:
         return False
     threshold = bound[0] // (2 * bound[1]) - 1
@@ -409,7 +398,6 @@ def brute_force_search(
     x_max: int = 25,
     t_min: int | None = None,
     jobs: int = 1,
-    max_candidates: int = 1_000_000,
 ) -> list[QuadPoly]:
     """Exhaustively search integer alpha-form coefficients for packing polynomials.
 
@@ -418,22 +406,14 @@ def brute_force_search(
     certificate needs every window value non-negative and the value 0 taken,
     so the window minimum of the candidate is 0: each (A, B, C, D, E) fixes
     its constant term F as minus the minimum of the rest, and only that F,
-    when it lies in ``bounds.f``, can be accepted.  The stages, in order:
-
-    - ``_prescreen`` drops candidates in int64 blocks of the (D, E) plane.
-      Its sums (A, B, C part + D x) + E y are the alpha-form partial sums that
-      the bound of ``_window`` covers inside the box, so the prescreen is
-      exact and drops only provably failing candidates.  A survivor's window
-      values are distinct non-negative integers that take 0.
-    - ``_survivor_passes`` rejects, in integers and without rebuilding the
-      window, each survivor whose tail floor is unbounded or certifies a
-      threshold below ``t_min`` (below 0 without one), or whose threshold
-      reaches the first value missing from its window.
-    - ``packing_window_verify`` certifies each remaining hit.
+    when it lies in ``bounds.f``, can be accepted.  The stages are those of
+    the module docstring.  The prescreen's sums (A, B, C part + D x) + E y are
+    the alpha-form partial sums that the bound of ``_window`` covers inside
+    the box, so it is exact and drops only provably failing candidates.
 
     Bounds for which ``_window`` cannot prove the prescreen exact are
     refused with ``ValueError``, and so are boxes of more than
-    ``max_candidates`` (A, B, C, D, E) candidates, before any window is
+    ``MAX_CANDIDATES`` (A, B, C, D, E) candidates, before any window is
     built.  Each accepted polynomial carries a passing certificate from
     ``packing_window_verify`` at the configured window, with threshold at
     least ``t_min`` when given.  Output is sorted by coefficient tuple.
@@ -466,8 +446,8 @@ def brute_force_search(
     size = (bounds.d[1] - bounds.d[0] + 1) * (bounds.e[1] - bounds.e[0] + 1)
     for lo, hi in abc_ranges:
         size *= hi - lo + 1
-    if size > max_candidates:
-        raise ValueError(f"search box has {size} candidates, more than the limit of {max_candidates}")
+    if size > MAX_CANDIDATES:
+        raise ValueError(f"search box has {size} candidates, more than the limit of {MAX_CANDIDATES}")
     coeff_cap = max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc_ranges) for v in r)
     _, xs, ys = _window(s, x_max, coeff_cap)
     if xs.dtype == object:

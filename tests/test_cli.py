@@ -11,7 +11,7 @@ from time import perf_counter
 import pytest
 
 import qpacking
-from qpacking import verify
+from qpacking import atlas, verify
 from qpacking.atlas import atlas_to_csv, atlas_to_json, build_atlas
 from qpacking.classify import classify
 from qpacking.cli import main
@@ -80,13 +80,15 @@ def test_sector_number_of_1000_digits_classifies(capsys):
     assert out.splitlines()[-1] == f"no QPPs: 3 does not divide ({M_1000_DIGITS}-1)^2 = {10 ** 1998}" and err == ""
 
 
-def test_search_candidate_limit(capsys):
+def test_search_candidate_limit(monkeypatch, capsys):
     # 2:2:0 is D and E in [-2, 2]: 25 candidates; F is derived and not counted
     argv = ["search", "4", "3", "--bounds", "2:2:0"]
-    assert run(argv + ["--max-candidates", "25"]) == 0
+    monkeypatch.setattr(verify, "MAX_CANDIDATES", 25)
+    assert run(argv) == 0
     assert capsys.readouterr() == (
         "2*x^2 - 2*x*y + 1/2*y^2 + 1/2*y\nfound 1 packing polynomial(s) on sector 4/3\n", "")
-    assert run(argv + ["--max-candidates", "24"]) == 2
+    monkeypatch.setattr(verify, "MAX_CANDIDATES", 24)
+    assert run(argv) == 2
     assert capsys.readouterr() == ("", "error: search box has 25 candidates, more than the limit of 24\n")
 
 
@@ -191,6 +193,27 @@ def test_atlas_files_match_goldens(fmt, jobs, tmp_path, capsys):
     assert run(["atlas", "--nmax", "30", "--mmax", "30", "--format", fmt, "--jobs", jobs, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ATLAS_30_SHA256[fmt]
     assert capsys.readouterr().out == f"sectors=556 qpp0=387 qpp1=17 qpp2=132 qpp4=20 -> {out}\n"
+
+
+@pytest.mark.parametrize("nmax, mmax", [("1", "100000000"), (str(10 ** 999), "1")], ids=["mmax", "nmax-1000-digits"])
+def test_atlas_over_cell_limit_is_refused_at_once(nmax, mmax, tmp_path, capsys):
+    out = tmp_path / "atlas.json"
+    start = perf_counter()
+    assert run(["atlas", "--nmax", nmax, "--mmax", mmax, "--out", str(out)]) == 2
+    assert perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", f"error: atlas of nmax {nmax} by mmax {mmax} has more than 250000 cells\n")
+    assert not out.exists()
+
+
+def test_atlas_at_cell_limit_runs(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(atlas, "MAX_ATLAS_CELLS", 30 * 30)
+    out = tmp_path / "atlas.json"
+    assert run(["atlas", "--nmax", "30", "--mmax", "30", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ATLAS_30_SHA256["json"]
+    capsys.readouterr()
+    assert run(["atlas", "--nmax", "30", "--mmax", "31", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: atlas of nmax 30 by mmax 31 has more than 900 cells\n")
 
 
 def test_atlas_300_matches_bench_goldens():

@@ -13,9 +13,7 @@ from qpacking.verify import (
     SearchBounds,
     _prescreen,
     _survivor_passes,
-    _survivor_tail_floor,
     _window,
-    _window_tail_floor,
     brute_force_search,
     first_steps_cover_range,
     packing_window_verify,
@@ -27,6 +25,7 @@ from helpers import (
     coprime_sectors,
     reference_prescreen,
     reference_search,
+    reference_tail_floor,
     reference_value_floor,
     reference_window_verify,
     window_for_threshold,
@@ -375,8 +374,7 @@ class TestBruteForceSearch:
             p = AlphaFormCoeffs(*survivor[:6]).to_poly()
             cert = packing_window_verify(p, s, x_max)
             assert _survivor_passes(survivor, s, x_max, t_min) == (cert.ok and cert.threshold >= (t_min or 0))
-            doubled = _survivor_tail_floor(survivor, s, x_max)
-            assert (None if doubled is None else Fraction(*doubled) / 2) == _window_tail_floor(p, s, x_max)
+            assert cert.floor_bound == reference_tail_floor(p, s, x_max)
 
     def test_in_block_verdict_cases_are_reached(self):
         # the differential test above sees every way a survivor fails, and on the
@@ -389,8 +387,8 @@ class TestBruteForceSearch:
                 p = AlphaFormCoeffs(*survivor[:6]).to_poly()
                 cert = packing_window_verify(p, s, x_max)
                 outcomes.add(cert.failure.kind if cert.failure else cert.threshold >= (t_min or 0))
-                plain = value_floor(p, s, x_max + 1)
-                swapped_smaller += plain is not None and _window_tail_floor(p, s, x_max) < plain
+                plain = reference_value_floor(p, s, x_max + 1)
+                swapped_smaller += plain is not None and reference_tail_floor(p, s, x_max) < plain
         assert outcomes == {"tail_unbounded", "tail_below_zero", "coverage_gap", True, False}
         assert swapped_smaller
 
