@@ -7,19 +7,18 @@ shear (x, y) -> (x + t y, y) leaves all but the polynomials unchanged, so the
 rows of a class share them; each row's polynomials are the closed forms
 ``packing_polynomial`` gives for the ks of its class.  Serialization
 is byte-reproducible: JSON keeps rationals as numerator/denominator strings,
-CSV as "p/q" text.  The JSON text is written directly, in the layout of
-``json.dumps(payload, indent=2)``; every key is fixed and every value is an
-integer or a string of decimal digits, so nothing needs escaping.
+CSV as "p/q" text.  Both texts are written directly: every JSON key is fixed and
+every value an integer or a string of digits, laid out as ``json.dumps(indent=2)``;
+every CSV field is an integer, a ``str(Fraction)`` or numbers joined by " " and ";",
+so nothing needs escaping, and no field holds ",", '"' or a newline to quote.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .classify import admissible_ks, canonical_sector, sector_arithmetic
 from .geometry import SectorSpec
@@ -29,8 +28,7 @@ from .poly import packing_polynomial
 MAX_ATLAS_CELLS = 250_000  # nmax * mmax: the (n, m) pairs an atlas scans
 
 
-@dataclass(frozen=True)
-class AtlasRow:
+class AtlasRow(NamedTuple):
     n: int
     m: int
     l: int
@@ -42,28 +40,35 @@ class AtlasRow:
     canonical: tuple[int, int]
 
 
+def check_atlas_size(nmax: int, mmax: int) -> None:
+    """Refuse with ``ValueError`` a range that is empty or has more than ``MAX_ATLAS_CELLS`` pairs (n, m)."""
+    if nmax < 1 or mmax < 1:
+        raise ValueError(f"nmax and mmax must be >= 1, got {nmax}, {mmax}")
+    if nmax * mmax > MAX_ATLAS_CELLS:
+        raise ValueError(f"atlas of nmax {nmax} by mmax {mmax} has more than {MAX_ATLAS_CELLS} cells")
+
+
 def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
     """All rows for coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0), in (n, m) order.
 
     Arithmetic, ks and canonical pair come once per class (n, m mod n); each row's polynomials
     are ``packing_polynomial`` of the row's sector for those ks, as ``classify`` lists them.
-    An atlas of more than ``MAX_ATLAS_CELLS`` pairs (n, m) is refused with ``ValueError``.
+    A range that ``check_atlas_size`` refuses raises its ``ValueError`` before any row is built.
     """
-    if nmax < 1 or mmax < 1:
-        raise ValueError(f"nmax and mmax must be >= 1, got {nmax}, {mmax}")
-    if nmax * mmax > MAX_ATLAS_CELLS:
-        raise ValueError(f"atlas of nmax {nmax} by mmax {mmax} has more than {MAX_ATLAS_CELLS} cells")
+    check_atlas_size(nmax, mmax)
     rows = []
     for n in range(1, nmax + 1):
-        classes = {}  # m mod n -> (arithmetic, ks, canonical pair) of the class, for this n only
+        classes = {}  # m mod n -> (l, n/l, l^2/n, ks, canonical pair) of the class, for this n only
         for m in (m for m in range(mmax + 1) if gcd(n, m) == 1):  # m = 0 only in (1, 0)
-            if m % n not in classes:
+            cls = classes.get(m % n)
+            if cls is None:
                 canon = canonical_sector(SectorSpec(n, m))
                 ar = sector_arithmetic(canon)
-                classes[m % n] = (ar, tuple(admissible_ks(canon, ar)), (canon.n, canon.m))
-            ar, ks, canonical = classes[m % n]
-            polys = tuple(packing_polynomial(SectorSpec(n, m), k).coefficients() for k in ks)
-            rows.append(AtlasRow(n, m, ar.l, ar.n_over_l, ar.l2_over_n, len(polys), ks, polys, canonical))
+                ks = tuple(admissible_ks(canon, ar))
+                cls = classes[m % n] = (ar.l, ar.n_over_l, ar.l2_over_n, ks, (canon.n, canon.m))
+            l, n_over_l, l2_over_n, ks, canonical = cls
+            polys = tuple(packing_polynomial(SectorSpec(n, m), k).coefficients() for k in ks) if ks else ()
+            rows.append(AtlasRow(n, m, l, n_over_l, l2_over_n, len(ks), ks, polys, canonical))
     return rows
 
 
@@ -94,20 +99,21 @@ def _rational_text(q: Fraction, pad: str) -> str:
 
 
 def _row_json(row: AtlasRow) -> str:
+    n, m, l, n_over_l, l2_over_n, qpp_count, ks, polynomials, (canonical_n, canonical_m) = row
     polys = _json_block([_json_block([_rational_text(c, " " * 10) for c in poly], " " * 8)
-                         for poly in row.polynomials], " " * 6)
+                         for poly in polynomials], " " * 6)
     return f"""{{
-      "n": {row.n},
-      "m": {row.m},
-      "l": {row.l},
-      "n_over_l": {row.n_over_l},
-      "l2_over_n": {_rational_text(row.l2_over_n, " " * 6)},
-      "qpp_count": {row.qpp_count},
-      "ks": {_json_block([str(k) for k in row.ks], " " * 6)},
+      "n": {n},
+      "m": {m},
+      "l": {l},
+      "n_over_l": {n_over_l},
+      "l2_over_n": {_rational_text(l2_over_n, " " * 6)},
+      "qpp_count": {qpp_count},
+      "ks": {_json_block([str(k) for k in ks], " " * 6)},
       "polynomials": {polys},
       "canonical_sector": [
-        {row.canonical[0]},
-        {row.canonical[1]}
+        {canonical_n},
+        {canonical_m}
       ]
     }}"""
 
@@ -126,19 +132,11 @@ def atlas_to_json(rows: list[AtlasRow], nmax: int, mmax: int) -> str:
 """
 
 
-CSV_HEADER = ["n", "m", "l", "n_over_l", "l2_over_n", "qpp_count", "ks", "canonical_n", "canonical_m", "polynomials"]
-
-
 def atlas_to_csv(rows: list[AtlasRow]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        polys = ";".join(" ".join(str(c) for c in poly) for poly in row.polynomials)
-        writer.writerow([
-            row.n, row.m, row.l, row.n_over_l, str(row.l2_over_n),
-            row.qpp_count, " ".join(str(k) for k in row.ks),
-            row.canonical[0], row.canonical[1], polys,
-        ])
-    buffer.write(f"# {summary_line(rows)}\n")
-    return buffer.getvalue()
+    lines = ["n,m,l,n_over_l,l2_over_n,qpp_count,ks,canonical_n,canonical_m,polynomials"]
+    for n, m, l, n_over_l, l2_over_n, qpp_count, ks, polynomials, (canonical_n, canonical_m) in rows:
+        polys = ";".join(" ".join(map(str, poly)) for poly in polynomials)
+        lines.append(f"{n},{m},{l},{n_over_l},{str(l2_over_n)},{qpp_count},{' '.join(map(str, ks))},"
+                     f"{canonical_n},{canonical_m},{polys}")
+    lines.append(f"# {summary_line(rows)}\n")
+    return "\n".join(lines)

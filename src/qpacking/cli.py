@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .atlas import atlas_to_csv, atlas_to_json, build_atlas, rational_json, summary_line
+from .atlas import atlas_to_csv, atlas_to_json, build_atlas, check_atlas_size, rational_json, summary_line
 from .classify import classify, no_qpp_reason, sector_arithmetic
 from .geometry import make_sector
 from .poly import QuadPoly, format_factored, format_poly
@@ -73,10 +73,11 @@ def _parse_coeffs(spec: str) -> QuadPoly:
     return QuadPoly(*coeffs)
 
 
-def _write(path: str, text: str, note: str) -> int:
-    """Write text to the file at path and print note: exit code 0, or 1 with an error line."""
+def _write(path: str, make) -> int:
+    """Open path, then write the text of make() -> (text, note) and print the note: exit 0, or 1 with an error line."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
+            text, note = make()
             handle.write(text)
     except OSError as exc:
         print(f"error writing {path}: {exc}", file=sys.stderr)
@@ -194,14 +195,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
-    try:
+    def make():
         rows = build_atlas(args.nmax, args.mmax)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    text = atlas_to_json(rows, args.nmax, args.mmax) if args.format == "json" else atlas_to_csv(rows)
+        text = atlas_to_json(rows, args.nmax, args.mmax) if args.format == "json" else atlas_to_csv(rows)
+        return text, f"{summary_line(rows)} -> {out}"
     out = args.out or f"atlas.{args.format}"
-    return _write(out, text, f"{summary_line(rows)} -> {out}")
+    return _write(out, make)
 
 
 def _cmd_render(args) -> int:
@@ -212,7 +211,7 @@ def _cmd_render(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        return _write(args.out, text, f"wrote {args.out}")
+        return _write(args.out, lambda: (text, f"wrote {args.out}"))
     sys.stdout.write(text)
     return 0
 
@@ -274,12 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "n" in args:  # every subcommand but atlas works on one sector
-        try:
+    try:  # refuse a bad sector or atlas range before any work or file
+        if "n" in args:  # every subcommand but atlas works on one sector
             args.sector = make_sector(args.n, args.m)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        else:
+            check_atlas_size(args.nmax, args.mmax)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

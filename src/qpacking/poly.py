@@ -9,7 +9,7 @@ is provided as a conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -41,8 +41,8 @@ class QuadPoly:
     c_0: Fraction
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name, _frac(getattr(self, f.name)))
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, _frac(getattr(self, name)))
 
     def __call__(self, x, y) -> Fraction:
         return (
@@ -147,8 +147,8 @@ def packing_polynomial(s: SectorSpec, k: int) -> QuadPoly:
         Fraction(n, 2),
         Fraction(1 - m),
         Fraction((m - 1) ** 2, 2 * n),
-        1 - Fraction(kl, 2),
-        Fraction(kl * (m - 1), 2 * n) + Fraction(kl - (m - 1), n),
+        Fraction(2 - kl, 2),
+        Fraction(kl * (m - 1) + 2 * (kl - (m - 1)), 2 * n),
         abs(k) - 1,
     )
 

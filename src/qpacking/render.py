@@ -72,7 +72,7 @@ def _render_ascii(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> 
     return "\n".join(lines) + "\n"
 
 
-def _fmt_len(q: Fraction) -> str:
+def _fmt_len(q: int | Fraction) -> str:
     """Exact two-decimal rendering of a rational length."""
     cents = round(q * 100)
     sign = "-" if cents < 0 else ""
@@ -86,11 +86,11 @@ def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> st
     width = 2 * SVG_MARGIN + SVG_SCALE * x_max + 30
     height = 2 * SVG_MARGIN + SVG_SCALE * y_top
 
-    def sx(x: Fraction) -> str:
-        return _fmt_len(SVG_MARGIN + SVG_SCALE * Fraction(x))
+    def sx(x: int | Fraction) -> str:
+        return _fmt_len(SVG_MARGIN + SVG_SCALE * x)
 
-    def sy(y: Fraction) -> str:
-        return _fmt_len(height - SVG_MARGIN - SVG_SCALE * Fraction(y))
+    def sy(y: int | Fraction) -> str:
+        return _fmt_len(height - SVG_MARGIN - SVG_SCALE * y)
 
     def line(p0, p1, stroke: str, w: str) -> str:
         return (f'<line x1="{sx(p0[0])}" y1="{sy(p0[1])}" x2="{sx(p1[0])}" y2="{sy(p1[1])}" '
@@ -130,12 +130,12 @@ def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> st
         t_ray = min(x_edge / s.m, y_edge / s.n)
         parts.append(line((Fraction(0), Fraction(0)), (t_ray * s.m, t_ray * s.n), "#000000", "1.5"))
 
-    # Lattice points with labels.
+    # Lattice points with labels; their coordinates are ints, which _fmt_len prints as "<int>.00".
     for (x, y), v in sorted(values.items()):
         parts.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="3" fill="#000000"/>')
         if v <= value_max:
-            label_x = _fmt_len(SVG_MARGIN + SVG_SCALE * Fraction(x) + 6)
-            label_y = _fmt_len(height - SVG_MARGIN - SVG_SCALE * Fraction(y) + 4)
+            label_x = _fmt_len(SVG_MARGIN + SVG_SCALE * x + 6)
+            label_y = _fmt_len(height - SVG_MARGIN - SVG_SCALE * y + 4)
             parts.append(f'<text x="{label_x}" y="{label_y}">{v}</text>')
 
     parts.append("</g>")

@@ -13,12 +13,15 @@ is the search's int64 prescreen with one sort per candidate and each
 survivor's first missing value found in a set, the reference for the blocked
 ``_prescreen``.  ``reference_atlas_json`` is the atlas JSON as
 ``json.dumps(indent=2)`` writes it, the reference for the directly written
-text of ``atlas_to_json``.  ``parse_poly`` reads the text of ``format_poly``
+text of ``atlas_to_json``; ``reference_atlas_csv`` is the atlas CSV as
+``csv.writer`` writes it, the reference for ``atlas_to_csv``.  ``parse_poly`` reads the text of ``format_poly``
 back, the oracle of its round-trip test.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 from collections import Counter
@@ -28,6 +31,7 @@ from math import floor, gcd
 
 import numpy as np
 
+from qpacking.atlas import summary_line
 from qpacking.classify import classify, forced_quadratic_coeffs
 from qpacking.geometry import SectorSpec, make_sector
 from qpacking.poly import _MONOMIAL_FIELDS, AlphaFormCoeffs, QuadPoly
@@ -362,3 +366,22 @@ def reference_atlas_payload(rows, nmax: int, mmax: int) -> dict:
 def reference_atlas_json(rows, nmax: int, mmax: int) -> str:
     """``atlas_to_json`` as ``json.dumps(payload, indent=2)`` plus a newline."""
     return json.dumps(reference_atlas_payload(rows, nmax, mmax), indent=2) + "\n"
+
+
+CSV_HEADER = ["n", "m", "l", "n_over_l", "l2_over_n", "qpp_count", "ks", "canonical_n", "canonical_m", "polynomials"]
+
+
+def reference_atlas_csv(rows) -> str:
+    """``atlas_to_csv`` as ``csv.writer`` writes it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        polys = ";".join(" ".join(str(c) for c in poly) for poly in row.polynomials)
+        writer.writerow([
+            row.n, row.m, row.l, row.n_over_l, str(row.l2_over_n),
+            row.qpp_count, " ".join(str(k) for k in row.ks),
+            row.canonical[0], row.canonical[1], polys,
+        ])
+    buffer.write(f"# {summary_line(rows)}\n")
+    return buffer.getvalue()

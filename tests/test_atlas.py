@@ -1,15 +1,17 @@
+import csv
+import io
 import json
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from qpacking.atlas import AtlasRow, atlas_to_json, build_atlas
+from qpacking.atlas import AtlasRow, atlas_to_csv, atlas_to_json, build_atlas, summary_line
 from qpacking.classify import admissible_ks, classify, constant_term, sector_arithmetic
 from qpacking.geometry import SectorSpec
 from qpacking.poly import QuadPoly, to_alpha_form
 
-from helpers import coprime_sectors, reference_atlas_json, reference_atlas_payload
+from helpers import coprime_sectors, reference_atlas_csv, reference_atlas_json, reference_atlas_payload
 
 F = Fraction
 
@@ -26,7 +28,7 @@ HAND_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("rows, nmax, mmax", [
+ROW_SETS = pytest.mark.parametrize("rows, nmax, mmax", [
     (build_atlas(30, 30), 30, 30),
     (build_atlas(1, 1), 1, 1),
     (build_atlas(12, 5), 12, 5),
@@ -34,10 +36,27 @@ HAND_ROWS = [
     (HAND_ROWS[:1], 1, 1),
     ([], 1, 1),
 ], ids=["30x30", "1x1", "12x5", "hand-rows", "one-empty-row", "no-rows"])
+
+
+@ROW_SETS
 def test_json_matches_json_dumps_reference(rows, nmax, mmax):
     text = atlas_to_json(rows, nmax, mmax)
     assert text == reference_atlas_json(rows, nmax, mmax)
     assert json.loads(text) == reference_atlas_payload(rows, nmax, mmax)
+
+
+@ROW_SETS
+def test_csv_matches_csv_writer_reference(rows, nmax, mmax):
+    text = atlas_to_csv(rows)
+    assert text == reference_atlas_csv(rows)
+    fields = [[str(row.n), str(row.m), str(row.l), str(row.n_over_l), str(row.l2_over_n), str(row.qpp_count),
+               " ".join(str(k) for k in row.ks), str(row.canonical[0]), str(row.canonical[1]),
+               ";".join(" ".join(str(c) for c in poly) for poly in row.polynomials)] for row in rows]
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["n", "m", "l", "n_over_l", "l2_over_n", "qpp_count", "ks", "canonical_n", "canonical_m", "polynomials"],
+        *fields,
+        [f"# {summary_line(rows)}"],
+    ]
 
 
 def test_rows_match_public_classification():

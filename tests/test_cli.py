@@ -9,14 +9,16 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import qpacking
-from qpacking import atlas, verify
+from qpacking import atlas, cli, verify
 from qpacking.atlas import atlas_to_csv, atlas_to_json, build_atlas
 from qpacking.classify import classify
 from qpacking.cli import main
 from qpacking.geometry import make_sector
 from qpacking.poly import QuadPoly, format_poly
+from qpacking.render import _fmt_len
 
 BENCH_GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
 
@@ -216,6 +218,17 @@ def test_atlas_at_cell_limit_runs(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: atlas of nmax 30 by mmax 31 has more than 900 cells\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_atlas_unwritable_out_fails_before_the_build(fmt, monkeypatch, tmp_path, capsys):
+    def no_build(nmax, mmax):
+        raise AssertionError("the atlas was built before --out was opened")
+    monkeypatch.setattr(cli, "build_atlas", no_build)
+    out = tmp_path / "missing-dir" / f"x.{fmt}"
+    assert run(["atlas", "--nmax", "300", "--mmax", "300", "--format", fmt, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error writing {out}: [Errno 2] No such file or directory: '{out}'\n")
+    assert not out.parent.exists()
+
+
 def test_atlas_300_matches_bench_goldens():
     goldens = json.loads(BENCH_GOLDENS.read_text(encoding="utf-8"))
     rows = build_atlas(300, 300)
@@ -267,6 +280,22 @@ def test_render_matches_goldens(n, m, k, fmt, capsys):
     assert run(["render", n, m, k, "--xmax", "6", "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RENDER_6_SHA256[(n, m, k, fmt)]
+
+
+@pytest.mark.parametrize("n, m, k, fmt", list(RENDER_6_SHA256))
+def test_render_at_bench_size_matches_bench_goldens(n, m, k, fmt, capsys):
+    goldens = json.loads(BENCH_GOLDENS.read_text(encoding="utf-8"))
+    assert run(["render", n, m, k, "--xmax", "40", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == goldens[f"render {n}/{m} k={k} {fmt} xmax=40"]["stdout"]
+
+
+@given(st.integers(-10**6, 10**6))
+@example(0)
+@example(-1)
+def test_fmt_len_of_int_equals_fmt_len_of_fraction(v):
+    # the SVG lattice points pass ints to _fmt_len, the staircase and rays pass Fractions
+    assert _fmt_len(v) == _fmt_len(Fraction(v))
 
 
 # SHA-256 of classify stdout: 0, 1, 2 and 4 polynomials, both reasons for
