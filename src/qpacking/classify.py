@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import SectorSpec
-from .poly import AlphaFormCoeffs, QuadPoly, packing_polynomial, to_alpha_form
-
-K_ORDER = (1, -1, 2, -2, 3, -3)
+from .poly import K_ORDER, AlphaFormCoeffs, QuadPoly, packing_polynomial, to_alpha_form
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,11 @@ def step_difference(p: QuadPoly, s: SectorSpec) -> Fraction:
     )
 
 
+K_ORDER = (1, -1, 2, -2, 3, -3)  # the possible step constants k, in the order classify lists them
+
+
 def _check_k(k: int) -> None:
-    if k not in (1, -1, 2, -2, 3, -3):
+    if k not in K_ORDER:
         raise ValueError(f"k must be one of +-1, +-2, +-3, got {k}")
 
 

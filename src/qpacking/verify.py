@@ -12,7 +12,9 @@ L*p, with L the lcm of p's coefficient denominators, on the arrays of
 ``_window``.  These are int64 only when the window's real x and y extents prove
 that nothing can overflow, and hold Python ints otherwise.  The bound on the
 points a window leaves out also has one place: ``_tail_floor`` works on
-integer coefficients, such as those of L*p.  Its case analysis keeps every
+integer coefficients, such as those of L*p, and an integer edge x_max + 1.
+Its case analysis tests the directions inside the cone for unboundedness and
+lets the two boundary rays decide the boundary directions.  It keeps every
 candidate minimum as an integer pair (num, den), compares them by
 cross-multiplication, and the caller builds one ``Fraction`` at the end.
 
@@ -131,50 +133,48 @@ def _smallest(candidates: list[tuple[int, int]]) -> tuple[int, int]:
     return num, den
 
 
-def _floor_of_integers(coeffs: tuple[int, ...], s: SectorSpec, xn: int, xd: int) -> tuple[int, int] | None:
-    """Exact infimum of the integer quadratic ``coeffs`` over the sector region with x >= xn/xd (xd > 0).
+def _floor_of_integers(coeffs: tuple[int, ...], s: SectorSpec, x_lo: int) -> tuple[int, int] | None:
+    """Exact infimum of the integer quadratic ``coeffs`` over the sector region with x >= x_lo, an integer >= 0.
 
-    Returns (num, den > 0), or None when the infimum is -infinity; see ``value_floor``.
+    Returns (num, den > 0), or None when the infimum is -infinity.  The region is a 2-D truncated
+    cone.  The directions inside its recession cone come first, as no boundary ray sees them; the
+    two boundary rays from the edge x = x_lo then decide the boundary directions, and the edge and
+    any interior stationary point give the other candidate minima.  Every candidate is an integer
+    pair (num, den > 0), and candidates are compared by cross-multiplication.
     """
     a, b, c, d, e, f = coeffs
     m, n = (0, 1) if s.m == 0 else (s.m, s.n)  # the second cone direction; the first is (1, 0)
 
-    # Unboundedness over the recession cone spanned by (1, 0) and (m, n).
+    # Unboundedness inside the recession cone spanned by (1, 0) and (m, n).
     qc = a * m * m + b * m * n + c * n * n
     qb = 2 * a * m + b * n
-    lin = d * m + e * n
-    if a < 0 or qc < 0:
-        return None
     if qb < 0 and qb * qb > 4 * a * qc:
-        return None
-    if (a == 0 and d < 0) or (qc == 0 and lin < 0):
         return None
     if qb < 0 and qb * qb == 4 * a * qc and a > 0 and d * (2 * a * m - qb) + e * 2 * a * n < 0:
         # The quadratic part vanishes along the interior direction
         # (2a m - qb, 2a n); the linear part decides boundedness there.
         return None
 
-    # Boundary rays from the truncation edge at x_lo = max(x_min, 0) = xl/xd.
-    xl = max(xn, 0)
-    corner = a * xl * xl + d * xl * xd + f * xd * xd  # xd^2 p(x_lo, 0)
-    up = b * xl + e * xd  # xd times the slope of t -> p(x_lo, t) at t = 0
-    rays = [(a, 2 * a * xl + d * xd, corner, xd)]
+    # The boundary rays from the truncation edge x = x_lo decide the two boundary directions.
+    corner = a * x_lo * x_lo + d * x_lo + f  # p(x_lo, 0)
+    up = b * x_lo + e  # the slope of t -> p(x_lo, t) at t = 0
+    rays = [(a, 2 * a * x_lo + d, corner, 1)]
     if s.m == 0:
-        rays.append((c, up, corner, xd))
+        rays.append((c, up, corner, 1))
     else:
-        # from (x_lo, n x_lo / m) = (m xl, n xl) / (m xd) along (m, n)
-        md = m * xd
-        rays.append((qc, 2 * xl * qc + lin * md, xl * xl * qc + xl * lin * md + f * md * md, md))
+        # from (x_lo, n x_lo / m) = (m x_lo, n x_lo) / m along (m, n)
+        lin = d * m + e * n
+        rays.append((qc, 2 * x_lo * qc + lin * m, x_lo * x_lo * qc + x_lo * lin * m + f * m * m, m))
     candidates = []
     for ray in rays:
         r = _halfline_min(*ray)
         if r is None:
             return None
         candidates.append(r)
-    if s.m != 0 and c > 0 and up < 0 and -up * m < 2 * c * n * xl:
+    if s.m != 0 and c > 0 and up < 0 and -up * m < 2 * c * n * x_lo:
         # The minimum of the edge segment x = x_lo, 0 <= y <= n x_lo / m lies
         # inside it; its end values are the starts of the two rays.
-        candidates.append((4 * c * corner - up * up, 4 * c * xd * xd))
+        candidates.append((4 * c * corner - up * up, 4 * c))
 
     det = 4 * a * c - b * b
     if det != 0:
@@ -184,7 +184,7 @@ def _floor_of_integers(coeffs: tuple[int, ...], s: SectorSpec, xn: int, xd: int)
         xs, ys = b * e - 2 * c * d, b * d - 2 * a * e
         if det < 0:
             det, xs, ys = -det, -xs, -ys
-        if xs * xd >= xl * det and ys >= 0 and (s.m == 0 or m * ys <= n * xs):
+        if xs >= x_lo * det and ys >= 0 and (s.m == 0 or m * ys <= n * xs):
             candidates.append((2 * f * det + d * xs + e * ys, 2 * det))
 
     return _smallest(candidates)
@@ -195,20 +195,17 @@ def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
 
     The region is the real cone 0 <= y <= (n/m) x, the first quadrant when
     m = 0; it holds no point with x < 0, so any x_min <= 0 gives the infimum
-    over the whole region.  Returns None when the infimum is -infinity.  The
-    region is a 2-D truncated cone, so the infimum is found by exact case
-    analysis: recession directions first (to detect unboundedness, including
-    interior valley directions the boundary never sees), then the boundary
-    rays, the truncation edge, and any interior stationary point.  The
-    analysis (``_floor_of_integers``) runs in integers on L*p, with L the lcm
-    of p's coefficient denominators: every candidate minimum is an integer
-    pair (num, den > 0), candidates are compared by cross-multiplication, and
-    one ``Fraction`` is built for the result.
+    over the whole region.  Returns None when the infimum is -infinity.
+    ``_floor_of_integers`` finds it in integers on an integer edge: with L the
+    lcm of p's coefficient denominators and x_min = xn/xd, it floors the
+    integer quadratic xd^2 L p(x/xd, y/xd) over x >= xn, and as the cone is
+    scale-invariant, that floor divided by xd^2 L is p's.
     """
-    x_min = _frac(x_min)
-    scale, coeffs = _scaled(p)
-    floor_pair = _floor_of_integers(coeffs, s, x_min.numerator, x_min.denominator)
-    return None if floor_pair is None else Fraction(floor_pair[0], floor_pair[1] * scale)
+    x_min = max(_frac(x_min), 0)
+    xd = x_min.denominator
+    scale, (a, b, c, d, e, f) = _scaled(p)
+    floor_pair = _floor_of_integers((a, b, c, d * xd, e * xd, f * xd * xd), s, x_min.numerator)
+    return None if floor_pair is None else Fraction(floor_pair[0], floor_pair[1] * scale * xd * xd)
 
 
 def _tail_floor(coeffs: tuple[int, ...], s: SectorSpec, x_max: int) -> tuple[int, int] | None:
@@ -218,11 +215,11 @@ def _tail_floor(coeffs: tuple[int, ...], s: SectorSpec, x_max: int) -> tuple[int
     complement is {x > x_max}.  The first quadrant's window is a box, and its second strip
     {y > x_max} is the first under coordinate swap, so it is bounded through the swapped coefficients.
     """
-    bound = _floor_of_integers(coeffs, s, x_max + 1, 1)
+    bound = _floor_of_integers(coeffs, s, x_max + 1)
     if s.m != 0 or bound is None:
         return bound
     a, b, c, d, e, f = coeffs
-    other = _floor_of_integers((c, b, a, e, d, f), s, x_max + 1, 1)
+    other = _floor_of_integers((c, b, a, e, d, f), s, x_max + 1)
     return None if other is None else _smallest([bound, other])
 
 
@@ -451,7 +448,7 @@ def brute_force_search(
     coeff_cap = max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc_ranges) for v in r)
     _, xs, ys = _window(s, x_max, coeff_cap)
     if xs.dtype == object:
-        raise ValueError("search bounds too large for exact 64-bit prescreening")
+        raise ValueError("search bounds or the sector's forced A, B, C too large for exact 64-bit prescreening")
     found = []
     for survivor in _prescreen(abc_ranges, bounds, xs, ys, t_min):
         if not _survivor_passes(survivor, s, x_max, t_min):

@@ -179,24 +179,19 @@ def reference_value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
     m = 0; it holds no point with x < 0, so any x_min <= 0 gives the infimum
     over the whole region.  Returns None when the infimum is -infinity.  The
     region is a 2-D truncated cone, so the infimum is found by exact case
-    analysis: recession directions first (to detect unboundedness, including
-    interior valley directions the boundary never sees), then the boundary
-    rays, the truncation edge, and any interior stationary point.
+    analysis: the directions inside the recession cone first (to detect the
+    unboundedness that the boundary never sees), then the boundary rays (which
+    decide the boundary directions), the truncation edge, and any interior
+    stationary point.
     """
     x_min = Fraction(x_min)
     d0 = (Fraction(1), Fraction(0))
     d1 = (Fraction(0), Fraction(1)) if s.m == 0 else (Fraction(s.m), Fraction(s.n))
 
-    # Unboundedness over the recession cone spanned by d0 and d1.
+    # Unboundedness inside the recession cone spanned by d0 and d1.
     qa, qc = _qform(p, d0), _qform(p, d1)
     qb = 2 * _qbil(p, d0, d1)
-    if qa < 0 or qc < 0:
-        return None
     if qb < 0 and qb * qb > 4 * qa * qc:
-        return None
-    if qa == 0 and _linear(p, d0) < 0:
-        return None
-    if qc == 0 and _linear(p, d1) < 0:
         return None
     if qb < 0 and qb * qb == 4 * qa * qc and qa > 0:
         # The quadratic part vanishes along one interior direction; the

@@ -47,9 +47,14 @@ def run(argv):
     ["verify", "4", "3", "1e-10000000,0,0,0,0,0", "--xmax", "2"],
     # 4,299 digits parse, but the tail floor B * 31^2 has too many to print
     ["verify", "1", "1", "9" * 4299 + ",0,0,0,1,0", "--xmax", "30"],
+    ["classify", "4", "x"],
+    ["verify", "4", "3", "1,2,3"],
+    ["verify", "4", "3", "1/0,0,0,0,0,0"],
+    ["search", "4", "3", "--bounds", "1:1"],
 ], ids=["search-jobs-0", "atlas-jobs-0", "search-bounds-too-large", "search-f-beyond-int64", "search-bounds-negative",
         "verify-xmax-0", "render-value-max-negative", "search-tmin-negative",
-        "verify-exponent-huge", "verify-exponent-tiny", "verify-coefficient-huge"])
+        "verify-exponent-huge", "verify-exponent-tiny", "verify-coefficient-huge",
+        "classify-m-not-int", "verify-three-coefficients", "verify-zero-denominator", "search-two-bounds"])
 def test_usage_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -80,6 +85,13 @@ def test_sector_number_of_1000_digits_classifies(capsys):
     assert run(["classify", "3", M_1000_DIGITS]) == 0
     out, err = capsys.readouterr()
     assert out.splitlines()[-1] == f"no QPPs: 3 does not divide ({M_1000_DIGITS}-1)^2 = {10 ** 1998}" and err == ""
+
+
+def test_search_forced_abc_beyond_int64_exits_2(capsys):
+    # a window of 26 points and bounds 1:1:1, but the forced B = 1 - m and C = (m-1)^2 overflow int64
+    assert run(["search", "1", M_1000_DIGITS, "--bounds", "1:1:1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: search bounds or the sector's forced A, B, C too large for exact 64-bit prescreening\n")
 
 
 def test_search_candidate_limit(monkeypatch, capsys):
@@ -261,6 +273,28 @@ def test_search_marks_unclassified_hits(argv, out, capsys):
     assert capsys.readouterr() == (out, "")
 
 
+def _rationals(*texts):
+    """Coefficients as ``rational_json`` writes them, from their texts."""
+    return [{"num": num, "den": den} for num, _, den in (text.partition("/") for text in texts)]
+
+
+# Recorded before the tail floor's recession checks were removed.  The 1/4 search
+# counts its hit in "count" although the text form says "found 0": the hit is
+# window-certified but not classified.
+@pytest.mark.parametrize("argv, payload", [
+    (["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12", "--format", "json"],
+     {"sector": {"n": 4, "m": 3}, "mode": "restricted", "x_max": 12, "count": 2, "polynomials": [
+         _rationals("2/1", "-2/1", "1/2", "0/1", "1/2", "0/1"),
+         _rationals("2/1", "-2/1", "1/2", "2/1", "-3/2", "0/1")]}),
+    (["search", "1", "4", "--mode", "full", "--bounds", "3:3:3:3:3:3", "--xmax", "8", "--format", "json"],
+     {"sector": {"n": 1, "m": 4}, "mode": "full", "x_max": 8, "count": 1, "polynomials": [
+         _rationals("1/2", "-2/1", "0/1", "1/2", "0/1", "0/1")]}),
+], ids=["4-3-restricted", "1-4-full-unclassified"])
+def test_search_json_matches_goldens(argv, payload, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr() == (json.dumps(payload, indent=2) + "\n", "")
+
+
 # SHA-256 of render stdout at --xmax 6; the same digests as the
 # "render ... xmax=6" benchmark goldens.
 RENDER_6_SHA256 = {
@@ -288,6 +322,16 @@ def test_render_at_bench_size_matches_bench_goldens(n, m, k, fmt, capsys):
     assert run(["render", n, m, k, "--xmax", "40", "--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == goldens[f"render {n}/{m} k={k} {fmt} xmax=40"]["stdout"]
+
+
+def test_render_out_writes_the_stdout_figure(tmp_path, capsys):
+    argv = ["render", "4", "1", "2", "--xmax", "6", "--format", "svg"]
+    assert run(argv) == 0
+    figure = capsys.readouterr().out
+    out = tmp_path / "fig.svg"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote {out}\n", "")
+    assert out.read_bytes() == figure.encode("utf-8")
 
 
 @given(st.integers(-10**6, 10**6))

@@ -81,6 +81,24 @@ semidefinite_polys = st.builds(
 floor_polys = st.builds(QuadPoly, *[floor_rationals] * 6) | semidefinite_polys
 floor_sectors = st.just(make_sector(1, 0)) | st.sampled_from(coprime_sectors(9, 9))
 floor_x_mins = st.integers(-5, 30) | st.builds(Fraction, st.integers(-60, 300), st.integers(1, 7))
+small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _no_y2_quadrant_floor(p: QuadPoly, x_min) -> Fraction | None:
+    """The closed-form floor over the quadrant's x >= x_min of a p with no y^2 term; None for -infinity.
+
+    p is affine in y with slope c_xy x + c_y, which is >= 0 on all of x >= x_lo = max(x_min, 0)
+    exactly when c_xy >= 0 and c_xy x_lo + c_y >= 0; the floor is then that of p(x, 0) over x >= x_lo.
+    """
+    x_lo = max(Fraction(x_min), 0)
+    if p.c_xy < 0 or p.c_xy * x_lo + p.c_y < 0:
+        return None
+    a, d, f = p.c_xx, p.c_x, p.c_0
+    if a < 0 or (a == 0 and d < 0):
+        return None
+    if a > 0 and -d / (2 * a) > x_lo:
+        return f - d * d / (4 * a)
+    return a * x_lo * x_lo + d * x_lo + f
 
 
 class TestValueFloor:
@@ -132,8 +150,11 @@ class TestValueFloor:
     # quadrant infimum is 1, and a saddle of an indefinite Hessian,
     # x^2 + xy + 2x + y - 1, whose quadrant infimum is -1.  Random draws
     # rarely reach either case.
+    # x*y - y = y(x - 1) >= 0 on the quadrant's x >= 1, although it has no y^2
+    # term and falls along the y-axis.
     @example(QuadPoly(1, 0, 1, 2, -2, 2), make_sector(1, 0), -5)
     @example(QuadPoly(1, 1, 0, 2, 1, -1), make_sector(1, 0), -5)
+    @example(QuadPoly(0, 1, 0, 0, -1, 0), make_sector(1, 0), 1)
     @settings(max_examples=1000, deadline=None)
     @given(floor_polys, floor_sectors, floor_x_mins)
     def test_matches_fraction_reference(self, p, s, x_min):
@@ -148,12 +169,24 @@ class TestValueFloor:
     def test_nonpositive_x_min_means_whole_sector(self, p, s, x_min):
         assert value_floor(p, s, x_min) == value_floor(p, s, 0)
 
+    # On the quadrant the y-ray from (x_lo, 0) has slope c_xy x_lo + c_y, not c_y.
+    @example(QuadPoly(0, 1, 0, 0, -1, 0), 1)
+    @example(QuadPoly(0, 1, 0, 0, -1, 0), 2)
+    @example(QuadPoly(0, 2, 0, 0, -3, 5), 3)
+    @settings(max_examples=500, deadline=None)
+    @given(st.builds(QuadPoly, small_rationals, small_rationals, st.just(0), small_rationals, small_rationals,
+                     small_rationals), floor_x_mins)
+    def test_quadrant_without_y2_matches_closed_form(self, p, x_min):
+        assert value_floor(p, make_sector(1, 0), x_min) == _no_y2_quadrant_floor(p, x_min)
+
     def test_grid_never_undercuts(self):
         cases = [
             (EX1, make_sector(4, 3), 0),
             (QuadPoly(Fraction(1, 2), 0, 0, Fraction(1, 2), 1, 0), make_sector(1, 1), 3),
             (QuadPoly(1, -2, 1, 1, 0, 0), make_sector(1, 0), 2),
             (QuadPoly(1, 0, 1, -8, -4, 20), make_sector(1, 1), 0),
+            (QuadPoly(0, 1, 0, 0, -1, 0), make_sector(1, 0), 2),  # x*y - y, floor 0
+            (QuadPoly(0, 2, 0, 0, -3, 5), make_sector(1, 0), 3),  # 2*x*y - 3*y + 5, floor 5
         ]
         quarter = Fraction(1, 4)
         for p, s, x_min in cases:
@@ -387,8 +420,9 @@ class TestBruteForceSearch:
                 p = AlphaFormCoeffs(*survivor[:6]).to_poly()
                 cert = packing_window_verify(p, s, x_max)
                 outcomes.add(cert.failure.kind if cert.failure else cert.threshold >= (t_min or 0))
-                plain = reference_value_floor(p, s, x_max + 1)
-                swapped_smaller += plain is not None and reference_tail_floor(p, s, x_max) < plain
+                # plain can be finite where the swapped strip, and so the tail, is unbounded
+                plain, tail = reference_value_floor(p, s, x_max + 1), reference_tail_floor(p, s, x_max)
+                swapped_smaller += plain is not None and tail is not None and tail < plain
         assert outcomes == {"tail_unbounded", "tail_below_zero", "coverage_gap", True, False}
         assert swapped_smaller
 
