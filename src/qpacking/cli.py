@@ -177,17 +177,19 @@ def _cmd_search(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    classified = {e.poly for e in classify(s)}
     if args.format == "json":
         payload = {
             "sector": {"n": s.n, "m": s.m},
             "mode": args.mode,
             "x_max": args.xmax,
-            "count": len(found),
-            "polynomials": [[rational_json(c) for c in p.coefficients()] for p in found],
+            "count": sum(p in classified for p in found),
+            "polynomials": [[rational_json(c) for c in p.coefficients()] for p in found if p in classified],
+            "window_certified_only": [[rational_json(c) for c in p.coefficients()]
+                                      for p in found if p not in classified],
         }
         print(json.dumps(payload, indent=2))
         return 0
-    classified = {e.poly for e in classify(s)}
     for p in found:
         print(format_poly(p) + ("" if p in classified else UNCLASSIFIED_HIT.format(args.xmax)))
     print(f"found {sum(p in classified for p in found)} packing polynomial(s) on sector {s.n}/{s.m}")

@@ -45,10 +45,9 @@ def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fm
 
 
 def _window_values(s: SectorSpec, poly: QuadPoly, x_max: int) -> dict[tuple[int, int], int]:
-    pts, scale, vals = window_values(poly, s, x_max)
-    scaled = vals.tolist()
-    assert all(v >= 0 and v % scale == 0 for v in scaled)
-    return {pt: v // scale for pt, v in zip(pts, scaled)}
+    xs, ys, scale, vals = window_values(poly, s, x_max)
+    assert (vals >= 0).all() and not (vals % scale).any()
+    return dict(zip(zip(xs.tolist(), ys.tolist()), (vals // scale).tolist()))
 
 
 def _render_ascii(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> str:

@@ -12,22 +12,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .geometry import SectorSpec
 
 
-def lattice_window(s: SectorSpec, x_max: int) -> list[tuple[int, int]]:
-    """All lattice points of the sector with x <= x_max, in lexicographic order.
+def lattice_window(s: SectorSpec, x_max: int) -> np.ndarray:
+    """All lattice points of the sector with x <= x_max: an (N, 2) int64 array of rows (x, y), lexicographic.
 
     For the first quadrant the window is the box 0 <= x, y <= x_max, so that
-    enumeration stays finite.
+    enumeration stays finite.  The column heights n x // m are exact Python ints.
     """
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    pts = []
-    for x in range(x_max + 1):
-        y_top = x_max if s.m == 0 else (s.n * x) // s.m
-        pts.extend((x, y) for y in range(y_top + 1))
-    return pts
+    heights = np.array([x_max + 1 if s.m == 0 else s.n * x // s.m + 1 for x in range(x_max + 1)], dtype=np.int64)
+    starts = np.repeat(np.cumsum(heights) - heights, heights)
+    return np.column_stack((np.repeat(np.arange(x_max + 1), heights), np.arange(starts.size) - starts))
 
 
 def staircase_index(s: SectorSpec, p: tuple[int, int]) -> int:

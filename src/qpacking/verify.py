@@ -9,14 +9,16 @@ initial segment {0, ..., T} correctly, no matter what happens further out.
 
 Window values are exact integers from one place: ``window_values`` evaluates
 L*p, with L the lcm of p's coefficient denominators, on the arrays of
-``_window``.  These are int64 only when the window's real x and y extents prove
-that nothing can overflow, and hold Python ints otherwise.  The bound on the
-points a window leaves out also has one place: ``_tail_floor`` works on
-integer coefficients, such as those of L*p, and an integer edge x_max + 1.
-Its case analysis tests the directions inside the cone for unboundedness and
-lets the two boundary rays decide the boundary directions.  It keeps every
-candidate minimum as an integer pair (num, den), compares them by
-cross-multiplication, and the caller builds one ``Fraction`` at the end.
+``_window``, int64 only when the window's extents prove that nothing can
+overflow.  The certificate sorts them once, stably, and fails at the first
+point in ``lattice_window`` order that is non-integral, negative or a repeat,
+by the first such check; the sorted values give its first missing value.  The
+bound on the points a window leaves out also has one place: ``_tail_floor``
+works on integer coefficients, such as those of L*p, and an integer edge
+x_max + 1.  Its case analysis tests the directions inside the cone for
+unboundedness and lets the two boundary rays decide the boundary directions.
+It keeps every candidate minimum as an integer pair (num, den), compares them
+by cross-multiplication, and the caller builds one ``Fraction`` at the end.
 
 ``brute_force_search`` rediscovers classifications without trusting them: it
 scans integer boxes of the non-constant alpha-form coefficients in the calling
@@ -226,14 +228,13 @@ def _tail_floor(coeffs: tuple[int, ...], s: SectorSpec, x_max: int) -> tuple[int
 # -- certified window verification --------------------------------------------
 
 
-def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
-    """The window x <= x_max as its points and their x and y arrays.
+def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y arrays of the window x <= x_max, in ``lattice_window`` order.
 
     A window whose bounding box (x_max + 1)(y_top + 1) holds more than
     ``MAX_WINDOW_POINTS`` points is refused with ``ValueError`` before any
     point is built.  On the window, a quadratic with integer coefficients of
-    size at most cap, and each of its partial sums, has size at most
-    cap * (x_max + y_top + 1)^2.
+    size at most cap, and each of its partial sums, has size at most cap * (x_max + y_top + 1)^2.
     The arrays are int64 when that is below 2^62, else Python-int object arrays.
     """
     y_top = x_max if s.m == 0 else s.n * x_max // s.m
@@ -241,46 +242,57 @@ def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[list[tuple[int, int]],
     if box > MAX_WINDOW_POINTS:
         raise ValueError(f"window x <= {x_max} has a bounding box of {number_text(box)} lattice points, "
                          f"more than the limit of {MAX_WINDOW_POINTS}")
-    pts = lattice_window(s, x_max)
     dtype = np.int64 if cap * (x_max + y_top + 1) ** 2 < 2 ** 62 else object
-    xs = np.array([x for x, _ in pts], dtype=dtype)
-    ys = np.array([y for _, y in pts], dtype=dtype)
-    return pts, xs, ys
+    xs, ys = np.ascontiguousarray(lattice_window(s, x_max).T, dtype=dtype)  # contiguous rows evaluate faster
+    return xs, ys
 
 
-def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[list[tuple[int, int]], int, np.ndarray]:
-    """(points, L, L*p at each point) on the window x <= x_max, exactly.
+def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """(xs, ys, L, L*p at each point) on the window x <= x_max, exactly.
 
-    L is the lcm of p's coefficient denominators: p(pt) is integral iff L divides L*p(pt).
+    L is the lcm of p's coefficient denominators, inside the size bound of ``_window`` so that L*p // L
+    and L*p % L stay exact: p(pt) is integral iff L divides L*p(pt).
     """
     scale, coeffs = _scaled(p)
     a, b, c, d, e, f = coeffs
-    pts, xs, ys = _window(s, x_max, max(map(abs, coeffs)))
-    return pts, scale, a * xs * xs + b * xs * ys + c * ys * ys + d * xs + e * ys + f
+    xs, ys = _window(s, x_max, max(scale, *map(abs, coeffs)))
+    return xs, ys, scale, a * xs * xs + b * xs * ys + c * ys * ys + d * xs + e * ys + f
+
+
+def _first_missing(ranked: np.ndarray) -> np.ndarray:
+    """For ascending distinct values >= 0 on the last axis, the first they miss: the first rank unequal to its value."""
+    gaps = ranked != np.arange(ranked.shape[-1])
+    return np.where(gaps.any(axis=-1), gaps.argmax(axis=-1), ranked.shape[-1])
 
 
 def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCertificate:
-    """Check the packing property on the window x <= x_max with a certified threshold."""
+    """Check the packing property on the window x <= x_max with a certified threshold.
+
+    The window fails at its first point, in ``lattice_window`` order, whose value is not an integer,
+    is negative or was taken at an earlier point, and reports the first of these checks that fails
+    there; a collision's witnesses are the earliest point with the value and this one.
+    """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
-    pts, scale, vals = window_values(p, s, x_max)
-    seen: dict[int, tuple[int, int]] = {}
-    for pt, scaled in zip(pts, vals.tolist()):
-        v, rem = divmod(scaled, scale)
-        if rem:
-            value = Fraction(scaled, scale)
-            return WindowCertificate(x_max, None, None, Failure(
-                "non_integral_value", f"value {number_text(value)} at {pt} is not an integer",
-                witnesses=(pt,), value=value))
-        if v < 0:
-            return WindowCertificate(x_max, None, None, Failure(
-                "negative_value", f"value {v} at {pt} is negative",
-                witnesses=(pt,), value=Fraction(v)))
-        if v in seen:
-            return WindowCertificate(x_max, None, None, Failure(
-                "collision", f"value {v} taken at both {seen[v]} and {pt}",
-                witnesses=(seen[v], pt), value=Fraction(v)))
-        seen[v] = pt
+    xs, ys, scale, vals = window_values(p, s, x_max)
+    q, r = vals // scale, vals % scale
+    # stable: each repeat follows its first point; equal q with unequal r fail first as non-integral
+    order = np.argsort(q, kind="stable")
+    ranked = q[order]
+    bad = (r != 0) | (q < 0)
+    bad[order[1:][ranked[1:] == ranked[:-1]]] = True
+    if bad.any():
+        i = int(bad.argmax())
+        pt, v = (int(xs[i]), int(ys[i])), Fraction(int(vals[i]), scale)
+        if r[i]:
+            failure = Failure("non_integral_value", f"value {number_text(v)} at {pt} is not an integer", (pt,), v)
+        elif v < 0:
+            failure = Failure("negative_value", f"value {v} at {pt} is negative", (pt,), v)
+        else:
+            j = int(order[np.searchsorted(ranked, q[i])])  # the earliest point with value v
+            first = (int(xs[j]), int(ys[j]))
+            failure = Failure("collision", f"value {v} taken at both {first} and {pt}", (first, pt), v)
+        return WindowCertificate(x_max, None, None, failure)
 
     scale, coeffs = _scaled(p)
     floor_pair = _tail_floor(coeffs, s, x_max)
@@ -291,12 +303,11 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
     threshold = floor(bound) - 1
     if threshold < 0:
         return WindowCertificate(x_max, threshold, bound, Failure(
-            "tail_below_zero",
-            f"tail lower bound {number_text(bound)} certifies no threshold; enlarge the window"))
-    for t in range(threshold + 1):
-        if t not in seen:
-            return WindowCertificate(x_max, threshold, bound, Failure(
-                "coverage_gap", f"value {t} is not attained on the window", missing=t))
+            "tail_below_zero", f"tail lower bound {number_text(bound)} certifies no threshold; enlarge the window"))
+    missing = int(_first_missing(ranked))
+    if missing <= threshold:
+        return WindowCertificate(x_max, threshold, bound, Failure(
+            "coverage_gap", f"value {missing} is not attained on the window", missing=missing))
     return WindowCertificate(x_max, threshold, bound, None)
 
 
@@ -363,11 +374,8 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray,
             if t_min is not None:
                 # with F added, distinct values hold {0..t_min} iff rank t_min holds t_min
                 ok &= t_min < xs.size and ranked[:, t_min] + f[kept] == t_min
-            # distinct values from 0 hold {0..t-1} iff rank t - 1 holds t - 1, so the
-            # first missing value is the first rank that differs from its value
             survivors = kept[ok]
-            gaps = ranked[ok] + f[survivors, None] != np.arange(xs.size)
-            missing = np.where(gaps.any(axis=1), gaps.argmax(axis=1), xs.size)
+            missing = _first_missing(ranked[ok] + f[survivors, None])
             for i, first_missing in zip(survivors.tolist(), missing.tolist()):
                 yield A, B, C, int(d[i]), int(e[i]), int(f[i]), first_missing
 
@@ -446,7 +454,7 @@ def brute_force_search(
     if size > MAX_CANDIDATES:
         raise ValueError(f"search box has {size} candidates, more than the limit of {MAX_CANDIDATES}")
     coeff_cap = max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc_ranges) for v in r)
-    _, xs, ys = _window(s, x_max, coeff_cap)
+    xs, ys = _window(s, x_max, coeff_cap)
     if xs.dtype == object:
         raise ValueError("search bounds or the sector's forced A, B, C too large for exact 64-bit prescreening")
     found = []

@@ -3,7 +3,8 @@
 The expansion helper here multiplies factored forms out with its own algebra,
 so expected coefficient tuples in tests never flow through the code under
 test.  ``reference_window_verify`` is the per-point ``Fraction`` form of the
-window check, the reference that the integer evaluation path is compared with.
+window check on its own enumeration of the window (``reference_window``), the
+reference that the array certificate is compared with.
 ``reference_value_floor`` is the exact tail floor as a ``Fraction`` case
 analysis, the reference for the integer ``value_floor``; the window reference
 bounds its tail with it, so it shares no floor code with the certificate it
@@ -35,7 +36,6 @@ from qpacking.atlas import summary_line
 from qpacking.classify import classify, forced_quadratic_coeffs
 from qpacking.geometry import SectorSpec, make_sector
 from qpacking.poly import _MONOMIAL_FIELDS, AlphaFormCoeffs, QuadPoly
-from qpacking.staircase import lattice_window
 from qpacking.verify import Failure, SearchBounds, WindowCertificate, packing_window_verify
 
 
@@ -250,12 +250,24 @@ def reference_tail_floor(p: QuadPoly, s: SectorSpec, x_max: int) -> Fraction | N
     return None if other is None else min(bound, other)
 
 
+def reference_window(s: SectorSpec, x_max: int) -> list[tuple[int, int]]:
+    """The lattice points (x, y) of the sector with x <= x_max (the box y <= x_max on the
+    quadrant), enumerated column by column in lexicographic order."""
+    pts = []
+    for x in range(x_max + 1):
+        y = 0
+        while y <= x_max if s.m == 0 else s.m * y <= s.n * x:
+            pts.append((x, y))
+            y += 1
+    return pts
+
+
 def reference_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCertificate:
     """``packing_window_verify`` evaluated point by point in ``Fraction`` arithmetic."""
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     seen: dict[int, tuple[int, int]] = {}
-    for pt in lattice_window(s, x_max):
+    for pt in reference_window(s, x_max):
         value = p(*pt)
         if value.denominator != 1:
             return WindowCertificate(x_max, None, None, Failure(

@@ -278,17 +278,17 @@ def _rationals(*texts):
     return [{"num": num, "den": den} for num, _, den in (text.partition("/") for text in texts)]
 
 
-# Recorded before the tail floor's recession checks were removed.  The 1/4 search
-# counts its hit in "count" although the text form says "found 0": the hit is
-# window-certified but not classified.
+# "count" and "polynomials" hold the classified hits only, as "found N" of the text
+# form counts them; the 1/4 hit is window-certified but not classified, so it is
+# listed under "window_certified_only".
 @pytest.mark.parametrize("argv, payload", [
     (["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12", "--format", "json"],
      {"sector": {"n": 4, "m": 3}, "mode": "restricted", "x_max": 12, "count": 2, "polynomials": [
          _rationals("2/1", "-2/1", "1/2", "0/1", "1/2", "0/1"),
-         _rationals("2/1", "-2/1", "1/2", "2/1", "-3/2", "0/1")]}),
+         _rationals("2/1", "-2/1", "1/2", "2/1", "-3/2", "0/1")], "window_certified_only": []}),
     (["search", "1", "4", "--mode", "full", "--bounds", "3:3:3:3:3:3", "--xmax", "8", "--format", "json"],
-     {"sector": {"n": 1, "m": 4}, "mode": "full", "x_max": 8, "count": 1, "polynomials": [
-         _rationals("1/2", "-2/1", "0/1", "1/2", "0/1", "0/1")]}),
+     {"sector": {"n": 1, "m": 4}, "mode": "full", "x_max": 8, "count": 0, "polynomials": [],
+      "window_certified_only": [_rationals("1/2", "-2/1", "0/1", "1/2", "0/1", "0/1")]}),
 ], ids=["4-3-restricted", "1-4-full-unclassified"])
 def test_search_json_matches_goldens(argv, payload, capsys):
     assert run(argv) == 0

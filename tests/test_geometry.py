@@ -60,7 +60,7 @@ class TestSkewMap:
         m = skew_map(make_sector(1, 0))
         assert (m.a, m.b, m.c, m.d) == (1, 1, 0, 1)
         target = make_sector(1, 1)
-        for pt in lattice_window(make_sector(1, 0), 6):
+        for pt in map(tuple, lattice_window(make_sector(1, 0), 6).tolist()):
             x, y = m.apply(pt)
             assert target.contains(x, y)
 
@@ -69,7 +69,7 @@ class TestSkewMap:
         for s in coprime_sectors(7, 7):
             m = skew_map(s)
             inv = m.inverse()
-            for pt in lattice_window(s, 9)[:100]:
+            for pt in map(tuple, lattice_window(s, 9)[:100].tolist()):
                 assert inv.apply(m.apply(pt)) == tuple(map(Fraction, pt))
 
 
@@ -94,7 +94,7 @@ class TestFlipMap:
         n = 4
         s = make_sector(n, 1)
         m = flip_map(n)
-        for pt in lattice_window(s, 8):
+        for pt in map(tuple, lattice_window(s, 8).tolist()):
             x, y = m.apply(pt)
             assert s.contains(x, y)
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +13,7 @@ from qpacking.staircase import (
     staircase_size_formula,
 )
 
-from helpers import coprime_sectors
+from helpers import coprime_sectors, reference_window
 
 sectors = st.builds(make_sector, st.integers(1, 12), st.integers(0, 12))
 
@@ -31,11 +32,11 @@ def brute_first_step_y(s, i):
 
 class TestLatticeWindow:
     def test_4_3(self):
-        assert lattice_window(make_sector(4, 3), 1) == [(0, 0), (1, 0), (1, 1)]
+        assert lattice_window(make_sector(4, 3), 1).tolist() == [[0, 0], [1, 0], [1, 1]]
 
     def test_apex_only(self):
         for s in [make_sector(4, 3), make_sector(1, 0), make_sector(5, 1)]:
-            assert lattice_window(s, 0) == [(0, 0)]
+            assert lattice_window(s, 0).tolist() == [[0, 0]]
 
     def test_quadrant_box(self):
         assert len(lattice_window(make_sector(1, 0), 2)) == 9
@@ -45,8 +46,20 @@ class TestLatticeWindow:
             lattice_window(make_sector(4, 3), -1)
 
     @given(sectors, st.integers(0, 12))
+    def test_array_contract(self, s, x_max):
+        window = lattice_window(s, x_max)
+        assert window.dtype == np.int64 and window.ndim == 2 and window.shape[1] == 2
+        assert list(map(tuple, window.tolist())) == reference_window(s, x_max)
+
+    def test_1000_digit_slope(self):
+        # n x // m needs Python ints: n/m = (3*10^1000 + 1)/10^1000 is just above 3
+        s = make_sector(3 * 10**1000 + 1, 10**1000)
+        assert list(map(tuple, lattice_window(s, 4).tolist())) == reference_window(s, 4)
+        assert len(lattice_window(s, 4)) == sum(3 * x + 1 for x in range(5))
+
+    @given(sectors, st.integers(0, 12))
     def test_matches_inequalities(self, s, x_max):
-        pts = lattice_window(s, x_max)
+        pts = list(map(tuple, lattice_window(s, x_max).tolist()))
         assert pts == sorted(pts)
         assert len(set(pts)) == len(pts)
         for x, y in pts:
@@ -132,7 +145,7 @@ class TestStaircasePoints:
 class TestPartition:
     def test_partition_of_window(self):
         for s in coprime_sectors(10, 10):
-            window = lattice_window(s, 30)
+            window = list(map(tuple, lattice_window(s, 30).tolist()))
             by_index: dict[int, list] = {}
             for pt in window:
                 by_index.setdefault(staircase_index(s, pt), []).append(pt)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -266,6 +267,25 @@ class TestPackingWindowVerify:
         assert cert.ok
         assert cert == reference_window_verify(p, s, 1)
 
+    @pytest.mark.parametrize("p, s, x_max, kind, witnesses, dtype", [
+        # x - x^2 takes 0 at (0, 0) and (1, 0), then -2 at (2, 0), the smallest value of the window
+        (QuadPoly(-1, 0, 0, 1, 0, 0), make_sector(1, 1), 3, "collision", ((0, 0), (1, 0)), np.int64),
+        # -x/2 takes -1/2 at (1, 0), not an integer and negative: the integrality check comes first
+        (QuadPoly(0, 0, 0, Fraction(-1, 2), 0, 0), make_sector(1, 1), 2, "non_integral_value", ((1, 0),), np.int64),
+        # x - y takes 0 at (0, 0) and again at (1, 1), after (1, 0) with value 1
+        (QuadPoly(0, 0, 0, 1, -1, 0), make_sector(1, 1), 2, "collision", ((0, 0), (1, 1)), np.int64),
+        # 2^60 (x + y) takes 2^61 at (1, 1) and (2, 0); its window needs Python ints
+        (QuadPoly(0, 0, 0, 2**60, 2**60, 0), make_sector(1, 1), 2, "collision", ((1, 1), (2, 0)), object),
+        # L = 2^70 with L p = x^2: the values fit in int64, L does not
+        (QuadPoly(Fraction(1, 2**70), 0, 0, 0, 0, 0), make_sector(1, 1), 3, "non_integral_value", ((1, 0),), object),
+    ], ids=["collision-before-negative", "non-integral-and-negative", "earliest-witness", "object-collision",
+            "denominator-beyond-int64"])
+    def test_first_failure_matches_reference(self, p, s, x_max, kind, witnesses, dtype):
+        assert verify.window_values(p, s, x_max)[3].dtype == dtype
+        cert = packing_window_verify(p, s, x_max)
+        assert cert == reference_window_verify(p, s, x_max)
+        assert cert.failure.kind == kind and cert.failure.witnesses == witnesses
+
     def test_monotone_under_window_growth(self):
         rng = random.Random(20260809)
         pool = list(all_classified(12, 12))
@@ -298,7 +318,7 @@ class TestFirstSteps:
 def prescreen_inputs(s, bounds, mode, x_max):
     """(A, B, C) ranges and window arrays as ``brute_force_search`` hands them to ``_prescreen``."""
     abc = [(c, c) for c in forced_quadratic_coeffs(s)] if mode == "restricted" else [bounds.a, bounds.b, bounds.c]
-    _, xs, ys = _window(s, x_max, max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc) for v in r))
+    xs, ys = _window(s, x_max, max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc) for v in r))
     return abc, xs, ys
 
 
