@@ -3,14 +3,16 @@
 One row per coprime (n, m) sector plus the first-quadrant row (1, 0), each
 carrying the derived arithmetic, the admissible step constants, the polynomial
 coefficient tuples and the canonical shear representative (n, m mod n).  The
+arithmetic depends on the sector only through n and l = gcd(m-1, n), and the
 shear (x, y) -> (x + t y, y) leaves all but the polynomials unchanged, so the
 rows of a class share them; each row's polynomials are the closed forms
 ``packing_polynomial`` gives for the ks of its class.  Serialization
 is byte-reproducible: JSON keeps rationals as numerator/denominator strings,
-CSV as "p/q" text.  Both texts are written directly: every JSON key is fixed and
-every value an integer or a string of digits, laid out as ``json.dumps(indent=2)``;
-every CSV field is an integer, a ``str(Fraction)`` or numbers joined by " " and ";",
-so nothing needs escaping, and no field holds ",", '"' or a newline to quote.
+CSV as "p/q" text.  Both texts are written directly, one piece per row joined once:
+every JSON key is fixed and every value an integer or a string of digits, laid out
+as ``json.dumps(indent=2)``; every CSV field is an integer, a rational printed from
+its numerator and denominator as ``str(Fraction)`` prints it, or numbers joined by
+" " and ";", so nothing needs escaping, and no field holds ",", '"' or a newline to quote.
 """
 
 from __future__ import annotations
@@ -51,24 +53,31 @@ def check_atlas_size(nmax: int, mmax: int) -> None:
 def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
     """All rows for coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0), in (n, m) order.
 
-    Arithmetic, ks and canonical pair come once per class (n, m mod n); each row's polynomials
-    are ``packing_polynomial`` of the row's sector for those ks, as ``classify`` lists them.
+    The arithmetic depends on the sector only through n and l = gcd(m-1, n), so
+    ``sector_arithmetic`` runs once per pair (n, l); ks and canonical pair come once per class
+    (n, m mod n), whose sectors share l.  Each row's polynomials are ``packing_polynomial`` of
+    the row's sector for those ks, as ``classify`` lists them.
     A range that ``check_atlas_size`` refuses raises its ``ValueError`` before any row is built.
     """
     check_atlas_size(nmax, mmax)
     rows = []
     for n in range(1, nmax + 1):
-        classes = {}  # m mod n -> (l, n/l, l^2/n, ks, canonical pair) of the class, for this n only
-        for m in (m for m in range(mmax + 1) if gcd(n, m) == 1):  # m = 0 only in (1, 0)
-            cls = classes.get(m % n)
-            if cls is None:
-                canon = canonical_sector(SectorSpec(n, m))
-                ar = sector_arithmetic(canon)
+        arithmetic = {}  # l -> sector_arithmetic of this n's sectors with gcd(m-1, n) = l
+        classes = {}  # m mod n -> (l, n/l, l^2/n, qpp count, ks, canonical pair), for the m <= mmax coprime to n
+        for r in range(min(n, mmax + 1)):  # each class's first m is its residue; r = 0 only for n = 1
+            if gcd(n, r) == 1:
+                canon = canonical_sector(SectorSpec(n, r))
+                ar = arithmetic.get(canon.l)
+                if ar is None:
+                    ar = arithmetic[canon.l] = sector_arithmetic(canon)
                 ks = tuple(admissible_ks(canon, ar))
-                cls = classes[m % n] = (ar.l, ar.n_over_l, ar.l2_over_n, ks, (canon.n, canon.m))
-            l, n_over_l, l2_over_n, ks, canonical = cls
-            polys = tuple(packing_polynomial(SectorSpec(n, m), k).coefficients() for k in ks) if ks else ()
-            rows.append(AtlasRow(n, m, l, n_over_l, l2_over_n, len(ks), ks, polys, canonical))
+                classes[r] = (ar.l, ar.n_over_l, ar.l2_over_n, len(ks), ks, (canon.n, canon.m))
+        for m in range(mmax + 1):
+            cls = classes.get(m % n)
+            if cls is not None:
+                l, n_over_l, l2_over_n, qpp_count, ks, canonical = cls
+                polys = tuple(packing_polynomial(SectorSpec(n, m), k).coefficients() for k in ks) if ks else ()
+                rows.append(AtlasRow(n, m, l, n_over_l, l2_over_n, qpp_count, ks, polys, canonical))
     return rows
 
 
@@ -98,45 +107,55 @@ def _rational_text(q: Fraction, pad: str) -> str:
     return f'{{\n{pad}  "num": "{q.numerator}",\n{pad}  "den": "{q.denominator}"\n{pad}}}'
 
 
-def _row_json(row: AtlasRow) -> str:
-    n, m, l, n_over_l, l2_over_n, qpp_count, ks, polynomials, (canonical_n, canonical_m) = row
-    polys = _json_block([_json_block([_rational_text(c, " " * 10) for c in poly], " " * 8)
-                         for poly in polynomials], " " * 6)
-    return f"""{{
+def atlas_to_json(rows: list[AtlasRow], nmax: int, mmax: int) -> str:
+    """The atlas as ``json.dumps(indent=2)`` lays it out, joined once from a head, one piece per row and a tail."""
+    parts = [f'{{\n  "nmax": {nmax},\n  "mmax": {mmax},\n  "rows": [']
+    lead = "\n    "  # what precedes a row: the opening line break, then a comma too
+    for n, m, l, n_over_l, l2_over_n, qpp_count, ks, polynomials, (canonical_n, canonical_m) in rows:
+        # most rows have no ks: writing "[]" for them skips building and laying out empty lists
+        ks_text = _json_block([str(k) for k in ks], " " * 6) if ks else "[]"
+        polys = _json_block([_json_block([_rational_text(c, " " * 10) for c in poly], " " * 8)
+                             for poly in polynomials], " " * 6) if polynomials else "[]"
+        parts.append(f"""{lead}{{
       "n": {n},
       "m": {m},
       "l": {l},
       "n_over_l": {n_over_l},
       "l2_over_n": {_rational_text(l2_over_n, " " * 6)},
       "qpp_count": {qpp_count},
-      "ks": {_json_block([str(k) for k in ks], " " * 6)},
+      "ks": {ks_text},
       "polynomials": {polys},
       "canonical_sector": [
         {canonical_n},
         {canonical_m}
       ]
-    }}"""
-
-
-def atlas_to_json(rows: list[AtlasRow], nmax: int, mmax: int) -> str:
+    }}""")
+        lead = ",\n    "
+    close = "\n  ]" if rows else "]"
     by_count = _json_block([f'"{c}": {n}' for c, n in summary_counts(rows).items()], "    ", "{}")
-    return f"""{{
-  "nmax": {nmax},
-  "mmax": {mmax},
-  "rows": {_json_block([_row_json(row) for row in rows], "  ")},
+    parts.append(f"""{close},
   "summary": {{
     "total": {len(rows)},
     "by_count": {by_count}
   }}
 }}
-"""
+""")
+    return "".join(parts)
+
+
+def _rational_csv(q: Fraction) -> str:
+    """``str(q)``: "p" for an integer, else "p/q"."""
+    num, den = q.as_integer_ratio()
+    return f"{num}" if den == 1 else f"{num}/{den}"
 
 
 def atlas_to_csv(rows: list[AtlasRow]) -> str:
-    lines = ["n,m,l,n_over_l,l2_over_n,qpp_count,ks,canonical_n,canonical_m,polynomials"]
+    """The atlas as CSV lines, joined once: the header, one line per row, the summary comment."""
+    lines = ["n,m,l,n_over_l,l2_over_n,qpp_count,ks,canonical_n,canonical_m,polynomials\n"]
     for n, m, l, n_over_l, l2_over_n, qpp_count, ks, polynomials, (canonical_n, canonical_m) in rows:
-        polys = ";".join(" ".join(map(str, poly)) for poly in polynomials)
-        lines.append(f"{n},{m},{l},{n_over_l},{str(l2_over_n)},{qpp_count},{' '.join(map(str, ks))},"
-                     f"{canonical_n},{canonical_m},{polys}")
+        ks_text = " ".join(map(str, ks)) if ks else ""  # most rows have none: skip the joins
+        polys = ";".join(" ".join(map(_rational_csv, poly)) for poly in polynomials) if polynomials else ""
+        lines.append(f"{n},{m},{l},{n_over_l},{_rational_csv(l2_over_n)},{qpp_count},{ks_text},"
+                     f"{canonical_n},{canonical_m},{polys}\n")
     lines.append(f"# {summary_line(rows)}\n")
-    return "\n".join(lines)
+    return "".join(lines)

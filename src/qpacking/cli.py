@@ -4,8 +4,9 @@ Exit codes: 0 success (or a passing verdict), 1 negative verdict (failed
 verification, inadmissible figure request, unwritable file), 2 usage error.
 Work limits, each checked before the work starts: ``MAX_DIGITS`` per sector
 number and coefficient part (exit 2), ``verify.MAX_WINDOW_POINTS`` per window
-(exit 2, or 1 from render), ``verify.MAX_CANDIDATES`` per search box (exit 2)
-and ``atlas.MAX_ATLAS_CELLS`` for nmax * mmax (exit 2).
+(exit 2), ``verify.MAX_CANDIDATES`` per search box (exit 2),
+``atlas.MAX_ATLAS_CELLS`` for nmax * mmax (exit 2) and
+``render.MAX_FIGURE_POINTS`` per figure (exit 1).
 """
 
 from __future__ import annotations

@@ -13,10 +13,12 @@ from fractions import Fraction
 from .classify import classify, no_qpp_reason
 from .geometry import SectorSpec
 from .poly import QuadPoly
+from .staircase import column_heights
 from .verify import window_values
 
 SVG_SCALE = 40  # drawing units per lattice step
 SVG_MARGIN = 30
+MAX_FIGURE_POINTS = 10_000  # lattice points of the window a figure draws
 
 
 def _classified_poly(s: SectorSpec, k: int) -> QuadPoly:
@@ -31,17 +33,34 @@ def _classified_poly(s: SectorSpec, k: int) -> QuadPoly:
 
 
 def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fmt: str = "ascii") -> str:
-    """Figure of the classified polynomial with step constant k on the sector."""
+    """Figure of the classified polynomial with step constant k on the sector.
+
+    A window of more than ``MAX_FIGURE_POINTS`` lattice points is refused with ``ValueError``
+    before the polynomial is looked up or any value computed.
+    """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if value_max < 0:
         raise ValueError(f"value_max must be >= 0, got {value_max}")
+    _check_figure_size(s, x_max)
     poly = _classified_poly(s, k)
     if fmt == "ascii":
         return _render_ascii(s, poly, x_max, value_max)
     if fmt == "svg":
         return _render_svg(s, poly, x_max, value_max)
     raise ValueError(f"unknown figure format {fmt!r}")
+
+
+def _check_figure_size(s: SectorSpec, x_max: int) -> None:
+    """Refuse with ``ValueError`` a window x <= x_max of more than ``MAX_FIGURE_POINTS`` lattice points.
+
+    Columns are counted until the limit is passed, so at most ``MAX_FIGURE_POINTS + 1`` of them.
+    """
+    points = 0
+    for height in column_heights(s, x_max):
+        points += height
+        if points > MAX_FIGURE_POINTS:
+            raise ValueError(f"figure x <= {x_max} has more than {MAX_FIGURE_POINTS} lattice points")
 
 
 def _window_values(s: SectorSpec, poly: QuadPoly, x_max: int) -> dict[tuple[int, int], int]:

@@ -11,21 +11,31 @@ vertical line x = i/(n/l), where its steps are the y with
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from .geometry import SectorSpec
 
 
+def column_heights(s: SectorSpec, x_max: int) -> Iterator[int]:
+    """The number of window points in each column x = 0..x_max, lazily: n x // m + 1, or x_max + 1 for the quadrant.
+
+    The heights are exact Python ints.
+    """
+    for x in range(x_max + 1):
+        yield x_max + 1 if s.m == 0 else s.n * x // s.m + 1
+
+
 def lattice_window(s: SectorSpec, x_max: int) -> np.ndarray:
     """All lattice points of the sector with x <= x_max: an (N, 2) int64 array of rows (x, y), lexicographic.
 
     For the first quadrant the window is the box 0 <= x, y <= x_max, so that
-    enumeration stays finite.  The column heights n x // m are exact Python ints.
+    enumeration stays finite.  Column x holds ``column_heights`` points.
     """
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    heights = np.array([x_max + 1 if s.m == 0 else s.n * x // s.m + 1 for x in range(x_max + 1)], dtype=np.int64)
+    heights = np.fromiter(column_heights(s, x_max), dtype=np.int64, count=x_max + 1)
     starts = np.repeat(np.cumsum(heights) - heights, heights)
     return np.column_stack((np.repeat(np.arange(x_max + 1), heights), np.arange(starts.size) - starts))
 

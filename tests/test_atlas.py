@@ -1,15 +1,17 @@
 import csv
 import io
 import json
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from qpacking import atlas
 from qpacking.atlas import AtlasRow, atlas_to_csv, atlas_to_json, build_atlas, summary_line
 from qpacking.classify import admissible_ks, classify, constant_term, sector_arithmetic
 from qpacking.geometry import SectorSpec
-from qpacking.poly import QuadPoly, to_alpha_form
+from qpacking.poly import QuadPoly, packing_polynomial, to_alpha_form
 
 from helpers import coprime_sectors, reference_atlas_csv, reference_atlas_json, reference_atlas_payload
 
@@ -73,9 +75,18 @@ def test_rows_match_public_classification():
         assert row.canonical == (row.n, row.m % row.n)
 
 
+def test_arithmetic_runs_once_per_n_and_l(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(atlas, "sector_arithmetic", lambda s: calls.update([(s.n, s.l)]) or sector_arithmetic(s))
+    rows = build_atlas(60, 25)  # n > mmax + 1: classes past mmax have no row and get no call
+    assert set(calls) == {(row.n, row.l) for row in rows}
+    assert max(calls.values()) == 1 and len(calls) < len({(row.n, row.m % row.n) for row in rows})
+
+
 def test_class_arithmetic_is_shear_invariant_over_atlas_range():
-    # build_atlas computes these once per class (n, m mod n) and copies them to every row;
-    # the row's polynomials come from the closed form, whose alpha form the paper fixes
+    # build_atlas computes the arithmetic once per (n, l), and ks and canonical pair once per
+    # class (n, m mod n), and copies them to every row; each row must still hold what its own
+    # sector gives.  The row's polynomials come from the closed form, whose alpha form the paper fixes
     rows = build_atlas(300, 300)
     sectors = coprime_sectors(300, 300)
     assert len(rows) == len(sectors) == 54_796
@@ -85,6 +96,9 @@ def test_class_arithmetic_is_shear_invariant_over_atlas_range():
         ar, canon_ar = sector_arithmetic(s), sector_arithmetic(canon)
         assert ar == canon_ar
         assert admissible_ks(s, ar) == admissible_ks(canon, canon_ar)
+        assert row.ks == tuple(admissible_ks(s, ar))
+        assert row.polynomials == tuple(packing_polynomial(s, k).coefficients() for k in row.ks)
+        assert row.canonical == (canon.n, canon.m)
         assert (row.n, row.m, row.l, row.n_over_l, row.l2_over_n) == (n, m, ar.l, ar.n_over_l, ar.l2_over_n)
         # n | l^2 iff n | (m-1)^2, and (m-1)/l is a unit mod n/l
         assert ar.divides_n_l2 == (row.l2_over_n.denominator == 1) == ((m - 1) ** 2 % n == 0)

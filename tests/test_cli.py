@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import qpacking
-from qpacking import atlas, cli, verify
-from qpacking.atlas import atlas_to_csv, atlas_to_json, build_atlas
+from qpacking import atlas, cli, render, verify
+from qpacking.atlas import build_atlas
 from qpacking.classify import classify
 from qpacking.cli import main
 from qpacking.geometry import make_sector
@@ -124,19 +125,43 @@ def test_search_over_many_prescreen_blocks(capsys):
 
 WINDOW_REFUSED = ("error: window x <= 2000 has a bounding box of 4004001 lattice points, "
                   "more than the limit of 4000000\n")
+FIGURE_REFUSED = "error: figure x <= 2000 has more than 10000 lattice points\n"
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["verify", "1", "0", "1/2,1,1/2,1/2,3/2,0", "--xmax", "2000"], 2),
-    (["search", "1", "0", "--bounds", "1:1:1", "--xmax", "2000"], 2),
-    (["render", "1", "0", "1", "--xmax", "2000"], 1),
+@pytest.mark.parametrize("argv, code, err", [
+    (["verify", "1", "0", "1/2,1,1/2,1/2,3/2,0", "--xmax", "2000"], 2, WINDOW_REFUSED),
+    (["search", "1", "0", "--bounds", "1:1:1", "--xmax", "2000"], 2, WINDOW_REFUSED),
+    # render's own limit of 10,000 points comes first
+    (["render", "1", "0", "1", "--xmax", "2000"], 1, FIGURE_REFUSED),
 ], ids=["verify", "search", "render"])
-def test_window_one_step_above_limit_is_refused_at_once(argv, code, capsys):
+def test_window_one_step_above_limit_is_refused_at_once(argv, code, err, capsys):
     # the quadrant's window at x_max 2000 is the box 2001 x 2001: 4,004,001 points
     start = perf_counter()
     assert run(argv) == code
     assert perf_counter() - start < 1
-    assert capsys.readouterr() == ("", WINDOW_REFUSED)
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv, points", [
+    (["render", "1", "0", "1", "--xmax", "99"], 100 * 100),
+    (["render", "4", "1", "2", "--xmax", "70"], 71 + 4 * 70 * 71 // 2),
+], ids=["quadrant", "4-1"])
+def test_render_at_figure_limit_runs(argv, points, monkeypatch, capsys):
+    # the quadrant at x_max 99 has exactly MAX_FIGURE_POINTS; 4/1 at x_max 70 has 10,011
+    monkeypatch.setattr(render, "MAX_FIGURE_POINTS", points)
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(render, "MAX_FIGURE_POINTS", points - 1)
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: figure x <= {argv[-1]} has more than {points - 1} lattice points\n")
+
+
+def test_render_thin_sector_over_figure_limit_is_refused_at_once(capsys):
+    # one point per column: the count passes the limit at column 10,000 of 4,000,000
+    start = perf_counter()
+    assert run(["render", "1", "4000000", "1", "--xmax", "3999999"]) == 1
+    assert perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: figure x <= 3999999 has more than 10000 lattice points\n")
 
 
 def test_window_at_limit_runs(monkeypatch, capsys):
@@ -241,13 +266,34 @@ def test_atlas_unwritable_out_fails_before_the_build(fmt, monkeypatch, tmp_path,
     assert not out.parent.exists()
 
 
-def test_atlas_300_matches_bench_goldens():
+@pytest.mark.parametrize("fmt, golden", [("json", "atlas 300x300 json jobs=1"), ("csv", "atlas 300x300 csv jobs=2")],
+                         ids=["json", "csv"])
+def test_atlas_300_matches_bench_goldens(fmt, golden, tmp_path, capsys):
+    # the file as the CLI writes it to --out
     goldens = json.loads(BENCH_GOLDENS.read_text(encoding="utf-8"))
-    rows = build_atlas(300, 300)
-    json_sha = hashlib.sha256(atlas_to_json(rows, 300, 300).encode("utf-8")).hexdigest()
-    csv_sha = hashlib.sha256(atlas_to_csv(rows).encode("utf-8")).hexdigest()
-    assert json_sha == goldens["atlas 300x300 json jobs=1"]["file"]
-    assert csv_sha == goldens["atlas 300x300 csv jobs=2"]["file"]
+    out = tmp_path / f"atlas.{fmt}"
+    assert run(["atlas", "--nmax", "300", "--mmax", "300", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == goldens[golden]["file"]
+    assert capsys.readouterr().err == ""
+
+
+def test_atlas_out_holds_the_text_at_most_twice(tmp_path, capsys):
+    # one join of the row pieces into the text, then one write of it: beyond the rows themselves the
+    # peak is the pieces and the text (or the text and its encoded bytes), about twice the file's size;
+    # a layout that joins the rows and then copies them into an enclosing text holds three times it
+    out = tmp_path / "atlas.json"
+    tracemalloc.start()
+    try:
+        build_atlas(120, 120)
+        rows_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert run(["atlas", "--nmax", "120", "--mmax", "120", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 3_000_000
+    assert peak - rows_peak < 2.5 * out.stat().st_size
+    capsys.readouterr()
 
 
 UNCLASSIFIED = "  [window-certified to x <= {} only; not a classified packing polynomial]"
