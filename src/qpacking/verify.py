@@ -25,9 +25,12 @@ scans integer boxes of the non-constant alpha-form coefficients in the calling
 process and derives the one constant term that puts the window minimum at 0
 (no other can pass).  Its stages, each exact:
 
-1. ``_prescreen`` discards candidates by int64 arithmetic in blocks of the
-   (D, E) plane (an F outside its box or a window collision is final), and
-   yields each survivor with the first value missing from its window;
+1. ``_prescreen`` discards candidates by int64 arithmetic (an F outside its
+   box or a window collision is final), in blocks of at most ``_BLOCK`` values:
+   a sieve evaluates every candidate on the ``_SIEVE`` window points nearest
+   the origin and drops those that repeat a value or need F above its box
+   there, then the whole window checks the rest, and each survivor is yielded
+   with the first value missing from its window;
 2. ``_survivor_passes`` rejects a survivor whose ``_tail_floor`` on 2p, the
    floor the certificate uses, gives no threshold T >= t_min or one that
    reaches that missing value (a coverage gap), without rebuilding the window;
@@ -39,8 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from itertools import product
-from math import floor, lcm
+from math import floor, lcm, prod
 from typing import Literal
 
 import numpy as np
@@ -348,36 +350,64 @@ class SearchBounds:
                 raise ValueError(f"empty bound for {name}: [{rng[0]}, {rng[1]}]")
 
 
-_BLOCK = 2 ** 14  # int64 window values per prescreen block
+_BLOCK = 2 ** 14  # most int64 window values in one prescreen block
+_SIEVE = 24  # window points nearest the origin on which stage 1 of the prescreen evaluates every candidate
+
+
+def _sieve(coeffs: np.ndarray, terms: np.ndarray, f_max: int) -> np.ndarray:
+    """Stage 1 of ``_prescreen``: the rows (A, B, C, D, E) of ``coeffs`` whose values at the points of
+    ``terms`` are distinct and need F = -min at most f_max."""
+    ranked = np.sort(coeffs @ terms, axis=1)
+    return coeffs[(-ranked[:, 0] <= f_max) & (np.diff(ranked, axis=1) != 0).all(axis=1)]
+
+
+def _full_window(coeffs: np.ndarray, bounds: SearchBounds, terms: np.ndarray, t_min: int | None):
+    """Stage 2 of ``_prescreen``: the rows (A, B, C, D, E) of ``coeffs`` over the whole window.
+
+    Returns the indices of the rows kept, their F and the first value >= 0 each window misses.
+    """
+    vals = coeffs @ terms
+    f = -vals.min(axis=1)
+    kept = np.flatnonzero((bounds.f[0] <= f) & (f <= bounds.f[1]))
+    ranked = np.sort(vals[kept], axis=1)
+    ok = (np.diff(ranked, axis=1) != 0).all(axis=1)
+    if t_min is not None:
+        # with F added, distinct values hold {0..t_min} iff rank t_min holds t_min
+        ok &= t_min < ranked.shape[1] and ranked[:, t_min] + f[kept] == t_min
+    survivors = kept[ok]
+    return survivors, f[survivors], _first_missing(ranked[ok] + f[survivors, None])
 
 
 def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray, t_min: int | None):
     """Yield, in coefficient order, each (A, B, C, D, E, F) that the int64 prescreen keeps,
     followed by the first value >= 0 that its window does not take (xs.size if it takes 0..size-1).
 
-    A block is about ``_BLOCK // xs.size`` consecutive (D, E), D-major, one row of values each.
+    Values are (A, B, C, D, E) rows times the matrix of terms x(x-1)/2, xy, y(y-1)/2, x, y at the
+    points; the bound of ``_window`` covers every partial sum of these alpha-form products, so
+    they are exact in int64.  Stage 1 evaluates every candidate on the ``_SIEVE`` window
+    points first in a stable sort of x + y (the whole window when it is smaller), in blocks of
+    about ``_BLOCK // _SIEVE`` consecutive candidates, and drops those whose values there repeat
+    or need F = -min above ``bounds.f``.  It drops only candidates that the full window drops:
+    the sieve points are window points, so a repeat there is a window collision, and their
+    minimum is at least the window's, so F = -(window minimum) is at least -(sieve minimum).
+    Stage 2, ``_full_window``, takes the survivors about ``_BLOCK // xs.size`` at a time and
+    applies the F box, distinctness and ``t_min`` on the whole window.
     """
-    half_x, half_y, xy = (xs * (xs - 1)) // 2, (ys * (ys - 1)) // 2, xs * ys
-    n_e = bounds.e[1] - bounds.e[0] + 1
-    n_de = (bounds.d[1] - bounds.d[0] + 1) * n_e
-    rows = max(1, _BLOCK // xs.size)
-    for A, B, C in product(*(range(lo, hi + 1) for lo, hi in abc_ranges)):
-        base = A * half_x + B * xy + C * half_y
-        for start in range(0, n_de, rows):
-            d, e = np.divmod(np.arange(start, min(start + rows, n_de)), n_e)
-            d, e = d + bounds.d[0], e + bounds.e[0]
-            vals = base + d[:, None] * xs + e[:, None] * ys
-            f = -vals.min(axis=1)
-            kept = np.flatnonzero((bounds.f[0] <= f) & (f <= bounds.f[1]))
-            ranked = np.sort(vals[kept], axis=1)
-            ok = (np.diff(ranked, axis=1) != 0).all(axis=1)
-            if t_min is not None:
-                # with F added, distinct values hold {0..t_min} iff rank t_min holds t_min
-                ok &= t_min < xs.size and ranked[:, t_min] + f[kept] == t_min
-            survivors = kept[ok]
-            missing = _first_missing(ranked[ok] + f[survivors, None])
-            for i, first_missing in zip(survivors.tolist(), missing.tolist()):
-                yield A, B, C, int(d[i]), int(e[i]), int(f[i]), first_missing
+    terms = np.array([(xs * (xs - 1)) // 2, xs * ys, (ys * (ys - 1)) // 2, xs, ys])
+    near = terms[:, np.argsort(xs + ys, kind="stable")[:_SIEVE]]
+    ranges = (*abc_ranges, bounds.d, bounds.e)
+    shape = tuple(hi - lo + 1 for lo, hi in ranges)
+    lows = np.array([lo for lo, _ in ranges])
+    total = prod(shape)
+    step, rows = max(1, _BLOCK // near.shape[1]), max(1, _BLOCK // xs.size)
+    for start in range(0, total, step):
+        coeffs = np.stack(np.unravel_index(np.arange(start, min(start + step, total)), shape), axis=1) + lows
+        coeffs = _sieve(coeffs, near, bounds.f[1])
+        for i in range(0, len(coeffs), rows):
+            chunk = coeffs[i:i + rows]
+            kept, f, missing = _full_window(chunk, bounds, terms, t_min)
+            for candidate, F, first_missing in zip(chunk[kept].tolist(), f.tolist(), missing.tolist()):
+                yield (*candidate, F, first_missing)
 
 
 def _survivor_passes(survivor, s: SectorSpec, x_max: int, t_min: int | None) -> bool:
@@ -412,9 +442,13 @@ def brute_force_search(
     so the window minimum of the candidate is 0: each (A, B, C, D, E) fixes
     its constant term F as minus the minimum of the rest, and only that F,
     when it lies in ``bounds.f``, can be accepted.  The stages are those of
-    the module docstring.  The prescreen's sums (A, B, C part + D x) + E y are
-    the alpha-form partial sums that the bound of ``_window`` covers inside
-    the box, so it is exact and drops only provably failing candidates.
+    the module docstring: the prescreen's sieve on the window points nearest
+    the origin, its full-window check of what the sieve keeps, the tail-floor
+    verdict on each survivor, and the certificate of each hit.  The
+    prescreen's sums of alpha-form terms have partial sums that the bound of
+    ``_window`` covers inside the box, so it is exact, and its sieve drops
+    only candidates that the full window drops, so it drops only provably
+    failing candidates.
 
     Bounds for which ``_window`` cannot prove the prescreen exact are
     refused with ``ValueError``, and so are boxes of more than

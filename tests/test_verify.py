@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,11 @@ class TestFirstSteps:
             first_steps_cover_range(make_sector(4, 1), -1, 0)
 
 
+def span(rng, k):
+    """A random integer range around 0 with ends of size at most k."""
+    return -rng.randint(0, k), rng.randint(0, k)
+
+
 def prescreen_inputs(s, bounds, mode, x_max):
     """(A, B, C) ranges and window arrays as ``brute_force_search`` hands them to ``_prescreen``."""
     abc = [(c, c) for c in forced_quadratic_coeffs(s)] if mode == "restricted" else [bounds.a, bounds.b, bounds.c]
@@ -408,12 +414,64 @@ class TestBruteForceSearch:
         assert default == reference_search(s, bounds, mode, x_max, t_min or 0)
         abc, xs, ys = prescreen_inputs(s, bounds, mode, x_max)
         survivors = list(reference_prescreen(abc, bounds, xs, ys, t_min))
-        # one (D, E) per block, then blocks of 5 with a short last block
-        # (the (D, E) planes have 49 and 169 points)
+        # one candidate per block, then full-window blocks of 5 with a short last
+        # block (the (D, E) planes have 49 and 169 points), each with a sieve of
+        # the default size, of the origin alone and larger than the window
         for block in (1, 6 * xs.size - 1):
-            monkeypatch.setattr(verify, "_BLOCK", block)
-            assert list(_prescreen(abc, bounds, xs, ys, t_min)) == survivors
-            assert brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min) == default
+            for sieve in (verify._SIEVE, 1, xs.size + 1):
+                monkeypatch.setattr(verify, "_BLOCK", block)
+                monkeypatch.setattr(verify, "_SIEVE", sieve)
+                assert list(_prescreen(abc, bounds, xs, ys, t_min)) == survivors
+                assert brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min) == default
+
+    def test_prescreen_matches_reference_on_random_cases(self, monkeypatch):
+        rng = random.Random(17)
+        sectors = coprime_sectors(12, 12)
+        restricted = [s for s in sectors if forced_quadratic_coeffs(s) is not None]
+        for _ in range(120):
+            mode = rng.choice(["restricted", "full"])
+            s = rng.choice(restricted if mode == "restricted" else sectors)
+            f_lo = rng.randint(0, 1)
+            if mode == "restricted":
+                bounds = SearchBounds(d=span(rng, 8), e=span(rng, 8), f=(f_lo, rng.randint(f_lo, 12)))
+            else:
+                bounds = SearchBounds(a=(1, rng.randint(1, 2)), b=span(rng, 2), c=(0, rng.randint(0, 2)),
+                                      d=span(rng, 3), e=span(rng, 3), f=(f_lo, rng.randint(f_lo, 6)))
+            abc, xs, ys = prescreen_inputs(s, bounds, mode, rng.randint(1, 10))
+            t_min = rng.choice([None, 0, rng.randrange(xs.size), xs.size - 1])
+            survivors = list(reference_prescreen(abc, bounds, xs, ys, t_min))
+            for sieve in (verify._SIEVE, 1, xs.size + 1):
+                monkeypatch.setattr(verify, "_SIEVE", sieve)
+                assert list(_prescreen(abc, bounds, xs, ys, t_min)) == survivors, (s, bounds, mode, t_min, sieve)
+
+    def test_sieve_sends_few_candidates_to_the_full_window(self, monkeypatch):
+        # the bench's 2/1 full-mode search: 4,116 (A, B, C, D, E) candidates, of
+        # which the sieve on the 24 points nearest the origin keeps 114
+        abc, xs, ys = prescreen_inputs(make_sector(2, 1), BENCH_FULL, "full", 12)
+        full_window, rows = verify._full_window, []
+
+        def counted(coeffs, *args):
+            rows.append(len(coeffs))
+            return full_window(coeffs, *args)
+
+        monkeypatch.setattr(verify, "_full_window", counted)
+        survivors = list(_prescreen(abc, BENCH_FULL, xs, ys, None))
+        assert survivors == list(reference_prescreen(abc, BENCH_FULL, xs, ys, None))
+        assert sum(rows) < 0.1 * 4116
+
+    def test_prescreen_memory_is_bounded_by_the_block(self):
+        # 6,001 x 3 (D, E) candidates; no prescreen array may hold more than
+        # _BLOCK int64 values, so the traced peak stays within a few blocks
+        s = make_sector(4, 3)
+        bounds = SearchBounds(d=(-3000, 3000), e=(-1, 1), f=(0, 1))
+        tracemalloc.start()
+        try:
+            got = brute_force_search(s, bounds, x_max=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 2
+        assert peak < 12 * verify._BLOCK * 8
 
     @pytest.mark.parametrize("t_min", [None, 0, 5, "last"])
     @pytest.mark.parametrize("n, m, bounds, mode, x_max", BENCH_SEARCHES + SMALL_FULL_SEARCHES,
