@@ -7,11 +7,15 @@ number and coefficient part (exit 2), ``verify.MAX_WINDOW_POINTS`` per window
 (exit 2), ``verify.MAX_CANDIDATES`` per search box (exit 2),
 ``atlas.MAX_ATLAS_CELLS`` for nmax * mmax (exit 2) and
 ``render.MAX_FIGURE_POINTS`` per figure (exit 1).
+
+``main`` may be called any number of times in one process. The parser is built
+once, on the first call, and shared by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -154,7 +158,10 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_bounds(text: str, mode: str) -> SearchBounds:
-    values = [int(p) for p in text.split(":")]
+    try:
+        values = [int(p) for p in text.split(":")]
+    except ValueError:
+        raise ValueError(f"bounds must be integers separated by ':', got {text!r}") from None
     if any(v < 0 for v in values):
         raise ValueError(f"bounds must be non-negative, got {text}")
     if mode == "restricted" and len(values) == 3:
@@ -219,7 +226,12 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qpacking`` parser, built on the first call and returned by every later one.
+
+    Callers must not modify the returned parser: it is shared by every call of ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="qpacking",
         description="Quadratic packing polynomials on rational sectors: "

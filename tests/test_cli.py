@@ -35,6 +35,11 @@ def run(argv):
         return exc.code
 
 
+# the one line printed for bounds that int() does not accept
+BOUNDS_NOT_INT = {("search", "4", "3", "--bounds", b): f"error: bounds must be integers separated by ':', got {b!r}"
+                  for b in ("1.5:1:1", "a:1:1", "1::1")}
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "4", "3", "--jobs", "0"],
     ["atlas", "--nmax", "3", "--mmax", "3", "--jobs", "0"],
@@ -52,14 +57,18 @@ def run(argv):
     ["verify", "4", "3", "1,2,3"],
     ["verify", "4", "3", "1/0,0,0,0,0,0"],
     ["search", "4", "3", "--bounds", "1:1"],
+    *map(list, BOUNDS_NOT_INT),
 ], ids=["search-jobs-0", "atlas-jobs-0", "search-bounds-too-large", "search-f-beyond-int64", "search-bounds-negative",
         "verify-xmax-0", "render-value-max-negative", "search-tmin-negative",
         "verify-exponent-huge", "verify-exponent-tiny", "verify-coefficient-huge",
-        "classify-m-not-int", "verify-three-coefficients", "verify-zero-denominator", "search-two-bounds"])
+        "classify-m-not-int", "verify-three-coefficients", "verify-zero-denominator", "search-two-bounds",
+        "search-bounds-not-int-decimal", "search-bounds-not-int-letter", "search-bounds-not-int-empty"])
 def test_usage_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+    if tuple(argv) in BOUNDS_NOT_INT:
+        assert err == BOUNDS_NOT_INT[tuple(argv)] + "\n"
 
 
 M_1000_DIGITS = "1" + "0" * 998 + "1"  # 3 does not divide (m-1)^2 = 10^1998
@@ -458,3 +467,55 @@ def test_module_entry_point(capsys):
     usage = run_module("classify", "0", "0")
     assert usage.returncode == 2
     assert "error:" in usage.stderr and "Traceback" not in usage.stderr
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # every subcommand, a usage error, a negative verdict and --help through one parser,
+    # each call as it runs alone on a parser of its own
+    out = tmp_path / "atlas.json"
+    usage_error = ["verify", "4", "3", EX1, "--xmax", "0"]
+    sequence = [
+        usage_error,
+        ["verify", "4", "3", EX1],
+        ["verify", "4", "3", EX1_SHIFTED],
+        ["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12", "--format", "json"],
+        ["classify", "12", "7", "--format", "json"],
+        ["render", "4", "1", "2", "--xmax", "6", "--format", "svg"],
+        ["atlas", "--nmax", "5", "--mmax", "5", "--out", str(out)],
+        ["--help"],
+        usage_error,
+    ]
+
+    def call(argv):
+        out.unlink(missing_ok=True)
+        code = run(argv)
+        stdout, stderr = capsys.readouterr()
+        return code, stdout, stderr, out.read_bytes() if out.exists() else None
+
+    alone = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        alone.append(call(argv))
+    cli.build_parser.cache_clear()
+    shared = [call(argv) for argv in sequence]
+    assert shared == alone
+    assert [code for code, *_ in shared] == [2, 0, 1, 0, 0, 0, 0, 0, 2]
+    assert "qpacking verify: error: argument --xmax: must be >= 1, got 0\n" in shared[0][2]
+    assert shared[6][3] is not None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Defect 1: a window FAIL is not a refutation")
+@pytest.mark.parametrize("argv, poly", [
+    # k = -3 on 3/16, at the default bounds and window
+    (["search", "3", "16"], "3/2*x^2 - 15*x*y + 75/2*y^2 + 11/2*x - 61/2*y + 2"),
+    # k = -1 on 3/4
+    (["search", "3", "4", "--mode", "full", "--bounds", "4:4:4:4:4:4", "--xmax", "2"],
+     "3/2*x^2 - 3*x*y + 3/2*y^2 + 5/2*x - 7/2*y"),
+], ids=["3-16-k-3", "3-4-k-1"])
+def test_search_finds_negative_k_polynomial(argv, poly, capsys):
+    assert run(argv) == 0
+    assert poly in capsys.readouterr().out.splitlines()
