@@ -70,17 +70,6 @@ def admissible_ks(s: SectorSpec, ar: SectorArithmetic) -> list[int]:
     return [k for k in K_ORDER if need.get(abs(k), ar.l2_over_n) == ar.l2_over_n and (k - u) % ar.n_over_l == 0]
 
 
-def constant_term(ar: SectorArithmetic, k: int) -> int:
-    """Forced constant term (l^2/n)(|k|-1)(|k|+1)/12 from the sector's arithmetic ``ar``.
-
-    It equals |k| - 1 when k is admissible.
-    """
-    value = ar.l2_over_n * (abs(k) - 1) * (abs(k) + 1) / 12
-    if value.denominator != 1:
-        raise ValueError(f"constant term {value} is not an integer: k={k} is not admissible for l^2/n = {ar.l2_over_n}")
-    return int(value)
-
-
 def classify(s: SectorSpec) -> list[ClassifiedQPP]:
     """All packing polynomials of the sector, in the fixed order k = 1, -1, 2, -2, 3, -3."""
     out = []
@@ -107,12 +96,3 @@ def canonical_sector(s: SectorSpec) -> SectorSpec:
     choice takes the smallest non-negative m, i.e. m mod n; a sector with m < n is its own.
     """
     return s if s.m < s.n else SectorSpec(s.n, s.m % s.n)
-
-
-def flipped_sector(s: SectorSpec) -> SectorSpec:
-    """The sector whose skewed lattice is the vertical flip of this sector's.
-
-    Its parameter m' satisfies m' - 1 = -(m - 1) (mod n); for sectors passing
-    the divisibility test m' is automatically coprime to n.
-    """
-    return SectorSpec(s.n, (1 - s.m) % s.n + 1)

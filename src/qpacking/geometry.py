@@ -3,9 +3,9 @@
 Scalars are arbitrary-precision rationals (`fractions.Fraction`); nothing in
 the core ever touches floating point.  A sector is the wedge between the
 positive x-axis and the ray of slope n/m, and the maps built here (the
-staircase-straightening skew, the vertical flip, and the general two-ray
-reduction) are the exact determinant +-1 transformations that move packing
-problems between sectors.
+integral shear, the x-axis reflection and the general two-ray reduction) are
+the exact determinant +-1 transformations that move packing problems between
+sectors.
 
 Points are plain ``(x, y)`` tuples: integer pairs on the original lattice,
 ``(Fraction, int)`` pairs on skewed lattices.
@@ -97,9 +97,9 @@ def make_sector(n: int, m: int) -> SectorSpec:
 class UnimodularMap:
     """2x2 matrix [[a, b], [c, d]] with determinant exactly +1 or -1.
 
-    Entries may be non-integral rationals (the skew map has denominator n);
-    whether a mapped point stays on a lattice is checked by callers, never
-    assumed.
+    Entries may be non-integral rationals (the skew [[1, -(m-1)/n], [0, 1]]
+    that straightens a sector's staircases has denominator n); whether a
+    mapped point stays on a lattice is checked by callers, never assumed.
     """
 
     a: Fraction
@@ -143,23 +143,6 @@ class UnimodularMap:
     def inverse(self) -> "UnimodularMap":
         det = self.determinant
         return UnimodularMap(self.d / det, -self.b / det, -self.c / det, self.a / det)
-
-
-def skew_map(s: SectorSpec) -> UnimodularMap:
-    """The shear sending the sector of slope n/m onto the sector of slope n.
-
-    It straightens every staircase of the lattice to a vertical line; for
-    integral sectors (m = 1) it is the identity, and it carries the first
-    quadrant onto the slope-1 sector.
-    """
-    return UnimodularMap(1, Fraction(-(s.m - 1), s.n), 0, 1)
-
-
-def flip_map(n: int) -> UnimodularMap:
-    """The involution (x, y) -> (x, n x - y) exchanging the two boundary rays of the slope-n sector."""
-    if n < 1:
-        raise ValueError(f"flip needs n >= 1, got {n}")
-    return UnimodularMap(1, 0, n, -1)
 
 
 def shear_map(t: int) -> UnimodularMap:

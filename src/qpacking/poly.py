@@ -156,20 +156,6 @@ def packing_polynomial(s: SectorSpec, k: int) -> QuadPoly:
     )
 
 
-def transformed_polynomial(s: SectorSpec, k: int, f_const: int) -> QuadPoly:
-    """The skewed-lattice form (n/2) x (x - k/(n/l)) + x + (k/(n/l)) y + F.
-
-    Defined only when n/l divides l; conjugating ``packing_polynomial`` by the
-    sector's skew map yields exactly this with F = |k| - 1.
-    """
-    _check_k(k)
-    l, v = s.l, s.n_over_l
-    if l % v != 0:
-        raise ValueError(f"sector {s}: n/l = {v} does not divide l = {l}")
-    kl = k * l
-    return QuadPoly(Fraction(s.n, 2), 0, 0, 1 - Fraction(kl, 2), Fraction(kl, s.n), f_const)
-
-
 # -- canonical text rendering -------------------------------------------------
 
 _MONOMIAL_FIELDS = (("x^2", "c_xx"), ("x*y", "c_xy"), ("y^2", "c_yy"), ("x", "c_x"), ("y", "c_y"), ("", "c_0"))

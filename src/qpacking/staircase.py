@@ -1,16 +1,17 @@
-"""Staircase decomposition of sector lattices.
+"""Lattice windows of sectors, and the lowest steps of their staircases.
 
-Every lattice point of the sector of slope n/m lies on exactly one line of
-slope n/(m-1) (vertical for m = 1, anti-diagonal for the first quadrant).
-With l = gcd(m-1, n), the i-th such line carries the i-th staircase: the
-points with (m-1) y = n x - l i.  The skew map straightens staircase i to the
-vertical line x = i/(n/l), where its steps are the y with
-((m-1)/l) y = -i (mod n/l), spaced n/l apart.
+``lattice_window`` lists the sector's lattice points with x <= x_max.  Every
+lattice point of the sector of slope n/m lies on exactly one line of slope
+n/(m-1) (vertical for m = 1, anti-diagonal for the first quadrant).  With
+l = gcd(m-1, n), the i-th such line carries the i-th staircase: the points
+with (m-1) y = n x - l i, spaced ((m-1)/l, n/l) apart.  The skew
+(x, y) -> (x - ((m-1)/n) y, y) straightens staircase i to the vertical line
+x = i/(n/l), where its steps are the y with ((m-1)/l) y = -i (mod n/l);
+``first_step_y`` gives the lowest of them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -40,17 +41,6 @@ def lattice_window(s: SectorSpec, x_max: int) -> np.ndarray:
     return np.column_stack((np.repeat(np.arange(x_max + 1), heights), np.arange(starts.size) - starts))
 
 
-def staircase_index(s: SectorSpec, p: tuple[int, int]) -> int:
-    """The unique i >= 0 with (m-1) y = n x - l i for a lattice point p."""
-    x, y = p
-    if not s.contains(x, y):
-        raise ValueError(f"point {p} lies outside sector {s}")
-    i, rem = divmod(s.n * x - (s.m - 1) * y, s.l)
-    assert rem == 0, "staircase index is integral for every lattice point"
-    assert i >= 0
-    return i
-
-
 def first_step_y(s: SectorSpec, i: int) -> int:
     """y-coordinate of the lowest step of staircase i.
 
@@ -64,37 +54,3 @@ def first_step_y(s: SectorSpec, i: int) -> int:
         return 0
     u = (s.m - 1) // l
     return (-i * pow(u, -1, v)) % v
-
-
-def staircase_points(s: SectorSpec, i: int, transformed: bool = False):
-    """All steps of staircase i in ascending y.
-
-    Transformed steps share x = i/(n/l) and are spaced (0, n/l) apart;
-    untransformed steps are spaced ((m-1)/l, n/l) apart.
-    """
-    if i < 0:
-        raise ValueError(f"staircase index must be >= 0, got {i}")
-    l, v = s.l, s.n_over_l
-    x_hat = Fraction(i, v)
-    ys = range(first_step_y(s, i), i * l + 1, v)
-    if transformed:
-        return [(x_hat, y) for y in ys]
-    out = []
-    for y in ys:
-        x = x_hat + Fraction(s.m - 1, s.n) * y
-        assert x.denominator == 1, "untransformed steps are integer points"
-        out.append((int(x), y))
-    return out
-
-
-def staircase_size_formula(s: SectorSpec, i: int) -> Fraction:
-    """The closed count (l^2/n) i + [n/l | i].
-
-    Matches the number of ``staircase_points`` whenever n divides l^2; without
-    that hypothesis it need not even be an integer, so the enumerated count
-    stays authoritative.
-    """
-    if i < 0:
-        raise ValueError(f"staircase index must be >= 0, got {i}")
-    l, v = s.l, s.n_over_l
-    return Fraction(l * l, s.n) * i + (1 if i % v == 0 else 0)

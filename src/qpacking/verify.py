@@ -49,8 +49,8 @@ import numpy as np
 
 from .classify import forced_quadratic_coeffs
 from .geometry import SectorSpec, _frac
-from .poly import AlphaFormCoeffs, QuadPoly, transformed_polynomial
-from .staircase import first_step_y, lattice_window
+from .poly import AlphaFormCoeffs, QuadPoly
+from .staircase import lattice_window
 
 FailureKind = Literal[
     "negative_value",
@@ -313,22 +313,6 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
     return WindowCertificate(x_max, threshold, bound, None)
 
 
-def first_steps_cover_range(s: SectorSpec, k: int, f_const: int) -> bool:
-    """Whether the transformed polynomial takes exactly {0, ..., k-1} on the
-    first steps of the first k staircases (k > 0)."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    p = transformed_polynomial(s, k, f_const)
-    v = s.n_over_l
-    values = set()
-    for i in range(k):
-        value = p(Fraction(i, v), first_step_y(s, i))
-        if value.denominator != 1:
-            return False
-        values.add(int(value))
-    return values == set(range(k))
-
-
 # -- exhaustive coefficient search ---------------------------------------------
 
 
@@ -453,9 +437,11 @@ def brute_force_search(
     Bounds for which ``_window`` cannot prove the prescreen exact are
     refused with ``ValueError``, and so are boxes of more than
     ``MAX_CANDIDATES`` (A, B, C, D, E) candidates, before any window is
-    built.  Each accepted polynomial carries a passing certificate from
-    ``packing_window_verify`` at the configured window, with threshold at
-    least ``t_min`` when given.  Output is sorted by coefficient tuple.
+    built; a restricted search on a sector without forced A, B, C passes
+    these checks before it returns [].  Each accepted polynomial carries a
+    passing certificate from ``packing_window_verify`` at the configured
+    window, with threshold at least ``t_min`` when given.  Output is sorted
+    by coefficient tuple.
 
     The search runs in the calling process.  ``jobs`` is still validated and
     otherwise unused: the CLI's ``--jobs`` passes it, and the benchmark's
@@ -472,9 +458,7 @@ def brute_force_search(
 
     if mode == "restricted":
         fixed = forced_quadratic_coeffs(s)
-        if fixed is None:
-            return []
-        abc_ranges = [(c, c) for c in fixed]
+        abc_ranges = [] if fixed is None else [(c, c) for c in fixed]
     else:
         if bounds.a is None or bounds.b is None or bounds.c is None:
             raise ValueError("full mode needs a, b and c bounds")
@@ -491,6 +475,8 @@ def brute_force_search(
     xs, ys = _window(s, x_max, coeff_cap)
     if xs.dtype == object:
         raise ValueError("search bounds or the sector's forced A, B, C too large for exact 64-bit prescreening")
+    if not abc_ranges:
+        return []  # restricted, and no forced A, B, C: the sector has no packing polynomial
     found = []
     for survivor in _prescreen(abc_ranges, bounds, xs, ys, t_min):
         if not _survivor_passes(survivor, s, x_max, t_min):

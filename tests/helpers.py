@@ -17,6 +17,14 @@ survivor's first missing value found in a set, the reference for the blocked
 text of ``atlas_to_json``; ``reference_atlas_csv`` is the atlas CSV as
 ``csv.writer`` writes it, the reference for ``atlas_to_csv``.  ``parse_poly`` reads the text of ``format_poly``
 back, the oracle of its round-trip test.
+
+The paper's proof objects are small oracles here, built from their defining
+formulas: ``skew(s)`` straightens the sector's staircases, ``flip(n)`` swaps
+the two boundary rays of the slope-n sector, ``staircase(s, i)`` lists the
+steps of staircase i up from ``first_step_y``, and ``skewed_form(s, k, F)`` is
+a packing polynomial in skewed coordinates.  ``unimodular_maps`` draws
+products of shears, flips and reflections for the property tests of
+``UnimodularMap``.
 """
 
 from __future__ import annotations
@@ -31,11 +39,13 @@ from itertools import count, product
 from math import floor, gcd
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qpacking.atlas import summary_line
 from qpacking.classify import classify, forced_quadratic_coeffs
-from qpacking.geometry import SectorSpec, make_sector
+from qpacking.geometry import SectorSpec, UnimodularMap, make_sector, shear_map, x_axis_reflection
 from qpacking.poly import _MONOMIAL_FIELDS, AlphaFormCoeffs, QuadPoly
+from qpacking.staircase import first_step_y
 from qpacking.verify import Failure, SearchBounds, WindowCertificate, packing_window_verify
 
 
@@ -83,6 +93,52 @@ def window_for_threshold(s: SectorSpec, polys, t_target: int, x_start: int = 8) 
             return x
         x = max(x + 1, x * 14 // 10)
     raise AssertionError(f"no window reached threshold {t_target} on {s}")
+
+
+# -- the paper's proof objects --------------------------------------------------
+
+
+def skew(s: SectorSpec) -> UnimodularMap:
+    """The shear (x, y) -> (x - ((m-1)/n) y, y), which carries the sector of slope n/m onto the sector of slope n."""
+    return UnimodularMap(1, Fraction(1 - s.m, s.n), 0, 1)
+
+
+def flip(n: int) -> UnimodularMap:
+    """The involution (x, y) -> (x, n x - y), which swaps the two boundary rays of the sector of slope n."""
+    return UnimodularMap(1, 0, n, -1)
+
+
+def staircase(s: SectorSpec, i: int) -> list[tuple[int, int]]:
+    """The lattice points (x, y) with (m-1) y = n x - l i in the sector, in ascending y.
+
+    The steps start at y = ``first_step_y(s, i)``, lie n/l apart and end at or below y = l i, where
+    the line meets the sector's second ray; each x is (l i + (m-1) y)/n.
+    """
+    out = []
+    for y in range(first_step_y(s, i), s.l * i + 1, s.n_over_l):
+        x, rem = divmod(s.l * i + (s.m - 1) * y, s.n)
+        assert rem == 0, "every step is a lattice point"
+        out.append((x, y))
+    return out
+
+
+def skewed_form(s: SectorSpec, k: int, f_const) -> QuadPoly:
+    """(n/2) x (x - k/(n/l)) + x + (k/(n/l)) y + F, the packing polynomial with step constant k in skewed coordinates."""
+    kl = k * s.l
+    return QuadPoly(Fraction(s.n, 2), 0, 0, 1 - Fraction(kl, 2), Fraction(kl, s.n), f_const)
+
+
+def _unimodular_product(steps) -> UnimodularMap:
+    m = UnimodularMap.identity()
+    for kind, arg in steps:
+        m = m @ (shear_map(arg), flip(abs(arg) + 1), x_axis_reflection())[kind]
+    return m
+
+
+unimodular_maps = st.builds(
+    _unimodular_product,
+    st.lists(st.tuples(st.integers(0, 2), st.integers(-4, 4)), min_size=0, max_size=5),
+)
 
 
 # -- the parser of the canonical text rendering ---------------------------------

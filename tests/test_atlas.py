@@ -9,7 +9,7 @@ import pytest
 
 from qpacking import atlas
 from qpacking.atlas import AtlasRow, atlas_to_csv, atlas_to_json, build_atlas, summary_line
-from qpacking.classify import admissible_ks, classify, constant_term, sector_arithmetic
+from qpacking.classify import admissible_ks, classify, sector_arithmetic
 from qpacking.geometry import SectorSpec
 from qpacking.poly import QuadPoly, packing_polynomial, to_alpha_form
 
@@ -106,4 +106,4 @@ def test_class_arithmetic_is_shear_invariant_over_atlas_range():
         for k, coeffs in zip(row.ks, row.polynomials, strict=True):
             alpha = to_alpha_form(QuadPoly(*coeffs))
             assert (alpha.A, alpha.B) == (n, 1 - m)
-            assert alpha.F == constant_term(ar, k) == abs(k) - 1
+            assert alpha.F == ar.l2_over_n * (abs(k) - 1) * (abs(k) + 1) / 12 == abs(k) - 1

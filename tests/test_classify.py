@@ -1,21 +1,17 @@
 from fractions import Fraction
 
-import pytest
-
 from qpacking.classify import (
     admissible_ks,
     canonical_sector,
     classify,
-    constant_term,
-    flipped_sector,
     forced_quadratic_coeffs,
     no_qpp_reason,
     sector_arithmetic,
 )
-from qpacking.geometry import flip_map, make_sector, shear_map, skew_map
-from qpacking.poly import step_difference, to_alpha_form, transformed_polynomial
+from qpacking.geometry import SectorSpec, make_sector, shear_map
+from qpacking.poly import step_difference, to_alpha_form
 
-from helpers import all_classified, coprime_sectors, product_poly
+from helpers import all_classified, coprime_sectors, flip, product_poly, skew, skewed_form
 
 
 def ks_of(n, m):
@@ -23,8 +19,18 @@ def ks_of(n, m):
     return admissible_ks(s, sector_arithmetic(s))
 
 
+def constant_term(ar, k):
+    """The constant term (l^2/n)(|k|-1)(|k|+1)/12 forced by the sector's arithmetic."""
+    return ar.l2_over_n * (abs(k) - 1) * (abs(k) + 1) / 12
+
+
 def constant_of(n, m, k):
     return constant_term(sector_arithmetic(make_sector(n, m)), k)
+
+
+def flipped_sector(s):
+    """The sector whose skewed lattice is the flip of this one's: m' - 1 = -(m - 1) (mod n)."""
+    return SectorSpec(s.n, (1 - s.m) % s.n + 1)
 
 
 class TestSectorArithmetic:
@@ -148,10 +154,6 @@ class TestConstantTerm:
     def test_4_1_k2(self):
         assert constant_of(4, 1, 2) == 1
 
-    def test_non_integral_signals(self):
-        with pytest.raises(ValueError):
-            constant_of(8, 5, 2)  # l^2/n = 2 makes 2*1*3/12 non-integral
-
     def test_equals_abs_k_minus_one(self):
         for e in all_classified(12, 12):
             assert e.alpha_form.F == abs(e.k) - 1
@@ -190,13 +192,12 @@ class TestFlipSymmetry:
         for s in coprime_sectors(12, 12):
             for e in classify(s):
                 flipped = flipped_sector(s)
-                hat = e.poly.conjugate(skew_map(s))
-                check = hat.conjugate(flip_map(s.n))
-                assert check == transformed_polynomial(s, -e.k, abs(e.k) - 1)
+                check = e.poly.conjugate(skew(s)).conjugate(flip(s.n))
+                assert check == skewed_form(s, -e.k, abs(e.k) - 1)
                 partner_ks = [q.k for q in classify(flipped)]
                 assert -e.k in partner_ks
                 partner = next(q for q in classify(flipped) if q.k == -e.k)
-                assert partner.poly.conjugate(skew_map(flipped)) == check
+                assert partner.poly.conjugate(skew(flipped)) == check
 
     def test_alpha_e_outliers(self):
         # these classified polynomials have alpha E outside [-15, 15]

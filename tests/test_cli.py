@@ -117,10 +117,12 @@ def test_search_candidate_limit(monkeypatch, capsys):
 
 
 def test_search_refuses_huge_box_at_once(capsys):
-    start = perf_counter()
-    assert run(["search", "4", "3", "--bounds", "99999999:1:1"]) == 2
-    assert perf_counter() - start < 1
-    assert capsys.readouterr().err == "error: search box has 599999997 candidates, more than the limit of 1000000\n"
+    # 5/2 has no forced A, B, C, and its box is refused all the same
+    for sector in (["4", "3"], ["5", "2"]):
+        start = perf_counter()
+        assert run(["search", *sector, "--bounds", "99999999:1:1"]) == 2
+        assert perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: search box has 599999997 candidates, more than the limit of 1000000\n"
 
 
 def test_search_over_many_prescreen_blocks(capsys):
@@ -132,19 +134,21 @@ def test_search_over_many_prescreen_blocks(capsys):
         "".join(format_poly(p) + "\n" for p in polys) + "found 2 packing polynomial(s) on sector 4/3\n", "")
 
 
-WINDOW_REFUSED = ("error: window x <= 2000 has a bounding box of 4004001 lattice points, "
-                  "more than the limit of 4000000\n")
+WINDOW_REFUSED = "error: window x <= {} has a bounding box of {} lattice points, more than the limit of 4000000\n"
 FIGURE_REFUSED = "error: figure x <= 2000 has more than 10000 lattice points\n"
 
 
 @pytest.mark.parametrize("argv, code, err", [
-    (["verify", "1", "0", "1/2,1,1/2,1/2,3/2,0", "--xmax", "2000"], 2, WINDOW_REFUSED),
-    (["search", "1", "0", "--bounds", "1:1:1", "--xmax", "2000"], 2, WINDOW_REFUSED),
+    (["verify", "1", "0", "1/2,1,1/2,1/2,3/2,0", "--xmax", "2000"], 2, WINDOW_REFUSED.format(2000, 4004001)),
+    (["search", "1", "0", "--bounds", "1:1:1", "--xmax", "2000"], 2, WINDOW_REFUSED.format(2000, 4004001)),
+    # 3/2 has no forced A, B, C
+    (["search", "3", "2", "--xmax", "1633"], 2, WINDOW_REFUSED.format(1633, 4003300)),
     # render's own limit of 10,000 points comes first
     (["render", "1", "0", "1", "--xmax", "2000"], 1, FIGURE_REFUSED),
-], ids=["verify", "search", "render"])
+], ids=["verify", "search", "search-no-forced-abc", "render"])
 def test_window_one_step_above_limit_is_refused_at_once(argv, code, err, capsys):
-    # the quadrant's window at x_max 2000 is the box 2001 x 2001: 4,004,001 points
+    # the quadrant's window at x_max 2000 is the box 2001 x 2001: 4,004,001 points;
+    # 3/2's at x_max 1633 is 1,634 x 2,450: 4,003,300 points
     start = perf_counter()
     assert run(argv) == code
     assert perf_counter() - start < 1

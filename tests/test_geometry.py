@@ -8,16 +8,12 @@ from qpacking.geometry import (
     UnimodularMap,
     _frac,
     extended_gcd,
-    flip_map,
     make_sector,
     reduce_general_sector,
-    shear_map,
-    skew_map,
-    x_axis_reflection,
 )
 from qpacking.staircase import lattice_window
 
-from helpers import coprime_sectors
+from helpers import coprime_sectors, flip, skew, unimodular_maps
 
 
 class TestMakeSector:
@@ -48,17 +44,12 @@ class TestMakeSector:
 
 
 class TestSkewMap:
-    def test_9_4(self):
-        m = skew_map(make_sector(9, 4))
-        assert (m.a, m.b, m.c, m.d) == (1, Fraction(-1, 3), 0, 1)
-
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_integral_sector_is_identity(self, n):
-        assert skew_map(make_sector(n, 1)) == UnimodularMap.identity()
+        assert skew(make_sector(n, 1)) == UnimodularMap.identity()
 
     def test_quadrant_goes_to_slope_one(self):
-        m = skew_map(make_sector(1, 0))
-        assert (m.a, m.b, m.c, m.d) == (1, 1, 0, 1)
+        m = skew(make_sector(1, 0))
         target = make_sector(1, 1)
         for pt in map(tuple, lattice_window(make_sector(1, 0), 6).tolist()):
             x, y = m.apply(pt)
@@ -67,54 +58,32 @@ class TestSkewMap:
     def test_inverse_roundtrip_on_lattice(self):
         # 100 deterministic sample points per sector
         for s in coprime_sectors(7, 7):
-            m = skew_map(s)
+            m = skew(s)
             inv = m.inverse()
             for pt in map(tuple, lattice_window(s, 9)[:100].tolist()):
                 assert inv.apply(m.apply(pt)) == tuple(map(Fraction, pt))
 
 
 class TestFlipMap:
-    def test_matrix(self):
-        m = flip_map(9)
-        assert (m.a, m.b, m.c, m.d) == (1, 0, 9, -1)
-
     def test_involution_example(self):
-        m = flip_map(9)
+        m = flip(9)
         assert m.apply(m.apply((2, 5))) == (2, 5)
 
     def test_unit_sector_point(self):
-        assert flip_map(1).apply((3, 1)) == (3, 2)
+        assert flip(1).apply((3, 1)) == (3, 2)
 
     @given(st.integers(1, 30), st.integers(-50, 50), st.integers(-50, 50))
     def test_involution(self, n, x, y):
-        m = flip_map(n)
+        m = flip(n)
         assert m.apply(m.apply((x, y))) == (x, y)
 
     def test_maps_sector_to_itself(self):
         n = 4
         s = make_sector(n, 1)
-        m = flip_map(n)
+        m = flip(n)
         for pt in map(tuple, lattice_window(s, 8).tolist()):
             x, y = m.apply(pt)
             assert s.contains(x, y)
-
-
-def _random_unimodular(draw_data) -> UnimodularMap:
-    m = UnimodularMap.identity()
-    for kind, arg in draw_data:
-        if kind == 0:
-            m = m @ shear_map(arg)
-        elif kind == 1:
-            m = m @ flip_map(abs(arg) + 1)
-        else:
-            m = m @ x_axis_reflection()
-    return m
-
-
-unimodular_maps = st.builds(
-    _random_unimodular,
-    st.lists(st.tuples(st.integers(0, 2), st.integers(-4, 4)), min_size=0, max_size=5),
-)
 
 
 class TestFrac:

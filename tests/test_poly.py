@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpacking.classify import admissible_ks, classify, sector_arithmetic
-from qpacking.geometry import UnimodularMap, make_sector, skew_map
+from qpacking.geometry import UnimodularMap, make_sector
 from qpacking.poly import (
     AlphaFormCoeffs,
     NonConstantStepDifference,
@@ -16,11 +16,9 @@ from qpacking.poly import (
     packing_polynomial,
     step_difference,
     to_alpha_form,
-    transformed_polynomial,
 )
 
-from helpers import coprime_sectors, parse_poly, product_poly
-from test_geometry import unimodular_maps
+from helpers import coprime_sectors, parse_poly, product_poly, skew, skewed_form, unimodular_maps
 
 EX1 = QuadPoly(2, -2, Fraction(1, 2), 0, Fraction(1, 2), 0)
 CANTOR_F = product_poly(Fraction(1, 2), (1, 0), (1, 1), 1, 0, 0)
@@ -63,7 +61,7 @@ class TestAlphaForm:
 
 class TestConjugate:
     def test_skew_kills_mixed_terms(self):
-        q = EX1.conjugate(skew_map(make_sector(4, 3)))
+        q = EX1.conjugate(skew(make_sector(4, 3)))
         assert q.c_xy == 0 and q.c_yy == 0
 
     @given(quad_polys)
@@ -125,35 +123,33 @@ class TestPackingPolynomial:
 class TestTransformedPolynomial:
     def test_matches_conjugation(self):
         s = make_sector(4, 3)
-        assert transformed_polynomial(s, 1, 0) == packing_polynomial(s, 1).conjugate(skew_map(s))
+        assert skewed_form(s, 1, 0) == packing_polynomial(s, 1).conjugate(skew(s))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_integral_sector(self, n):
         expected = product_poly(Fraction(n, 2), (0, 0), (0, -1), 1, 1, 0)
-        assert transformed_polynomial(make_sector(n, 1), 1, 0) == expected
+        s = make_sector(n, 1)
+        assert packing_polynomial(s, 1).conjugate(skew(s)) == expected
 
     def test_12_7_y_coefficient(self):
-        assert transformed_polynomial(make_sector(12, 7), 3, 2).c_y == Fraction(3, 2)
-
-    def test_rejects_non_divisible(self):
-        with pytest.raises(ValueError):
-            transformed_polynomial(make_sector(3, 2), 1, 0)
+        s = make_sector(12, 7)
+        assert packing_polynomial(s, 3).conjugate(skew(s)).c_y == Fraction(3, 2)
 
     def test_conjugation_identity_all_small_sectors(self):
         for s in coprime_sectors(30, 30):
             if (s.m - 1) ** 2 % s.n != 0:
                 continue
-            m = skew_map(s)
+            m = skew(s)
             for k in (1, -1, 2, -2, 3, -3):
                 conjugated = packing_polynomial(s, k).conjugate(m)
-                assert conjugated == transformed_polynomial(s, k, abs(k) - 1)
+                assert conjugated == skewed_form(s, k, abs(k) - 1)
 
 
 def forced_d(s, k):
     """The forced alpha-basis x-coefficient D = 1 + (n - kl)/2, with its skewed-lattice check."""
     d = 1 + Fraction(s.n - k * gcd(s.m - 1, s.n), 2)
     assert d.denominator == 1
-    assert d - Fraction(s.n, 2) == transformed_polynomial(s, k, 0).c_x
+    assert d - Fraction(s.n, 2) == skewed_form(s, k, 0).c_x
     return d
 
 

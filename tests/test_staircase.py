@@ -1,27 +1,20 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpacking.geometry import make_sector, skew_map
-from qpacking.staircase import (
-    first_step_y,
-    lattice_window,
-    staircase_index,
-    staircase_points,
-    staircase_size_formula,
-)
+from qpacking.geometry import make_sector
+from qpacking.staircase import first_step_y, lattice_window
 
-from helpers import coprime_sectors, reference_window
+from helpers import coprime_sectors, reference_window, skew, staircase
 
 sectors = st.builds(make_sector, st.integers(1, 12), st.integers(0, 12))
 
 
 def brute_first_step_y(s, i):
     """Oracle: scan the residues for the defining congruence."""
-    from math import gcd
-
     l = gcd(s.m - 1, s.n)
     v = s.n // l
     u = (s.m - 1) // l
@@ -69,6 +62,13 @@ class TestLatticeWindow:
                 assert y <= x_max
 
 
+def staircase_index(s, pt):
+    """The i >= 0 with (m-1) y = n x - l i, asserted integral."""
+    i, rem = divmod(s.n * pt[0] - (s.m - 1) * pt[1], s.l)
+    assert rem == 0 and i >= 0
+    return i
+
+
 class TestStaircaseIndex:
     def test_9_4(self):
         assert staircase_index(make_sector(9, 4), (1, 0)) == 3
@@ -79,10 +79,6 @@ class TestStaircaseIndex:
 
     def test_quadrant(self):
         assert staircase_index(make_sector(1, 0), (2, 1)) == 3
-
-    def test_rejects_outside(self):
-        with pytest.raises(ValueError):
-            staircase_index(make_sector(4, 3), (1, 2))
 
 
 class TestFirstStepY:
@@ -102,44 +98,43 @@ class TestFirstStepY:
 
     @given(sectors, st.integers(0, 40))
     def test_periodic(self, s, i):
-        from math import gcd
-
         v = s.n // gcd(s.m - 1, s.n)
         assert first_step_y(s, i + v) == first_step_y(s, i)
         assert first_step_y(s, v * i) == 0
 
 
+def skewed_steps(s, i):
+    return [skew(s).apply(pt) for pt in staircase(s, i)]
+
+
 class TestStaircasePoints:
     def test_9_4_transformed(self):
-        assert staircase_points(make_sector(9, 4), 3, transformed=True) == [
-            (1, 0), (1, 3), (1, 6), (1, 9)]
+        assert skewed_steps(make_sector(9, 4), 3) == [(1, 0), (1, 3), (1, 6), (1, 9)]
 
     def test_12_7_transformed(self):
-        assert staircase_points(make_sector(12, 7), 1, transformed=True) == [
+        assert skewed_steps(make_sector(12, 7), 1) == [
             (Fraction(1, 2), 1), (Fraction(1, 2), 3), (Fraction(1, 2), 5)]
 
     def test_index_zero(self):
         for s in coprime_sectors(5, 5):
-            assert staircase_points(s, 0) == [(0, 0)]
-            assert staircase_points(s, 0, transformed=True) == [(0, 0)]
+            assert staircase(s, 0) == [(0, 0)]
+            assert skewed_steps(s, 0) == [(0, 0)]
 
     def test_step_vector(self):
-        from math import gcd
-
         for s in coprime_sectors(9, 9):
             l = gcd(s.m - 1, s.n)
             step = ((s.m - 1) // l, s.n // l)
             for i in range(12):
-                pts = staircase_points(s, i)
+                pts = staircase(s, i)
                 for p, q in zip(pts, pts[1:]):
                     assert (q[0] - p[0], q[1] - p[1]) == step
 
     def test_skew_image_matches_transformed(self):
+        # a staircase can be empty when n does not divide l^2 (3/2, i = 1)
         for s in coprime_sectors(9, 9):
-            m = skew_map(s)
+            v = s.n_over_l
             for i in range(12):
-                image = [m.apply(p) for p in staircase_points(s, i)]
-                assert image == [tuple(map(Fraction, p)) for p in staircase_points(s, i, transformed=True)]
+                assert all(x == Fraction(i, v) for x, _ in skewed_steps(s, i))
 
 
 class TestPartition:
@@ -150,34 +145,34 @@ class TestPartition:
             for pt in window:
                 by_index.setdefault(staircase_index(s, pt), []).append(pt)
             for i, pts in by_index.items():
-                stair = staircase_points(s, i)
-                assert set(pts) <= set(stair)
-            # staircases restricted to the window reproduce it exactly
-            max_i = max(by_index)
-            rebuilt = []
+                assert set(pts) <= set(staircase(s, i))
+            # staircases restricted to the window (a box on the quadrant) reproduce it exactly
             window_set = set(window)
-            for i in range(max_i + 1):
-                rebuilt.extend(p for p in staircase_points(s, i) if p in window_set)
+            rebuilt = [p for i in range(max(by_index) + 1) for p in staircase(s, i) if p in window_set]
             assert sorted(rebuilt) == window
+
+
+def size_formula(s, i):
+    """The closed staircase size (l^2/n) i + [n/l | i]."""
+    return Fraction(s.l ** 2, s.n) * i + (i % s.n_over_l == 0)
 
 
 class TestStaircaseSize:
     def test_12_7(self):
-        assert len(staircase_points(make_sector(12, 7), 2, transformed=True)) == 7
-        assert staircase_size_formula(make_sector(12, 7), 2) == 7
+        assert len(staircase(make_sector(12, 7), 2)) == size_formula(make_sector(12, 7), 2) == 7
 
     def test_apex(self):
         for s in coprime_sectors(6, 6):
-            assert len(staircase_points(s, 0, transformed=True)) == 1
+            assert len(staircase(s, 0)) == 1
 
     def test_formula_needs_divisibility(self):
         s = make_sector(8, 3)
-        assert len(staircase_points(s, 3, transformed=True)) == 2
-        assert staircase_size_formula(s, 3) == Fraction(3, 2)
+        assert len(staircase(s, 3)) == 2
+        assert size_formula(s, 3) == Fraction(3, 2)
 
     def test_formula_matches_when_divides(self):
         for s in coprime_sectors(10, 10):
             if (s.m - 1) ** 2 % s.n != 0:
                 continue
             for i in range(101):
-                assert len(staircase_points(s, i, transformed=True)) == staircase_size_formula(s, i)
+                assert len(staircase(s, i)) == size_formula(s, i)

@@ -8,16 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from qpacking import verify
 from qpacking.classify import classify, forced_quadratic_coeffs
-from qpacking.geometry import make_sector, skew_map
+from qpacking.geometry import make_sector
 from qpacking.poly import AlphaFormCoeffs, QuadPoly, packing_polynomial
-from qpacking.staircase import first_step_y, staircase_points
+from qpacking.staircase import first_step_y
 from qpacking.verify import (
     SearchBounds,
     _prescreen,
     _survivor_passes,
     _window,
     brute_force_search,
-    first_steps_cover_range,
     packing_window_verify,
     value_floor,
 )
@@ -30,6 +29,8 @@ from helpers import (
     reference_tail_floor,
     reference_value_floor,
     reference_window_verify,
+    skewed_form,
+    staircase,
     window_for_threshold,
 )
 
@@ -298,6 +299,12 @@ class TestPackingWindowVerify:
             assert large.threshold >= small.threshold
 
 
+def first_steps_cover_range(s, k, f_const):
+    """Whether the skewed form takes exactly {0, ..., k-1} on the lowest steps of staircases 0..k-1."""
+    p = skewed_form(s, k, f_const)
+    return sorted(p(Fraction(i, s.n_over_l), first_step_y(s, i)) for i in range(k)) == list(range(k))
+
+
 class TestFirstSteps:
     def test_12_7(self):
         assert first_steps_cover_range(make_sector(12, 7), 3, 2)
@@ -310,10 +317,6 @@ class TestFirstSteps:
     def test_wrong_constant(self):
         assert not first_steps_cover_range(make_sector(4, 1), 2, 0)
         assert first_steps_cover_range(make_sector(4, 1), 2, 1)
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            first_steps_cover_range(make_sector(4, 1), -1, 0)
 
 
 def span(rng, k):
@@ -525,17 +528,15 @@ class TestStructuralConsequences:
     def test_first_step_height_of_k(self):
         for e in all_classified(12, 12):
             if e.k > 0:
-                ar_v = e.sector.n // __import__("math").gcd(e.sector.m - 1, e.sector.n)
-                assert first_step_y(e.sector, e.k) == ar_v - 1
+                assert first_step_y(e.sector, e.k) == e.sector.n_over_l - 1
 
     def test_staircase_congruences(self):
         for e in all_classified(12, 12):
             if abs(e.k) == 1:
                 continue
-            hat = e.poly.conjugate(skew_map(e.sector))
             residues = {}
             for i in range(40 + abs(e.k) + 1):
-                values = [hat(*pt) for pt in staircase_points(e.sector, i, transformed=True)]
+                values = [e.poly(*pt) for pt in staircase(e.sector, i)]
                 if not values:
                     continue
                 classes = {v % abs(e.k) for v in values}
