@@ -154,6 +154,16 @@ class TestConstantTerm:
     def test_4_1_k2(self):
         assert constant_of(4, 1, 2) == 1
 
+    def test_non_integral_signals(self):
+        # l^2/n = 2 makes the 8/5 constant 2*1*3/12 non-integral, and k = 2 is not admissible there
+        assert constant_of(8, 5, 2) == Fraction(1, 2)
+        for s in coprime_sectors(12, 12):
+            ar = sector_arithmetic(s)
+            if ar.divides_n_l2:
+                for k in (2, -2, 3, -3):
+                    if constant_term(ar, k).denominator != 1:
+                        assert k not in admissible_ks(s, ar)
+
     def test_equals_abs_k_minus_one(self):
         for e in all_classified(12, 12):
             assert e.alpha_form.F == abs(e.k) - 1

@@ -44,6 +44,14 @@ class TestMakeSector:
 
 
 class TestSkewMap:
+    def test_9_4(self):
+        # the second ray (m, n) = (4, 9) goes to (1, 9), and the sector onto the sector of slope 9
+        m = skew(make_sector(9, 4))
+        assert m.apply((4, 9)) == (1, 9) and m.apply((1, 0)) == (1, 0)
+        target = make_sector(9, 1)
+        for pt in map(tuple, lattice_window(make_sector(9, 4), 8).tolist()):
+            assert target.contains(*m.apply(pt))
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_integral_sector_is_identity(self, n):
         assert skew(make_sector(n, 1)) == UnimodularMap.identity()
@@ -65,6 +73,12 @@ class TestSkewMap:
 
 
 class TestFlipMap:
+    def test_matrix(self):
+        # flip(9) swaps the rays (1, 0) and (1, 9) of the sector of slope 9 and reverses orientation
+        m = flip(9)
+        assert m.apply((1, 0)) == (1, 9) and m.apply((1, 9)) == (1, 0)
+        assert m.determinant == -1 and m.is_integral
+
     def test_involution_example(self):
         m = flip(9)
         assert m.apply(m.apply((2, 5))) == (2, 5)

@@ -17,6 +17,7 @@ from qpacking.poly import (
     step_difference,
     to_alpha_form,
 )
+from qpacking.verify import packing_window_verify
 
 from helpers import coprime_sectors, parse_poly, product_poly, skew, skewed_form, unimodular_maps
 
@@ -134,6 +135,14 @@ class TestTransformedPolynomial:
     def test_12_7_y_coefficient(self):
         s = make_sector(12, 7)
         assert packing_polynomial(s, 3).conjugate(skew(s)).c_y == Fraction(3, 2)
+
+    def test_rejects_non_divisible(self):
+        # 3 does not divide l^2 = 1: the skewed y coefficient is 1/3, and the window check rejects it
+        s = make_sector(3, 2)
+        assert packing_polynomial(s, 1).conjugate(skew(s)).c_y == Fraction(1, 3)
+        cert = packing_window_verify(packing_polynomial(s, 1), s, 12)
+        assert not cert.ok and cert.failure.kind == "non_integral_value"
+        assert classify(s) == []
 
     def test_conjugation_identity_all_small_sectors(self):
         for s in coprime_sectors(30, 30):
