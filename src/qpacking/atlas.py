@@ -5,8 +5,8 @@ carrying the derived arithmetic, the admissible step constants, the polynomial
 coefficient tuples and the canonical shear representative (n, m mod n).  The
 arithmetic depends on the sector only through n and l = gcd(m-1, n), and the
 shear (x, y) -> (x + t y, y) leaves all but the polynomials unchanged, so the
-rows of a class share them; each row's polynomials are the closed forms
-``packing_polynomial`` gives for the ks of its class.  Serialization
+rows of a class (n, m mod n) share the class facts, taken from (n, l); each row's
+polynomials are ``poly.packing_coefficients`` of its own (n, m) for the ks of its class.  Serialization
 is byte-reproducible: JSON keeps rationals as numerator/denominator strings,
 CSV as "p/q" text.  Both texts are written directly, one piece per row joined once:
 every JSON key is fixed and every value an integer or a string of digits, laid out
@@ -22,9 +22,9 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .classify import admissible_ks, canonical_sector, sector_arithmetic
+from .classify import admissible_ks, sector_arithmetic
 from .geometry import SectorSpec
-from .poly import packing_polynomial
+from .poly import packing_coefficients
 
 
 MAX_ATLAS_CELLS = 250_000  # nmax * mmax: the (n, m) pairs an atlas scans
@@ -53,10 +53,10 @@ def check_atlas_size(nmax: int, mmax: int) -> None:
 def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
     """All rows for coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0), in (n, m) order.
 
-    The arithmetic depends on the sector only through n and l = gcd(m-1, n), so
-    ``sector_arithmetic`` runs once per pair (n, l); ks and canonical pair come once per class
-    (n, m mod n), whose sectors share l.  Each row's polynomials are ``packing_polynomial`` of
-    the row's sector for those ks, as ``classify`` lists them.
+    Class facts come from (n, l) with l = gcd(m-1, n): ``sector_arithmetic`` runs once per pair
+    (n, l), and ``admissible_ks`` once per class (n, m mod n) whose (n, l) has n | l^2; the other
+    classes have no ks.  The canonical pair of a class is (n, m mod n).  Each row's polynomials are
+    ``packing_coefficients(n, m, k)`` for those ks, as ``classify`` lists them.
     A range that ``check_atlas_size`` refuses raises its ``ValueError`` before any row is built.
     """
     check_atlas_size(nmax, mmax)
@@ -66,17 +66,17 @@ def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
         classes = {}  # m mod n -> (l, n/l, l^2/n, qpp count, ks, canonical pair), for the m <= mmax coprime to n
         for r in range(min(n, mmax + 1)):  # each class's first m is its residue; r = 0 only for n = 1
             if gcd(n, r) == 1:
-                canon = canonical_sector(SectorSpec(n, r))
-                ar = arithmetic.get(canon.l)
+                l = gcd(r - 1, n)
+                ar = arithmetic.get(l)
                 if ar is None:
-                    ar = arithmetic[canon.l] = sector_arithmetic(canon)
-                ks = tuple(admissible_ks(canon, ar))
-                classes[r] = (ar.l, ar.n_over_l, ar.l2_over_n, len(ks), ks, (canon.n, canon.m))
+                    ar = arithmetic[l] = sector_arithmetic(SectorSpec(n, r))
+                ks = tuple(admissible_ks(SectorSpec(n, r), ar)) if ar.divides_n_l2 else ()
+                classes[r] = (l, ar.n_over_l, ar.l2_over_n, len(ks), ks, (n, r))
         for m in range(mmax + 1):
             cls = classes.get(m % n)
             if cls is not None:
                 l, n_over_l, l2_over_n, qpp_count, ks, canonical = cls
-                polys = tuple(packing_polynomial(SectorSpec(n, m), k).coefficients() for k in ks) if ks else ()
+                polys = tuple(packing_coefficients(n, m, k) for k in ks) if ks else ()
                 rows.append(AtlasRow(n, m, l, n_over_l, l2_over_n, qpp_count, ks, polys, canonical))
     return rows
 
@@ -121,7 +121,10 @@ def atlas_to_json(rows: list[AtlasRow], nmax: int, mmax: int) -> str:
       "m": {m},
       "l": {l},
       "n_over_l": {n_over_l},
-      "l2_over_n": {_rational_text(l2_over_n, " " * 6)},
+      "l2_over_n": {{
+        "num": "{l2_over_n.numerator}",
+        "den": "{l2_over_n.denominator}"
+      }},
       "qpp_count": {qpp_count},
       "ks": {ks_text},
       "polynomials": {polys},
@@ -155,7 +158,8 @@ def atlas_to_csv(rows: list[AtlasRow]) -> str:
     for n, m, l, n_over_l, l2_over_n, qpp_count, ks, polynomials, (canonical_n, canonical_m) in rows:
         ks_text = " ".join(map(str, ks)) if ks else ""  # most rows have none: skip the joins
         polys = ";".join(" ".join(map(_rational_csv, poly)) for poly in polynomials) if polynomials else ""
-        lines.append(f"{n},{m},{l},{n_over_l},{_rational_csv(l2_over_n)},{qpp_count},{ks_text},"
+        num, den = l2_over_n.as_integer_ratio()  # written as _rational_csv writes it
+        lines.append(f"{n},{m},{l},{n_over_l},{num}{'' if den == 1 else f'/{den}'},{qpp_count},{ks_text},"
                      f"{canonical_n},{canonical_m},{polys}\n")
     lines.append(f"# {summary_line(rows)}\n")
     return "".join(lines)

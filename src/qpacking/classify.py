@@ -7,7 +7,7 @@ polynomial then lies in {+-1, +-2, +-3} and must satisfy, sign included,
     u = k (mod n/l),   and   l^2/n = 4 when |k| = 2,   l^2/n = 3 when |k| = 3.
 
 Each admissible k yields exactly one polynomial, the expanded closed form of
-``packing_polynomial``.  Note that the two signs of k are admitted
+``poly.packing_coefficients``.  Note that the two signs of k are admitted
 independently: for n/l >= 3 a sector can carry a single packing polynomial
 (9/4 carries only k = 1; its descending partner lives on the flipped sector
 9/7), so the count per sector is 0, 1, 2, or 4.
@@ -88,11 +88,3 @@ def no_qpp_reason(s: SectorSpec) -> str | None:
         return "no admissible k: the congruence and l^2/n conditions all fail"
     return None
 
-
-def canonical_sector(s: SectorSpec) -> SectorSpec:
-    """Representative of the sector under the integral shears (x, y) -> (x + t y, y).
-
-    Shearing moves the non-axis ray (m, n) to (m + t n, n); the canonical
-    choice takes the smallest non-negative m, i.e. m mod n; a sector with m < n is its own.
-    """
-    return s if s.m < s.n else SectorSpec(s.n, s.m % s.n)

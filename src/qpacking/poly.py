@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .geometry import SectorSpec, UnimodularMap, _frac
@@ -137,23 +138,31 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be one of +-1, +-2, +-3, got {k}")
 
 
-def packing_polynomial(s: SectorSpec, k: int) -> QuadPoly:
-    """Expanded closed form of the packing polynomial with step constant k.
+def packing_coefficients(n: int, m: int, k: int) -> tuple[Fraction, ...]:
+    """Monomial coefficients (x^2, xy, y^2, x, y, 1) of the packing polynomial of sector n/m with step constant k.
 
-    This is pure algebra: (n/2)(x - ((m-1)/n) y)(x - ((m-1)/n) y - kl/n)
-    + x + ((kl - (m-1))/n) y + |k| - 1, with no admissibility check.
+    The one home of the closed form: with l = gcd(m-1, n) it is the expansion of
+    (n/2)(x - ((m-1)/n) y)(x - ((m-1)/n) y - kl/n) + x + ((kl - (m-1))/n) y + |k| - 1.
+    This is pure algebra, with no admissibility check; a k outside +-1, +-2, +-3 raises ``ValueError``.
     """
     _check_k(k)
-    n, m = s.n, s.m
-    kl = k * s.l
-    return QuadPoly(
+    kl = k * gcd(m - 1, n)
+    return (
         Fraction(n, 2),
         Fraction(1 - m),
         Fraction((m - 1) ** 2, 2 * n),
         Fraction(2 - kl, 2),
         Fraction(kl * (m - 1) + 2 * (kl - (m - 1)), 2 * n),
-        abs(k) - 1,
+        Fraction(abs(k) - 1),
     )
+
+
+def packing_polynomial(s: SectorSpec, k: int) -> QuadPoly:
+    """The packing polynomial of the sector with step constant k, as a ``QuadPoly``.
+
+    Its coefficients are ``packing_coefficients(s.n, s.m, k)``, the one home of the closed form.
+    """
+    return QuadPoly(*packing_coefficients(s.n, s.m, k))
 
 
 # -- canonical text rendering -------------------------------------------------

@@ -149,12 +149,15 @@ def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> st
         parts.append(line((Fraction(0), Fraction(0)), (t_ray * s.m, t_ray * s.n), "#000000", "1.5"))
 
     # Lattice points with labels; their coordinates are ints, which _fmt_len prints as "<int>.00".
+    # Each column's and row's coordinates are formatted once, then looked up per point.
+    cxs = [sx(x) for x in range(x_max + 1)]
+    cys = [sy(y) for y in range(y_top + 1)]
+    label_xs = [_fmt_len(SVG_MARGIN + SVG_SCALE * x + 6) for x in range(x_max + 1)]
+    label_ys = [_fmt_len(height - SVG_MARGIN - SVG_SCALE * y + 4) for y in range(y_top + 1)]
     for (x, y), v in sorted(values.items()):
-        parts.append(f'<circle cx="{sx(x)}" cy="{sy(y)}" r="3" fill="#000000"/>')
+        parts.append(f'<circle cx="{cxs[x]}" cy="{cys[y]}" r="3" fill="#000000"/>')
         if v <= value_max:
-            label_x = _fmt_len(SVG_MARGIN + SVG_SCALE * x + 6)
-            label_y = _fmt_len(height - SVG_MARGIN - SVG_SCALE * y + 4)
-            parts.append(f'<text x="{label_x}" y="{label_y}">{v}</text>')
+            parts.append(f'<text x="{label_xs[x]}" y="{label_ys[y]}">{v}</text>')
 
     parts.append("</g>")
     parts.append("</svg>")

@@ -7,7 +7,8 @@ from math import gcd
 
 import pytest
 
-from qpacking import atlas
+from qpacking import atlas, poly
+from qpacking import classify as classify_module
 from qpacking.atlas import AtlasRow, atlas_to_csv, atlas_to_json, build_atlas, summary_line
 from qpacking.classify import admissible_ks, classify, sector_arithmetic
 from qpacking.geometry import SectorSpec
@@ -61,9 +62,11 @@ def test_csv_matches_csv_writer_reference(rows, nmax, mmax):
     ]
 
 
-def test_rows_match_public_classification():
-    rows = build_atlas(40, 40)
-    assert [(row.n, row.m) for row in rows] == [(s.n, s.m) for s in coprime_sectors(40, 40)]
+@pytest.mark.parametrize("nmax, mmax", [(40, 40), (60, 7), (7, 60), (1, 50), (50, 1)])
+def test_rows_match_public_classification(nmax, mmax):
+    # n > mmax + 1 leaves the classes past mmax without a row; n = 1 has the one class m mod 1 = 0
+    rows = build_atlas(nmax, mmax)
+    assert [(row.n, row.m) for row in rows] == [(s.n, s.m) for s in coprime_sectors(nmax, mmax)]
     for row in rows:
         s = SectorSpec(row.n, row.m)
         ar = sector_arithmetic(s)
@@ -81,6 +84,25 @@ def test_arithmetic_runs_once_per_n_and_l(monkeypatch):
     rows = build_atlas(60, 25)  # n > mmax + 1: classes past mmax have no row and get no call
     assert set(calls) == {(row.n, row.l) for row in rows}
     assert max(calls.values()) == 1 and len(calls) < len({(row.n, row.m % row.n) for row in rows})
+
+
+def test_ks_run_once_per_class_with_n_dividing_l2(monkeypatch):
+    calls = Counter()
+
+    def counted_ks(s, ar):
+        calls.update([(s.n, s.m % s.n)])
+        return admissible_ks(s, ar)
+
+    def refuse(*args):
+        raise AssertionError("build_atlas called packing_polynomial")
+
+    monkeypatch.setattr(atlas, "admissible_ks", counted_ks)
+    for module in (poly, classify_module, atlas):
+        monkeypatch.setattr(module, "packing_polynomial", refuse, raising=False)
+    rows = build_atlas(60, 25)
+    divisible = {(row.n, row.m % row.n) for row in rows if row.l2_over_n.denominator == 1}
+    assert set(calls) == divisible and max(calls.values()) == 1
+    assert sum(row.qpp_count for row in rows) > 0
 
 
 def test_class_arithmetic_is_shear_invariant_over_atlas_range():

@@ -1,8 +1,8 @@
 from fractions import Fraction
 
+from qpacking.atlas import build_atlas
 from qpacking.classify import (
     admissible_ks,
-    canonical_sector,
     classify,
     forced_quadratic_coeffs,
     no_qpp_reason,
@@ -172,14 +172,18 @@ class TestConstantTerm:
 
 class TestCanonicalSector:
     def test_examples(self):
-        assert canonical_sector(make_sector(3, 4)) == make_sector(3, 1)
-        assert canonical_sector(make_sector(12, 19)) == make_sector(12, 7)
-        assert canonical_sector(make_sector(4, 1)) == make_sector(4, 1)
-        assert canonical_sector(make_sector(1, 5)) == make_sector(1, 0)
+        # an atlas row names its shear representative (n, m mod n)
+        canonical = {(row.n, row.m): row.canonical for row in build_atlas(12, 19)}
+        assert canonical[(3, 4)] == (3, 1)
+        assert canonical[(12, 19)] == (12, 7)
+        assert canonical[(4, 1)] == (4, 1)
+        assert canonical[(1, 5)] == (1, 0)
 
     def test_shear_equivalence_of_classification(self):
+        canonical = {(row.n, row.m): row.canonical for row in build_atlas(20, 20)}
         for s in coprime_sectors(20, 20):
-            canon = canonical_sector(s)
+            canon = SectorSpec(s.n, s.m % s.n)
+            assert canonical[(s.n, s.m)] == (canon.n, canon.m)
             entries = classify(s)
             canon_entries = classify(canon)
             assert [e.k for e in entries] == [e.k for e in canon_entries]

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qpacking.classify import admissible_ks, classify, sector_arithmetic
 from qpacking.geometry import UnimodularMap, make_sector
@@ -13,6 +13,7 @@ from qpacking.poly import (
     QuadPoly,
     format_factored,
     format_poly,
+    packing_coefficients,
     packing_polynomial,
     step_difference,
     to_alpha_form,
@@ -119,6 +120,21 @@ class TestPackingPolynomial:
             packing_polynomial(make_sector(4, 3), 0)
         with pytest.raises(ValueError):
             packing_polynomial(make_sector(4, 3), 5)
+        with pytest.raises(ValueError):
+            packing_coefficients(4, 3, -4)
+
+    @given(st.integers(1, 10**6) | st.integers(10**999, 10**1000 - 1), st.integers(0, 10**6),
+           st.sampled_from((1, -1, 2, -2, 3, -3)), st.lists(st.tuples(rationals, rationals), min_size=3, max_size=3))
+    @example(10**999 + 7, 10**6 + 1, -3, [(Fraction(1, 3), Fraction(-7, 2)), (0, 1), (5, 0)])
+    def test_coefficients_match_factored_form(self, n, m, k, points):
+        # (n/2)(x - beta y)(x - beta y - kl/n) + x + ((kl - (m-1))/n) y + |k| - 1, evaluated as written
+        kl = k * gcd(m - 1, n)
+        beta = Fraction(m - 1, n)
+        poly = QuadPoly(*packing_coefficients(n, m, k))
+        for x, y in points:
+            factored = (Fraction(n, 2) * (x - beta * y) * (x - beta * y - Fraction(kl, n))
+                        + x + Fraction(kl - (m - 1), n) * y + abs(k) - 1)
+            assert poly(x, y) == factored
 
 
 class TestTransformedPolynomial:
