@@ -1,45 +1,31 @@
-"""Tabulating classifications over ranges of rational slopes.
+"""Tabulating classifications over ranges of rational slopes: the atlas is its class table.
 
-One row per coprime (n, m) sector plus the first-quadrant row (1, 0), each
-carrying the derived arithmetic, the admissible step constants, the polynomial
-coefficient tuples and the canonical shear representative (n, m mod n).  The
-arithmetic depends on the sector only through n and l = gcd(m-1, n), and the
-shear (x, y) -> (x + t y, y) leaves all but the polynomials unchanged, so the
-rows of a class (n, m mod n) share the class facts, taken from (n, l); each row's
-polynomials are ``poly.packing_coefficients`` of its own (n, m) for the ks of its class.  Serialization
-is byte-reproducible: JSON keeps rationals as numerator/denominator strings,
-CSV as "p/q" text.  Both texts are written directly, one piece per row joined once:
-every JSON key is fixed and every value an integer or a string of digits, laid out
-as ``json.dumps(indent=2)``; every CSV field is an integer, a rational printed from
-its numerator and denominator as ``str(Fraction)`` prints it, or numbers joined by
-" " and ";", so nothing needs escaping, and no field holds ",", '"' or a newline to quote.
+A sector n/m depends on m only through its class r = m mod n: l = gcd(m-1, n), n/l, l^2/n, the admissible
+step constants k and the canonical shear representative (n, r) are those of every m of the class; only the
+closed-form polynomial coefficients change with m.  So ``build_atlas`` keeps, for each n, the classes r that
+hold a coprime m <= mmax, each with its ``SectorArithmetic`` and its ks, and builds no row.  The rows are
+implied: row (n, m) exists for each 0 <= m <= mmax whose class m mod n is in n's table (every coprime m >= 1,
+and the first-quadrant row m = 0 on n = 1), and class r of n holds (mmax - r)//n + 1 of them.
+
+The writers lay a row's text out once for all classes of n with the same l and ks, then write each row, in (n, m)
+order, as one f-string of m, r and that text, plus the polynomials of a row with ks: the integer (num, den) pairs
+of ``poly.packing_coefficients`` of its own (n, m).  Both texts are joined once from one piece per row: the JSON
+as ``json.dumps(indent=2)`` lays it out, rationals as numerator/denominator strings; the CSV with rationals as
+``str(Fraction)`` prints them and numbers joined by " " and ";", so no field holds ",", '"' or a newline to quote.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
-from .classify import admissible_ks, sector_arithmetic
+from .classify import SectorArithmetic, admissible_ks, sector_arithmetic
 from .geometry import SectorSpec
 from .poly import packing_coefficients
 
 
 MAX_ATLAS_CELLS = 250_000  # nmax * mmax: the (n, m) pairs an atlas scans
 
-
-class AtlasRow(NamedTuple):
-    n: int
-    m: int
-    l: int
-    n_over_l: int
-    l2_over_n: Fraction
-    qpp_count: int
-    ks: tuple[int, ...]
-    polynomials: tuple[tuple[Fraction, ...], ...]
-    canonical: tuple[int, int]
+Atlas = dict[int, dict[int, tuple[SectorArithmetic, tuple[int, ...]]]]  # n -> {r: (arithmetic, ks)}, keys ascending
 
 
 def check_atlas_size(nmax: int, mmax: int) -> None:
@@ -50,51 +36,62 @@ def check_atlas_size(nmax: int, mmax: int) -> None:
         raise ValueError(f"atlas of nmax {nmax} by mmax {mmax} has more than {MAX_ATLAS_CELLS} cells")
 
 
-def build_atlas(nmax: int, mmax: int) -> list[AtlasRow]:
-    """All rows for coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0), in (n, m) order.
+def build_atlas(nmax: int, mmax: int) -> Atlas:
+    """The class table of the coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0); n and r ascending.
 
-    Class facts come from (n, l) with l = gcd(m-1, n): ``sector_arithmetic`` runs once per pair
-    (n, l), and ``admissible_ks`` once per class (n, m mod n) whose (n, l) has n | l^2; the other
-    classes have no ks.  The canonical pair of a class is (n, m mod n).  Each row's polynomials are
-    ``packing_coefficients(n, m, k)`` for those ks, as ``classify`` lists them.
-    A range that ``check_atlas_size`` refuses raises its ``ValueError`` before any row is built.
+    A class's first m is its residue r, so n's classes are the r < min(n, mmax + 1) coprime to n; r = 0 only
+    for n = 1.  ``sector_arithmetic`` runs once per pair (n, l), l = gcd(r-1, n), and ``admissible_ks`` once per
+    class whose (n, l) has n | l^2; the other classes have no ks.  A range that ``check_atlas_size`` refuses raises
+    its ``ValueError`` before any class is built.
     """
     check_atlas_size(nmax, mmax)
-    rows = []
+    atlas = {}
     for n in range(1, nmax + 1):
         arithmetic = {}  # l -> sector_arithmetic of this n's sectors with gcd(m-1, n) = l
-        classes = {}  # m mod n -> (l, n/l, l^2/n, qpp count, ks, canonical pair), for the m <= mmax coprime to n
-        for r in range(min(n, mmax + 1)):  # each class's first m is its residue; r = 0 only for n = 1
+        classes = atlas[n] = {}
+        for r in range(min(n, mmax + 1)):
             if gcd(n, r) == 1:
                 l = gcd(r - 1, n)
                 ar = arithmetic.get(l)
                 if ar is None:
                     ar = arithmetic[l] = sector_arithmetic(SectorSpec(n, r))
-                ks = tuple(admissible_ks(SectorSpec(n, r), ar)) if ar.divides_n_l2 else ()
-                classes[r] = (l, ar.n_over_l, ar.l2_over_n, len(ks), ks, (n, r))
-        for m in range(mmax + 1):
-            cls = classes.get(m % n)
-            if cls is not None:
-                l, n_over_l, l2_over_n, qpp_count, ks, canonical = cls
-                polys = tuple(packing_coefficients(n, m, k) for k in ks) if ks else ()
-                rows.append(AtlasRow(n, m, l, n_over_l, l2_over_n, qpp_count, ks, polys, canonical))
-    return rows
+                classes[r] = (ar, tuple(admissible_ks(SectorSpec(n, r), ar)) if ar.divides_n_l2 else ())
+    return atlas
 
 
-def summary_counts(rows: list[AtlasRow]) -> dict[int, int]:
-    return dict(sorted(Counter(row.qpp_count for row in rows).items()))
+def summary_counts(atlas: Atlas, mmax: int) -> dict[int, int]:
+    """Rows per number of packing polynomials, ascending: class r of n holds (mmax - r)//n + 1 rows."""
+    counts = [0] * 7  # a row has 0, 1, 2 or 4 of the six ks
+    for n, classes in atlas.items():
+        for r, (_, ks) in classes.items():
+            counts[len(ks)] += (mmax - r) // n + 1
+    return {c: rows for c, rows in enumerate(counts) if rows}
 
 
-def summary_line(rows: list[AtlasRow]) -> str:
-    by_count = " ".join(f"qpp{c}={n}" for c, n in summary_counts(rows).items())
-    return f"sectors={len(rows)} {by_count}"
+def summary_line(atlas: Atlas, mmax: int) -> str:
+    counts = summary_counts(atlas, mmax)
+    by_count = " ".join(f"qpp{c}={n}" for c, n in counts.items())
+    return f"sectors={sum(counts.values())} {by_count}"
 
 
 # -- serialization -------------------------------------------------------------
 
 
-def rational_json(q: Fraction) -> dict[str, str]:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+def _rows(atlas: Atlas, mmax: int, layout):
+    """(n, m, m mod n, ks, layout(n, arithmetic, ks)) of each row in (n, m) order; the layout runs once per (l, ks)."""
+    for n, classes in atlas.items():
+        texts = {}  # (l, ks) -> layout(n, arithmetic, ks)
+        laid = []  # (r, ks, text) of each class, r ascending
+        for r, (ar, ks) in classes.items():
+            text = texts.get((ar.l, ks))
+            if text is None:
+                text = texts[ar.l, ks] = layout(n, ar, ks)
+            laid.append((r, ks, text))
+        for base in range(0, mmax + 1, n):
+            for r, ks, text in laid:
+                if base + r > mmax:
+                    break
+                yield n, base + r, r, ks, text
 
 
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -103,42 +100,43 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{pad}  {inner.join(items)}\n{pad}{brackets[1]}" if items else brackets
 
 
-def _rational_text(q: Fraction, pad: str) -> str:
-    return f'{{\n{pad}  "num": "{q.numerator}",\n{pad}  "den": "{q.denominator}"\n{pad}}}'
+def _json_class(n: int, ar: SectorArithmetic, ks: tuple[int, ...]) -> tuple[str, str, str]:
+    """(a row's text before m, after m up to the polynomials, after them up to r); without ks, after m up to r."""
+    after_m = f""",
+      "l": {ar.l},
+      "n_over_l": {ar.n_over_l},
+      "l2_over_n": {{
+        "num": "{ar.l2_over_n.numerator}",
+        "den": "{ar.l2_over_n.denominator}"
+      }},
+      "qpp_count": {len(ks)},
+      "ks": {_json_block([str(k) for k in ks], " " * 6)},
+      "polynomials": """
+    after_polys = f',\n      "canonical_sector": [\n        {n},\n        '
+    head = f',\n    {{\n      "n": {n},\n      "m": '
+    return (head, after_m, after_polys) if ks else (head, f"{after_m}[]{after_polys}", "")
 
 
-def atlas_to_json(rows: list[AtlasRow], nmax: int, mmax: int) -> str:
+def _json_polynomials(n: int, m: int, ks: tuple[int, ...]) -> str:
+    pad = " " * 10
+    return _json_block([_json_block([f'{{\n{pad}  "num": "{num}",\n{pad}  "den": "{den}"\n{pad}}}'
+                                     for num, den in packing_coefficients(n, m, k)], " " * 8) for k in ks], " " * 6)
+
+
+def atlas_to_json(atlas: Atlas, nmax: int, mmax: int) -> str:
     """The atlas as ``json.dumps(indent=2)`` lays it out, joined once from a head, one piece per row and a tail."""
     parts = [f'{{\n  "nmax": {nmax},\n  "mmax": {mmax},\n  "rows": [']
-    lead = "\n    "  # what precedes a row: the opening line break, then a comma too
-    for n, m, l, n_over_l, l2_over_n, qpp_count, ks, polynomials, (canonical_n, canonical_m) in rows:
-        # most rows have no ks: writing "[]" for them skips building and laying out empty lists
-        ks_text = _json_block([str(k) for k in ks], " " * 6) if ks else "[]"
-        polys = _json_block([_json_block([_rational_text(c, " " * 10) for c in poly], " " * 8)
-                             for poly in polynomials], " " * 6) if polynomials else "[]"
-        parts.append(f"""{lead}{{
-      "n": {n},
-      "m": {m},
-      "l": {l},
-      "n_over_l": {n_over_l},
-      "l2_over_n": {{
-        "num": "{l2_over_n.numerator}",
-        "den": "{l2_over_n.denominator}"
-      }},
-      "qpp_count": {qpp_count},
-      "ks": {ks_text},
-      "polynomials": {polys},
-      "canonical_sector": [
-        {canonical_n},
-        {canonical_m}
-      ]
-    }}""")
-        lead = ",\n    "
-    close = "\n  ]" if rows else "]"
-    by_count = _json_block([f'"{c}": {n}' for c, n in summary_counts(rows).items()], "    ", "{}")
+    for n, m, r, ks, (head, after_m, after_polys) in _rows(atlas, mmax, _json_class):
+        polys = _json_polynomials(n, m, ks) if ks else ""
+        parts.append(f"{head}{m}{after_m}{polys}{after_polys}{r}\n      ]\n    }}")
+    close = "\n  ]" if len(parts) > 1 else "]"
+    if len(parts) > 1:
+        parts[1] = parts[1][1:]  # each row opens with the comma that follows the row before it
+    counts = summary_counts(atlas, mmax)
+    by_count = _json_block([f'"{c}": {n}' for c, n in counts.items()], "    ", "{}")
     parts.append(f"""{close},
   "summary": {{
-    "total": {len(rows)},
+    "total": {sum(counts.values())},
     "by_count": {by_count}
   }}
 }}
@@ -146,20 +144,22 @@ def atlas_to_json(rows: list[AtlasRow], nmax: int, mmax: int) -> str:
     return "".join(parts)
 
 
-def _rational_csv(q: Fraction) -> str:
-    """``str(q)``: "p" for an integer, else "p/q"."""
-    num, den = q.as_integer_ratio()
+def _rational_csv(num: int, den: int) -> str:
+    """num/den as ``str(Fraction)`` prints it: "p" for an integer, else "p/q"."""
     return f"{num}" if den == 1 else f"{num}/{den}"
 
 
-def atlas_to_csv(rows: list[AtlasRow]) -> str:
+def _csv_class(n: int, ar: SectorArithmetic, ks: tuple[int, ...]) -> tuple[str, str]:
+    """(a row's text before m, after m up to r); a row ends with r, a comma and its polynomials."""
+    l2_over_n = _rational_csv(ar.l2_over_n.numerator, ar.l2_over_n.denominator)
+    return f"{n},", f",{ar.l},{ar.n_over_l},{l2_over_n},{len(ks)},{' '.join(map(str, ks))},{n},"
+
+
+def atlas_to_csv(atlas: Atlas, mmax: int) -> str:
     """The atlas as CSV lines, joined once: the header, one line per row, the summary comment."""
     lines = ["n,m,l,n_over_l,l2_over_n,qpp_count,ks,canonical_n,canonical_m,polynomials\n"]
-    for n, m, l, n_over_l, l2_over_n, qpp_count, ks, polynomials, (canonical_n, canonical_m) in rows:
-        ks_text = " ".join(map(str, ks)) if ks else ""  # most rows have none: skip the joins
-        polys = ";".join(" ".join(map(_rational_csv, poly)) for poly in polynomials) if polynomials else ""
-        num, den = l2_over_n.as_integer_ratio()  # written as _rational_csv writes it
-        lines.append(f"{n},{m},{l},{n_over_l},{num}{'' if den == 1 else f'/{den}'},{qpp_count},{ks_text},"
-                     f"{canonical_n},{canonical_m},{polys}\n")
-    lines.append(f"# {summary_line(rows)}\n")
+    for n, m, r, ks, (head, after_m) in _rows(atlas, mmax, _csv_class):
+        polys = ";".join(" ".join(_rational_csv(*c) for c in packing_coefficients(n, m, k)) for k in ks) if ks else ""
+        lines.append(f"{head}{m}{after_m}{r},{polys}\n")
+    lines.append(f"# {summary_line(atlas, mmax)}\n")
     return "".join(lines)

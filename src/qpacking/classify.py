@@ -6,11 +6,11 @@ polynomial then lies in {+-1, +-2, +-3} and must satisfy, sign included,
 
     u = k (mod n/l),   and   l^2/n = 4 when |k| = 2,   l^2/n = 3 when |k| = 3.
 
-Each admissible k yields exactly one polynomial, the expanded closed form of
-``poly.packing_coefficients``.  Note that the two signs of k are admitted
-independently: for n/l >= 3 a sector can carry a single packing polynomial
-(9/4 carries only k = 1; its descending partner lives on the flipped sector
-9/7), so the count per sector is 0, 1, 2, or 4.
+Each admissible k yields exactly one polynomial, the expanded closed form whose
+six coefficients ``poly.packing_coefficients`` gives as integer (num, den) pairs
+in lowest terms.  The two signs of k are admitted independently: for n/l >= 3 a
+sector can carry one packing polynomial (9/4 carries only k = 1; its descending
+partner lives on the flipped sector 9/7), so a sector has 0, 1, 2, or 4.
 """
 
 from __future__ import annotations

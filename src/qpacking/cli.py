@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .atlas import atlas_to_csv, atlas_to_json, build_atlas, check_atlas_size, rational_json, summary_line
+from .atlas import atlas_to_csv, atlas_to_json, build_atlas, check_atlas_size, summary_line
 from .classify import classify, no_qpp_reason, sector_arithmetic
 from .geometry import make_sector
 from .poly import QuadPoly, format_factored, format_poly
@@ -89,6 +89,10 @@ def _write(path: str, make) -> int:
         return 1
     print(note)
     return 0
+
+
+def rational_json(q: Fraction) -> dict[str, str]:
+    return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
 def _cmd_classify(args) -> int:
@@ -206,9 +210,9 @@ def _cmd_search(args) -> int:
 
 def _cmd_atlas(args) -> int:
     def make():
-        rows = build_atlas(args.nmax, args.mmax)
-        text = atlas_to_json(rows, args.nmax, args.mmax) if args.format == "json" else atlas_to_csv(rows)
-        return text, f"{summary_line(rows)} -> {out}"
+        atlas = build_atlas(args.nmax, args.mmax)
+        text = atlas_to_json(atlas, args.nmax, args.mmax) if args.format == "json" else atlas_to_csv(atlas, args.mmax)
+        return text, f"{summary_line(atlas, args.mmax)} -> {out}"
     out = args.out or f"atlas.{args.format}"
     return _write(out, make)
 

@@ -138,23 +138,19 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be one of +-1, +-2, +-3, got {k}")
 
 
-def packing_coefficients(n: int, m: int, k: int) -> tuple[Fraction, ...]:
+def packing_coefficients(n: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     """Monomial coefficients (x^2, xy, y^2, x, y, 1) of the packing polynomial of sector n/m with step constant k.
 
     The one home of the closed form: with l = gcd(m-1, n) it is the expansion of
     (n/2)(x - ((m-1)/n) y)(x - ((m-1)/n) y - kl/n) + x + ((kl - (m-1))/n) y + |k| - 1.
+    Each coefficient is an integer pair (num, den) in lowest terms with den > 0, as a ``Fraction`` holds it.
     This is pure algebra, with no admissibility check; a k outside +-1, +-2, +-3 raises ``ValueError``.
     """
     _check_k(k)
     kl = k * gcd(m - 1, n)
-    return (
-        Fraction(n, 2),
-        Fraction(1 - m),
-        Fraction((m - 1) ** 2, 2 * n),
-        Fraction(2 - kl, 2),
-        Fraction(kl * (m - 1) + 2 * (kl - (m - 1)), 2 * n),
-        Fraction(abs(k) - 1),
-    )
+    pairs = ((n, 2), (1 - m, 1), ((m - 1) ** 2, 2 * n), (2 - kl, 2), (kl * (m - 1) + 2 * (kl - (m - 1)), 2 * n),
+             (abs(k) - 1, 1))
+    return tuple((num // (g := gcd(num, den)), den // g) for num, den in pairs)
 
 
 def packing_polynomial(s: SectorSpec, k: int) -> QuadPoly:
@@ -162,7 +158,7 @@ def packing_polynomial(s: SectorSpec, k: int) -> QuadPoly:
 
     Its coefficients are ``packing_coefficients(s.n, s.m, k)``, the one home of the closed form.
     """
-    return QuadPoly(*packing_coefficients(s.n, s.m, k))
+    return QuadPoly(*(Fraction(num, den) for num, den in packing_coefficients(s.n, s.m, k)))
 
 
 # -- canonical text rendering -------------------------------------------------

@@ -12,10 +12,12 @@ checks.  ``reference_search`` certifies every candidate of a search box, the
 reference for the prescreened ``brute_force_search``.  ``reference_prescreen``
 is the search's int64 prescreen with one sort per candidate and each
 survivor's first missing value found in a set, the reference for the blocked
-``_prescreen``.  ``reference_atlas_json`` is the atlas JSON as
-``json.dumps(indent=2)`` writes it, the reference for the directly written
-text of ``atlas_to_json``; ``reference_atlas_csv`` is the atlas CSV as
-``csv.writer`` writes it, the reference for ``atlas_to_csv``.  ``parse_poly`` reads the text of ``format_poly``
+``_prescreen``.  ``atlas_rows`` expands an atlas class table into the rows it
+implies, with polynomials from ``packing_polynomial``; from those rows
+``reference_atlas_json`` is the atlas JSON as ``json.dumps(indent=2)`` writes
+it, the reference for the directly written text of ``atlas_to_json``, and
+``reference_atlas_csv`` is the atlas CSV as ``csv.writer`` writes it, with a
+summary line counted from the rows, the reference for ``atlas_to_csv``.  ``parse_poly`` reads the text of ``format_poly``
 back, the oracle of its round-trip test.
 
 The paper's proof objects are small oracles here, built from their defining
@@ -37,14 +39,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count, product
 from math import floor, gcd
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
-from qpacking.atlas import summary_line
-from qpacking.classify import classify, forced_quadratic_coeffs
+from qpacking.classify import SectorArithmetic, classify, forced_quadratic_coeffs
 from qpacking.geometry import SectorSpec, UnimodularMap, make_sector, shear_map, x_axis_reflection
-from qpacking.poly import _MONOMIAL_FIELDS, AlphaFormCoeffs, QuadPoly
+from qpacking.poly import _MONOMIAL_FIELDS, AlphaFormCoeffs, QuadPoly, packing_polynomial
 from qpacking.staircase import first_step_y
 from qpacking.verify import Failure, SearchBounds, WindowCertificate, packing_window_verify
 
@@ -402,9 +404,38 @@ def _rational_payload(q: Fraction) -> dict[str, str]:
     return {"num": str(q.numerator), "den": str(q.denominator)}
 
 
-def reference_atlas_payload(rows, nmax: int, mmax: int) -> dict:
+class AtlasRow(NamedTuple):
+    n: int
+    m: int
+    arithmetic: SectorArithmetic
+    ks: tuple[int, ...]
+    polynomials: tuple[tuple[Fraction, ...], ...]
+
+
+def atlas_rows(atlas, mmax: int) -> list[AtlasRow]:
+    """The rows that a class table implies, in (n, m) order: each m <= mmax whose class m mod n is in n's table.
+
+    Each row's polynomials are ``packing_polynomial`` of its own sector for the ks of its class.
+    """
+    rows = []
+    for n in sorted(atlas):
+        for m in range(mmax + 1):
+            if m % n in atlas[n]:
+                ar, ks = atlas[n][m % n]
+                polys = tuple(packing_polynomial(SectorSpec(n, m), k).coefficients() for k in ks)
+                rows.append(AtlasRow(n, m, ar, ks, polys))
+    return rows
+
+
+def reference_summary_line(rows: list[AtlasRow]) -> str:
+    counts = sorted(Counter(len(row.ks) for row in rows).items())
+    return f"sectors={len(rows)} " + " ".join(f"qpp{c}={n}" for c, n in counts)
+
+
+def reference_atlas_payload(atlas, nmax: int, mmax: int) -> dict:
     """The atlas as the JSON value that ``atlas_to_json`` must encode."""
-    counts = sorted(Counter(row.qpp_count for row in rows).items())
+    rows = atlas_rows(atlas, mmax)
+    counts = sorted(Counter(len(row.ks) for row in rows).items())
     return {
         "nmax": nmax,
         "mmax": mmax,
@@ -412,13 +443,13 @@ def reference_atlas_payload(rows, nmax: int, mmax: int) -> dict:
             {
                 "n": row.n,
                 "m": row.m,
-                "l": row.l,
-                "n_over_l": row.n_over_l,
-                "l2_over_n": _rational_payload(row.l2_over_n),
-                "qpp_count": row.qpp_count,
+                "l": row.arithmetic.l,
+                "n_over_l": row.arithmetic.n_over_l,
+                "l2_over_n": _rational_payload(row.arithmetic.l2_over_n),
+                "qpp_count": len(row.ks),
                 "ks": list(row.ks),
                 "polynomials": [[_rational_payload(c) for c in poly] for poly in row.polynomials],
-                "canonical_sector": list(row.canonical),
+                "canonical_sector": [row.n, row.m % row.n],
             }
             for row in rows
         ],
@@ -426,25 +457,26 @@ def reference_atlas_payload(rows, nmax: int, mmax: int) -> dict:
     }
 
 
-def reference_atlas_json(rows, nmax: int, mmax: int) -> str:
+def reference_atlas_json(atlas, nmax: int, mmax: int) -> str:
     """``atlas_to_json`` as ``json.dumps(payload, indent=2)`` plus a newline."""
-    return json.dumps(reference_atlas_payload(rows, nmax, mmax), indent=2) + "\n"
+    return json.dumps(reference_atlas_payload(atlas, nmax, mmax), indent=2) + "\n"
 
 
 CSV_HEADER = ["n", "m", "l", "n_over_l", "l2_over_n", "qpp_count", "ks", "canonical_n", "canonical_m", "polynomials"]
 
 
-def reference_atlas_csv(rows) -> str:
+def reference_atlas_csv(atlas, mmax: int) -> str:
     """``atlas_to_csv`` as ``csv.writer`` writes it."""
+    rows = atlas_rows(atlas, mmax)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for row in rows:
         polys = ";".join(" ".join(str(c) for c in poly) for poly in row.polynomials)
         writer.writerow([
-            row.n, row.m, row.l, row.n_over_l, str(row.l2_over_n),
-            row.qpp_count, " ".join(str(k) for k in row.ks),
-            row.canonical[0], row.canonical[1], polys,
+            row.n, row.m, row.arithmetic.l, row.arithmetic.n_over_l, str(row.arithmetic.l2_over_n),
+            len(row.ks), " ".join(str(k) for k in row.ks),
+            row.n, row.m % row.n, polys,
         ])
-    buffer.write(f"# {summary_line(rows)}\n")
+    buffer.write(f"# {reference_summary_line(rows)}\n")
     return buffer.getvalue()

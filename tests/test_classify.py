@@ -1,6 +1,7 @@
+import json
 from fractions import Fraction
 
-from qpacking.atlas import build_atlas
+from qpacking.atlas import atlas_to_json, build_atlas
 from qpacking.classify import (
     admissible_ks,
     classify,
@@ -171,16 +172,21 @@ class TestConstantTerm:
 
 
 class TestCanonicalSector:
+    @staticmethod
+    def canonical_pairs(nmax: int, mmax: int) -> dict[tuple[int, int], tuple[int, int]]:
+        rows = json.loads(atlas_to_json(build_atlas(nmax, mmax), nmax, mmax))["rows"]
+        return {(row["n"], row["m"]): tuple(row["canonical_sector"]) for row in rows}
+
     def test_examples(self):
         # an atlas row names its shear representative (n, m mod n)
-        canonical = {(row.n, row.m): row.canonical for row in build_atlas(12, 19)}
+        canonical = self.canonical_pairs(12, 19)
         assert canonical[(3, 4)] == (3, 1)
         assert canonical[(12, 19)] == (12, 7)
         assert canonical[(4, 1)] == (4, 1)
         assert canonical[(1, 5)] == (1, 0)
 
     def test_shear_equivalence_of_classification(self):
-        canonical = {(row.n, row.m): row.canonical for row in build_atlas(20, 20)}
+        canonical = self.canonical_pairs(20, 20)
         for s in coprime_sectors(20, 20):
             canon = SectorSpec(s.n, s.m % s.n)
             assert canonical[(s.n, s.m)] == (canon.n, canon.m)

@@ -291,21 +291,21 @@ def test_atlas_300_matches_bench_goldens(fmt, golden, tmp_path, capsys):
 
 
 def test_atlas_out_holds_the_text_at_most_twice(tmp_path, capsys):
-    # one join of the row pieces into the text, then one write of it: beyond the rows themselves the
+    # one join of the row pieces into the text, then one write of it: beyond the class table the
     # peak is the pieces and the text (or the text and its encoded bytes), about twice the file's size;
     # a layout that joins the rows and then copies them into an enclosing text holds three times it
     out = tmp_path / "atlas.json"
     tracemalloc.start()
     try:
         build_atlas(120, 120)
-        rows_peak = tracemalloc.get_traced_memory()[1]
+        table_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         assert run(["atlas", "--nmax", "120", "--mmax", "120", "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert out.stat().st_size > 3_000_000
-    assert peak - rows_peak < 2.5 * out.stat().st_size
+    assert peak - table_peak < 2.5 * out.stat().st_size
     capsys.readouterr()
 
 

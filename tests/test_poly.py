@@ -128,9 +128,12 @@ class TestPackingPolynomial:
     @example(10**999 + 7, 10**6 + 1, -3, [(Fraction(1, 3), Fraction(-7, 2)), (0, 1), (5, 0)])
     def test_coefficients_match_factored_form(self, n, m, k, points):
         # (n/2)(x - beta y)(x - beta y - kl/n) + x + ((kl - (m-1))/n) y + |k| - 1, evaluated as written
+        # each coefficient is a (num, den) pair in lowest terms with den > 0, as str(Fraction) prints it
+        pairs = packing_coefficients(n, m, k)
+        assert all(gcd(num, den) == 1 and den > 0 for num, den in pairs)
         kl = k * gcd(m - 1, n)
         beta = Fraction(m - 1, n)
-        poly = QuadPoly(*packing_coefficients(n, m, k))
+        poly = QuadPoly(*(Fraction(num, den) for num, den in pairs))
         for x, y in points:
             factored = (Fraction(n, 2) * (x - beta * y) * (x - beta * y - Fraction(kl, n))
                         + x + Fraction(kl - (m - 1), n) * y + abs(k) - 1)
