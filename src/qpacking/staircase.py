@@ -32,13 +32,22 @@ def lattice_window(s: SectorSpec, x_max: int) -> np.ndarray:
     """All lattice points of the sector with x <= x_max: an (N, 2) int64 array of rows (x, y), lexicographic.
 
     For the first quadrant the window is the box 0 <= x, y <= x_max, so that
-    enumeration stays finite.  Column x holds ``column_heights`` points.
+    enumeration stays finite.  Column x holds ``column_heights`` points.  The
+    array is a view of one C-contiguous (2, N) block, the x row over the y row,
+    so its ``.T`` gives both rows without a copy.
     """
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
     heights = np.fromiter(column_heights(s, x_max), dtype=np.int64, count=x_max + 1)
-    starts = np.repeat(np.cumsum(heights) - heights, heights)
-    return np.column_stack((np.repeat(np.arange(x_max + 1), heights), np.arange(starts.size) - starts))
+    ends = np.cumsum(heights)
+    # each row is the running sum of its steps from point to point, summed in place: x steps
+    # by 1 into a new column, and y by 1 up a column and down to 0 into the next one
+    block = np.zeros((2, int(ends[-1])), dtype=np.int64)
+    block[1, 1:] = 1
+    block[0, ends[:-1]] = 1
+    block[1, ends[:-1]] -= heights[:-1]
+    np.cumsum(block, axis=1, out=block)
+    return block.T
 
 
 def first_step_y(s: SectorSpec, i: int) -> int:

@@ -9,10 +9,11 @@ initial segment {0, ..., T} correctly, no matter what happens further out.
 
 Window values are exact integers from one place: ``window_values`` evaluates
 L*p, with L the lcm of p's coefficient denominators, on the arrays of
-``_window``, int64 only when the window's extents prove that nothing can
-overflow.  The certificate sorts them once, stably, and fails at the first
-point in ``lattice_window`` order that is non-integral, negative or a repeat,
-by the first such check; the sorted values give its first missing value.  The
+``_window``, in int32 or int64 only when the window's extents prove that
+nothing can overflow.  The certificate sorts them once.  Only a failing window
+is ranked, stably, to name its witness: the first point in ``lattice_window``
+order that is non-integral, negative or a repeat, by the first such check.  A
+passing window's first missing value comes from the sorted values.  The
 bound on the points a window leaves out also has one place: ``_tail_floor``
 works on integer coefficients, such as those of L*p, and an integer edge
 x_max + 1.  Its case analysis tests the directions inside the cone for
@@ -231,21 +232,25 @@ def _tail_floor(coeffs: tuple[int, ...], s: SectorSpec, x_max: int) -> tuple[int
 
 
 def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y arrays of the window x <= x_max, in ``lattice_window`` order.
+    """The x and y rows of the window x <= x_max, in ``lattice_window`` order.
 
     A window whose bounding box (x_max + 1)(y_top + 1) holds more than
     ``MAX_WINDOW_POINTS`` points is refused with ``ValueError`` before any
     point is built.  On the window, a quadratic with integer coefficients of
-    size at most cap, and each of its partial sums, has size at most cap * (x_max + y_top + 1)^2.
-    The arrays are int64 when that is below 2^62, else Python-int object arrays.
+    size at most cap has size at most cap * (x_max + y_top + 1)^2, and so has
+    each partial sum of its Horner form in ``window_values`` and of the
+    alpha-form terms in ``_prescreen``.  The rows are int32 when that bound is
+    below 2^30, int64 when it is below 2^62, and Python-int object arrays
+    otherwise; the int64 rows are views of the block ``lattice_window`` builds.
     """
     y_top = x_max if s.m == 0 else s.n * x_max // s.m
     box = (x_max + 1) * (y_top + 1)
     if box > MAX_WINDOW_POINTS:
         raise ValueError(f"window x <= {x_max} has a bounding box of {number_text(box)} lattice points, "
                          f"more than the limit of {MAX_WINDOW_POINTS}")
-    dtype = np.int64 if cap * (x_max + y_top + 1) ** 2 < 2 ** 62 else object
-    xs, ys = np.ascontiguousarray(lattice_window(s, x_max).T, dtype=dtype)  # contiguous rows evaluate faster
+    bound = cap * (x_max + y_top + 1) ** 2
+    dtype = np.int32 if bound < 2 ** 30 else np.int64 if bound < 2 ** 62 else object
+    xs, ys = lattice_window(s, x_max).T.astype(dtype, copy=False)
     return xs, ys
 
 
@@ -253,12 +258,24 @@ def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[np.ndarray, n
     """(xs, ys, L, L*p at each point) on the window x <= x_max, exactly.
 
     L is the lcm of p's coefficient denominators, inside the size bound of ``_window`` so that L*p // L
-    and L*p % L stay exact: p(pt) is integral iff L divides L*p(pt).
+    and L*p % L stay exact: p(pt) is integral iff L divides L*p(pt).  L*p is evaluated in place in
+    Horner form, (c y + b x + e) y + (a x + d) x + f, with two window-sized arrays; each partial sum
+    is within that bound, so the values are exact in the rows' dtype.
     """
     scale, coeffs = _scaled(p)
     a, b, c, d, e, f = coeffs
     xs, ys = _window(s, x_max, max(scale, *map(abs, coeffs)))
-    return xs, ys, scale, a * xs * xs + b * xs * ys + c * ys * ys + d * xs + e * ys + f
+    vals = ys * c
+    term = xs * b
+    vals += term
+    vals += e
+    vals *= ys
+    np.multiply(xs, a, out=term)
+    term += d
+    term *= xs
+    vals += term
+    vals += f
+    return xs, ys, scale, vals
 
 
 def _first_missing(ranked: np.ndarray) -> np.ndarray:
@@ -278,12 +295,13 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     xs, ys, scale, vals = window_values(p, s, x_max)
     q, r = vals // scale, vals % scale
-    # stable: each repeat follows its first point; equal q with unequal r fail first as non-integral
-    order = np.argsort(q, kind="stable")
-    ranked = q[order]
-    bad = (r != 0) | (q < 0)
-    bad[order[1:][ranked[1:] == ranked[:-1]]] = True
-    if bad.any():
+    ranked = np.sort(q)
+    repeats = ranked[1:] == ranked[:-1]
+    if r.any() or ranked[0] < 0 or repeats.any():
+        # stable: each repeat follows its first point; equal q with unequal r fail first as non-integral
+        order = np.argsort(q, kind="stable")
+        bad = (r != 0) | (q < 0)
+        bad[order[1:][repeats]] = True
         i = int(bad.argmax())
         pt, v = (int(xs[i]), int(ys[i])), Fraction(int(vals[i]), scale)
         if r[i]:
@@ -367,8 +385,9 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray,
     followed by the first value >= 0 that its window does not take (xs.size if it takes 0..size-1).
 
     Values are (A, B, C, D, E) rows times the matrix of terms x(x-1)/2, xy, y(y-1)/2, x, y at the
-    points; the bound of ``_window`` covers every partial sum of these alpha-form products, so
-    they are exact in int64.  Stage 1 evaluates every candidate on the ``_SIEVE`` window
+    points; the bound of ``_window`` covers every partial sum of these alpha-form products, and
+    the terms themselves as A >= 1, so they are exact in int64, to which the product promotes
+    int32 terms.  Stage 1 evaluates every candidate on the ``_SIEVE`` window
     points first in a stable sort of x + y (the whole window when it is smaller), in blocks of
     about ``_BLOCK // _SIEVE`` consecutive candidates, and drops those whose values there repeat
     or need F = -min above ``bounds.f``.  It drops only candidates that the full window drops:

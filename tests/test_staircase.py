@@ -42,6 +42,7 @@ class TestLatticeWindow:
     def test_array_contract(self, s, x_max):
         window = lattice_window(s, x_max)
         assert window.dtype == np.int64 and window.ndim == 2 and window.shape[1] == 2
+        assert window.T.flags.c_contiguous  # one (2, N) block: the x and y rows are read without a copy
         assert list(map(tuple, window.tolist())) == reference_window(s, x_max)
 
     def test_1000_digit_slope(self):

@@ -10,7 +10,7 @@ from qpacking import verify
 from qpacking.classify import classify, forced_quadratic_coeffs
 from qpacking.geometry import make_sector
 from qpacking.poly import AlphaFormCoeffs, QuadPoly, packing_polynomial
-from qpacking.staircase import first_step_y
+from qpacking.staircase import first_step_y, lattice_window
 from qpacking.verify import (
     SearchBounds,
     _prescreen,
@@ -262,6 +262,27 @@ class TestPackingWindowVerify:
         p, s = case
         assert packing_window_verify(p, s, x_max) == reference_window_verify(p, s, x_max)
 
+    # 2^k p with k up to 70 puts the window values of one case in every dtype
+    # tier of ``_window``; a classified p scaled by 2^k, k >= 1, misses the value 1
+    @settings(max_examples=300, deadline=None)
+    @given(random_cases | classified_cases, st.integers(0, 70), st.integers(1, 10))
+    @example((EX1, make_sector(4, 3)), 0, 10)  # int32, passes
+    @example((EX1, make_sector(4, 3)), 20, 10)  # int64, coverage gap
+    @example((EX1, make_sector(4, 3)), 70, 10)  # Python ints, coverage gap
+    @example((QuadPoly(-1, 0, 0, 1, 0, 0), make_sector(1, 1)), 40, 3)  # int64, collision
+    def test_scaled_matches_fraction_reference(self, case, k, x_max):
+        p, s = case
+        p = QuadPoly(*(2**k * c for c in p.coefficients()))
+        assert packing_window_verify(p, s, x_max) == reference_window_verify(p, s, x_max)
+
+    def test_values_beyond_int32_stay_exact(self):
+        # x + 2^25 y takes 2^31 + 1 at (1, 64), which does not fit in int32
+        p, s = QuadPoly(0, 0, 0, 1, 2**25, 0), make_sector(64, 1)
+        assert verify.window_values(p, s, 1)[3].dtype == np.int64
+        cert = packing_window_verify(p, s, 1)
+        assert cert.ok
+        assert cert == reference_window_verify(p, s, 1)
+
     def test_values_beyond_int64_stay_exact(self):
         # x + 2^57 y takes 1 + 2^63 at (1, 64), which does not fit in int64
         p, s = QuadPoly(0, 0, 0, 1, 2**57, 0), make_sector(64, 1)
@@ -269,19 +290,51 @@ class TestPackingWindowVerify:
         assert cert.ok
         assert cert == reference_window_verify(p, s, 1)
 
+    # the bound cap (x_max + y_top + 1)^2 at x_max 1 is 9 cap on 1/1 (y_top 1) and 4 cap on 1/2 (y_top 0)
+    @pytest.mark.parametrize("n, m, cap, dtype", [
+        (1, 1, 119_304_647, np.int32),  # 2^30 - 1
+        (1, 2, 2**28, np.int64),  # 2^30
+        (1, 2, 2**60 - 1, np.int64),  # 2^62 - 4
+        (1, 2, 2**60, object),  # 2^62
+    ])
+    def test_tier_boundaries(self, n, m, cap, dtype):
+        s = make_sector(n, m)
+        xs, ys = _window(s, 1, cap)
+        assert xs.dtype == ys.dtype == dtype
+        # every coefficient at the cap: the largest value and partial sums the bound allows
+        p = QuadPoly(*[cap] * 6)
+        _, _, scale, vals = verify.window_values(p, s, 1)
+        assert vals.dtype == dtype and scale == 1
+        assert vals.tolist() == [int(p(x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
+
+    def test_int64_rows_are_views_of_the_lattice_block(self, monkeypatch):
+        # the x and y rows of an int64 window are the rows of the lattice_window block, not a copy
+        blocks = []
+
+        def recorded(s, x_max):
+            blocks.append(lattice_window(s, x_max))
+            return blocks[-1]
+
+        monkeypatch.setattr(verify, "lattice_window", recorded)
+        xs, ys = _window(make_sector(12, 7), 120, 2**40)
+        assert xs.dtype == np.int64 and xs.flags.c_contiguous and ys.flags.c_contiguous
+        assert np.shares_memory(xs, blocks[0]) and np.shares_memory(ys, blocks[0])
+
     @pytest.mark.parametrize("p, s, x_max, kind, witnesses, dtype", [
         # x - x^2 takes 0 at (0, 0) and (1, 0), then -2 at (2, 0), the smallest value of the window
-        (QuadPoly(-1, 0, 0, 1, 0, 0), make_sector(1, 1), 3, "collision", ((0, 0), (1, 0)), np.int64),
+        (QuadPoly(-1, 0, 0, 1, 0, 0), make_sector(1, 1), 3, "collision", ((0, 0), (1, 0)), np.int32),
         # -x/2 takes -1/2 at (1, 0), not an integer and negative: the integrality check comes first
-        (QuadPoly(0, 0, 0, Fraction(-1, 2), 0, 0), make_sector(1, 1), 2, "non_integral_value", ((1, 0),), np.int64),
+        (QuadPoly(0, 0, 0, Fraction(-1, 2), 0, 0), make_sector(1, 1), 2, "non_integral_value", ((1, 0),), np.int32),
         # x - y takes 0 at (0, 0) and again at (1, 1), after (1, 0) with value 1
-        (QuadPoly(0, 0, 0, 1, -1, 0), make_sector(1, 1), 2, "collision", ((0, 0), (1, 1)), np.int64),
+        (QuadPoly(0, 0, 0, 1, -1, 0), make_sector(1, 1), 2, "collision", ((0, 0), (1, 1)), np.int32),
+        # 2^26 (x + y) takes 2^27 at (1, 1) and (2, 0); its bound 25 * 2^26 is past int32
+        (QuadPoly(0, 0, 0, 2**26, 2**26, 0), make_sector(1, 1), 2, "collision", ((1, 1), (2, 0)), np.int64),
         # 2^60 (x + y) takes 2^61 at (1, 1) and (2, 0); its window needs Python ints
         (QuadPoly(0, 0, 0, 2**60, 2**60, 0), make_sector(1, 1), 2, "collision", ((1, 1), (2, 0)), object),
         # L = 2^70 with L p = x^2: the values fit in int64, L does not
         (QuadPoly(Fraction(1, 2**70), 0, 0, 0, 0, 0), make_sector(1, 1), 3, "non_integral_value", ((1, 0),), object),
-    ], ids=["collision-before-negative", "non-integral-and-negative", "earliest-witness", "object-collision",
-            "denominator-beyond-int64"])
+    ], ids=["collision-before-negative", "non-integral-and-negative", "earliest-witness", "int64-collision",
+            "object-collision", "denominator-beyond-int64"])
     def test_first_failure_matches_reference(self, p, s, x_max, kind, witnesses, dtype):
         assert verify.window_values(p, s, x_max)[3].dtype == dtype
         cert = packing_window_verify(p, s, x_max)
@@ -429,6 +482,7 @@ class TestBruteForceSearch:
 
     def test_prescreen_matches_reference_on_random_cases(self, monkeypatch):
         rng = random.Random(17)
+        dtypes = set()
         sectors = coprime_sectors(12, 12)
         restricted = [s for s in sectors if forced_quadratic_coeffs(s) is not None]
         for _ in range(120):
@@ -441,11 +495,13 @@ class TestBruteForceSearch:
                 bounds = SearchBounds(a=(1, rng.randint(1, 2)), b=span(rng, 2), c=(0, rng.randint(0, 2)),
                                       d=span(rng, 3), e=span(rng, 3), f=(f_lo, rng.randint(f_lo, 6)))
             abc, xs, ys = prescreen_inputs(s, bounds, mode, rng.randint(1, 10))
+            dtypes.add(xs.dtype)
             t_min = rng.choice([None, 0, rng.randrange(xs.size), xs.size - 1])
             survivors = list(reference_prescreen(abc, bounds, xs, ys, t_min))
             for sieve in (verify._SIEVE, 1, xs.size + 1):
                 monkeypatch.setattr(verify, "_SIEVE", sieve)
                 assert list(_prescreen(abc, bounds, xs, ys, t_min)) == survivors, (s, bounds, mode, t_min, sieve)
+        assert np.dtype(np.int32) in dtypes  # so the int64 rows times int32 terms of the prescreen are checked
 
     def test_sieve_sends_few_candidates_to_the_full_window(self, monkeypatch):
         # the bench's 2/1 full-mode search: 4,116 (A, B, C, D, E) candidates, of
