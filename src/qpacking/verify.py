@@ -26,12 +26,13 @@ scans integer boxes of the non-constant alpha-form coefficients in the calling
 process and derives the one constant term that puts the window minimum at 0
 (no other can pass).  Its stages, each exact:
 
-1. ``_prescreen`` discards candidates by int64 arithmetic (an F outside its
-   box or a window collision is final), in blocks of at most ``_BLOCK`` values:
-   a sieve evaluates every candidate on the ``_SIEVE`` window points nearest
-   the origin and drops those that repeat a value or need F above its box
-   there, then the whole window checks the rest, and each survivor is yielded
-   with the first value missing from its window;
+1. ``_prescreen`` discards candidates by exact integer arithmetic, float64
+   products on BLAS for int32 windows and int64 products otherwise (an F
+   outside its box or a window collision is final), in blocks of at most
+   ``_BLOCK`` values: a sieve evaluates every candidate on the ``_SIEVE``
+   window points nearest the origin and drops those that repeat a value or
+   need F above its box there, then the whole window checks the rest, and
+   each survivor is yielded with the first value missing from its window;
 2. ``_survivor_passes`` rejects a survivor whose ``_tail_floor`` on 2p, the
    floor the certificate uses, gives no threshold T >= t_min or one that
    reaches that missing value (a coverage gap), without rebuilding the window;
@@ -238,10 +239,12 @@ def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray
     ``MAX_WINDOW_POINTS`` points is refused with ``ValueError`` before any
     point is built.  On the window, a quadratic with integer coefficients of
     size at most cap has size at most cap * (x_max + y_top + 1)^2, and so has
-    each partial sum of its Horner form in ``window_values`` and of the
-    alpha-form terms in ``_prescreen``.  The rows are int32 when that bound is
-    below 2^30, int64 when it is below 2^62, and Python-int object arrays
-    otherwise; the int64 rows are views of the block ``lattice_window`` builds.
+    each partial sum of its Horner form in ``window_values``, and each partial
+    sum, in any order, of the alpha-form products in ``_prescreen``: their
+    terms are >= 0 and sum to at most (x + y + 1)^2.  The rows are int32 when
+    that bound is below 2^30, int64 when it is below 2^62, and Python-int
+    object arrays otherwise; the int64 rows are views of the block
+    ``lattice_window`` builds.
     """
     y_top = x_max if s.m == 0 else s.n * x_max // s.m
     box = (x_max + 1) * (y_top + 1)
@@ -352,15 +355,36 @@ class SearchBounds:
                 raise ValueError(f"empty bound for {name}: [{rng[0]}, {rng[1]}]")
 
 
-_BLOCK = 2 ** 14  # most int64 window values in one prescreen block
+_BLOCK = 2 ** 15  # most window values in one prescreen block; its products of at most 5 * 2^15
+# multiply-adds stay under the size at which OpenBLAS splits a float64 product over threads
 _SIEVE = 24  # window points nearest the origin on which stage 1 of the prescreen evaluates every candidate
+
+
+def _products(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """The values ``coeffs @ terms`` of the (A, B, C, D, E) rows at the points of ``terms``.
+
+    float64 terms are those of an int32 window: the product runs on BLAS and is cast back to int32,
+    exactly (see ``_prescreen``).  int64 terms keep numpy's int64 product.
+    """
+    if terms.dtype == np.float64:
+        return (coeffs.astype(np.float64) @ terms).astype(np.int32)
+    return coeffs @ terms
+
+
+def _distinct(ranked: np.ndarray) -> np.ndarray:
+    """Whether each row of ``ranked``, sorted ascending, is free of repeats.
+
+    Adjacent rows of the contiguous transpose are compared, so the reduction runs along long rows.
+    """
+    columns = np.ascontiguousarray(ranked.T)
+    return (columns[1:] != columns[:-1]).all(axis=0)
 
 
 def _sieve(coeffs: np.ndarray, terms: np.ndarray, f_max: int) -> np.ndarray:
     """Stage 1 of ``_prescreen``: the rows (A, B, C, D, E) of ``coeffs`` whose values at the points of
     ``terms`` are distinct and need F = -min at most f_max."""
-    ranked = np.sort(coeffs @ terms, axis=1)
-    return coeffs[(-ranked[:, 0] <= f_max) & (np.diff(ranked, axis=1) != 0).all(axis=1)]
+    ranked = np.sort(_products(coeffs, terms), axis=1)
+    return coeffs[(-ranked[:, 0] <= f_max) & _distinct(ranked)]
 
 
 def _full_window(coeffs: np.ndarray, bounds: SearchBounds, terms: np.ndarray, t_min: int | None):
@@ -368,11 +392,11 @@ def _full_window(coeffs: np.ndarray, bounds: SearchBounds, terms: np.ndarray, t_
 
     Returns the indices of the rows kept, their F and the first value >= 0 each window misses.
     """
-    vals = coeffs @ terms
+    vals = _products(coeffs, terms)
     f = -vals.min(axis=1)
     kept = np.flatnonzero((bounds.f[0] <= f) & (f <= bounds.f[1]))
     ranked = np.sort(vals[kept], axis=1)
-    ok = (np.diff(ranked, axis=1) != 0).all(axis=1)
+    ok = _distinct(ranked)
     if t_min is not None:
         # with F added, distinct values hold {0..t_min} iff rank t_min holds t_min
         ok &= t_min < ranked.shape[1] and ranked[:, t_min] + f[kept] == t_min
@@ -381,13 +405,16 @@ def _full_window(coeffs: np.ndarray, bounds: SearchBounds, terms: np.ndarray, t_
 
 
 def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray, t_min: int | None):
-    """Yield, in coefficient order, each (A, B, C, D, E, F) that the int64 prescreen keeps,
+    """Yield, in coefficient order, each (A, B, C, D, E, F) that the prescreen keeps,
     followed by the first value >= 0 that its window does not take (xs.size if it takes 0..size-1).
 
     Values are (A, B, C, D, E) rows times the matrix of terms x(x-1)/2, xy, y(y-1)/2, x, y at the
-    points; the bound of ``_window`` covers every partial sum of these alpha-form products, and
-    the terms themselves as A >= 1, so they are exact in int64, to which the product promotes
-    int32 terms.  Stage 1 evaluates every candidate on the ``_SIEVE`` window
+    points, in the window's dtype.  The terms are >= 0 and sum to ((x+y)^2 + (x+y))/2 <= (x+y+1)^2,
+    so every product and every partial sum, in any order, is at most the bound of ``_window``.
+    On an int32 window that bound is below 2^30 < 2^53, so ``_products`` multiplies in float64 on
+    BLAS: whatever summation order, blocking or fused multiply-add it uses, each intermediate is an
+    exactly representable integer, and the result is cast back to int32.  An int64 window keeps the
+    int64 product.  Stage 1 evaluates every candidate on the ``_SIEVE`` window
     points first in a stable sort of x + y (the whole window when it is smaller), in blocks of
     about ``_BLOCK // _SIEVE`` consecutive candidates, and drops those whose values there repeat
     or need F = -min above ``bounds.f``.  It drops only candidates that the full window drops:
@@ -396,7 +423,8 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray,
     Stage 2, ``_full_window``, takes the survivors about ``_BLOCK // xs.size`` at a time and
     applies the F box, distinctness and ``t_min`` on the whole window.
     """
-    terms = np.array([(xs * (xs - 1)) // 2, xs * ys, (ys * (ys - 1)) // 2, xs, ys])
+    terms = np.array([(xs * (xs - 1)) // 2, xs * ys, (ys * (ys - 1)) // 2, xs, ys],
+                     dtype=np.float64 if xs.dtype == np.int32 else xs.dtype)
     near = terms[:, np.argsort(xs + ys, kind="stable")[:_SIEVE]]
     ranges = (*abc_ranges, bounds.d, bounds.e)
     shape = tuple(hi - lo + 1 for lo, hi in ranges)

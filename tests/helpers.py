@@ -10,10 +10,11 @@ analysis, the reference for the integer ``value_floor``; the window reference
 bounds its tail with it, so it shares no floor code with the certificate it
 checks.  ``reference_search`` certifies every candidate of a search box, the
 reference for the prescreened ``brute_force_search``.  ``reference_prescreen``
-is the search's int64 prescreen with one sort per candidate and each
-survivor's first missing value found in a set, the reference for the blocked
-``_prescreen``.  ``atlas_rows`` expands an atlas class table into the rows it
-implies, with polynomials from ``packing_polynomial``; from those rows
+is the search's prescreen in the window's integer dtype, with one sort per
+candidate and each survivor's first missing value found in a set, the
+reference for the blocked ``_prescreen``.  ``atlas_rows`` expands an atlas
+class table into the rows it implies, with polynomials from
+``packing_polynomial``; from those rows
 ``reference_atlas_json`` is the atlas JSON as ``json.dumps(indent=2)`` writes
 it, the reference for the directly written text of ``atlas_to_json``, and
 ``reference_atlas_csv`` is the atlas CSV as ``csv.writer`` writes it, with a
@@ -378,8 +379,9 @@ def reference_search(s: SectorSpec, bounds: SearchBounds, mode: str, x_max: int,
 
 
 def reference_prescreen(abc_ranges, bounds: SearchBounds, xs, ys, t_min):
-    """Each (A, B, C, D, E, F) that survives the int64 prescreen, one sort per
-    candidate, with the first value >= 0 that its window does not take."""
+    """Each (A, B, C, D, E, F) that survives the prescreen, in integer arithmetic of the
+    window's dtype with one sort per candidate, with the first value >= 0 that its window does
+    not take."""
     half_x = (xs * (xs - 1)) // 2
     half_y = (ys * (ys - 1)) // 2
     xy = xs * ys

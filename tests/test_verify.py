@@ -489,11 +489,15 @@ class TestBruteForceSearch:
             mode = rng.choice(["restricted", "full"])
             s = rng.choice(restricted if mode == "restricted" else sectors)
             f_lo = rng.randint(0, 1)
+            # a quarter of the draws have an F bound large enough to make most windows int64
+            wide = rng.random() < 0.25
             if mode == "restricted":
-                bounds = SearchBounds(d=span(rng, 8), e=span(rng, 8), f=(f_lo, rng.randint(f_lo, 12)))
+                f_hi = 2 ** 26 if wide else rng.randint(f_lo, 12)
+                bounds = SearchBounds(d=span(rng, 8), e=span(rng, 8), f=(f_lo, f_hi))
             else:
+                f_hi = 2 ** 26 if wide else rng.randint(f_lo, 6)
                 bounds = SearchBounds(a=(1, rng.randint(1, 2)), b=span(rng, 2), c=(0, rng.randint(0, 2)),
-                                      d=span(rng, 3), e=span(rng, 3), f=(f_lo, rng.randint(f_lo, 6)))
+                                      d=span(rng, 3), e=span(rng, 3), f=(f_lo, f_hi))
             abc, xs, ys = prescreen_inputs(s, bounds, mode, rng.randint(1, 10))
             dtypes.add(xs.dtype)
             t_min = rng.choice([None, 0, rng.randrange(xs.size), xs.size - 1])
@@ -501,7 +505,21 @@ class TestBruteForceSearch:
             for sieve in (verify._SIEVE, 1, xs.size + 1):
                 monkeypatch.setattr(verify, "_SIEVE", sieve)
                 assert list(_prescreen(abc, bounds, xs, ys, t_min)) == survivors, (s, bounds, mode, t_min, sieve)
-        assert np.dtype(np.int32) in dtypes  # so the int64 rows times int32 terms of the prescreen are checked
+        # so both products of the prescreen are checked: float64 for int32 windows, int64 for int64 ones
+        assert {np.dtype(np.int32), np.dtype(np.int64)} <= dtypes
+
+    @pytest.mark.parametrize("cap, dtype", [(119_304_647, np.int32), (119_304_648, np.int64)])
+    def test_prescreen_is_exact_at_the_int32_bound(self, cap, dtype):
+        # on 1/1 at x_max 1 the bound of _window is 9 cap: 2^30 - 1, the largest int32 window, and
+        # 2^30 + 8, an int64 one, at cap + 1.  The values are 0, D and B + D + E at the three points,
+        # so F = -D is near 1.2e8, past the 2^24 up to which float32 holds every integer
+        bounds = SearchBounds(a=(1, 1), b=(cap - 1, cap), c=(0, 0), d=(-cap, 1 - cap), e=(cap - 1, cap), f=(0, cap))
+        abc, xs, ys = prescreen_inputs(make_sector(1, 1), bounds, "full", 1)
+        assert xs.dtype == dtype
+        survivors = list(_prescreen(abc, bounds, xs, ys, None))
+        assert survivors == list(reference_prescreen(abc, bounds, xs, ys, None))
+        assert len(survivors) == 8
+        assert {F for *_, F, _ in survivors} == {cap - 1, cap}
 
     def test_sieve_sends_few_candidates_to_the_full_window(self, monkeypatch):
         # the bench's 2/1 full-mode search: 4,116 (A, B, C, D, E) candidates, of
@@ -520,7 +538,8 @@ class TestBruteForceSearch:
 
     def test_prescreen_memory_is_bounded_by_the_block(self):
         # 6,001 x 3 (D, E) candidates; no prescreen array may hold more than
-        # _BLOCK int64 values, so the traced peak stays within a few blocks
+        # _BLOCK values of 8 bytes (float64 products, int64 rows), so the
+        # traced peak stays within a few blocks
         s = make_sector(4, 3)
         bounds = SearchBounds(d=(-3000, 3000), e=(-1, 1), f=(0, 1))
         tracemalloc.start()
