@@ -67,18 +67,6 @@ class SectorSpec:
         """n/l, the spacing of the steps on a straightened staircase."""
         return self.n // self.l
 
-    def slope(self) -> Fraction | None:
-        """Slope n/m, or None for the first quadrant (infinite slope)."""
-        return None if self.m == 0 else Fraction(self.n, self.m)
-
-    def contains(self, x, y) -> bool:
-        """Exact membership test for the closed sector region."""
-        if x < 0 or y < 0:
-            return False
-        if self.m == 0:
-            return True
-        return self.m * y <= self.n * x
-
     def __str__(self) -> str:
         return f"{self.n}/{self.m}"
 
@@ -116,14 +104,6 @@ class UnimodularMap:
     @property
     def determinant(self) -> Fraction:
         return self.a * self.d - self.b * self.c
-
-    @property
-    def is_integral(self) -> bool:
-        return all(getattr(self, f.name).denominator == 1 for f in fields(self))
-
-    @classmethod
-    def identity(cls) -> "UnimodularMap":
-        return cls(1, 0, 0, 1)
 
     def apply(self, point) -> tuple[Fraction, Fraction]:
         x, y = point

@@ -17,15 +17,6 @@ from typing import NamedTuple
 from .geometry import SectorSpec, UnimodularMap, _frac
 
 
-class NonIntegralCoefficient(ValueError):
-    """An alpha-basis coefficient came out non-integral."""
-
-    def __init__(self, monomial: str, value: Fraction):
-        self.monomial = monomial
-        self.value = value
-        super().__init__(f"alpha-form coefficient at {monomial} is {value}, not an integer")
-
-
 class NonConstantStepDifference(ValueError):
     """The difference along the staircase step vector is not a constant."""
 
@@ -103,7 +94,7 @@ def to_alpha_form(p: QuadPoly) -> AlphaFormCoeffs:
     out = []
     for monomial, value in derived:
         if value.denominator != 1:
-            raise NonIntegralCoefficient(monomial, value)
+            raise ValueError(f"alpha-form coefficient at {monomial} is {value}, not an integer")
         out.append(int(value))
     return AlphaFormCoeffs(*out)
 

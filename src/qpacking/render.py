@@ -63,28 +63,21 @@ def _check_figure_size(s: SectorSpec, x_max: int) -> None:
             raise ValueError(f"figure x <= {x_max} has more than {MAX_FIGURE_POINTS} lattice points")
 
 
-def _window_values(s: SectorSpec, poly: QuadPoly, x_max: int) -> dict[tuple[int, int], int]:
+def _window_values(s: SectorSpec, poly: QuadPoly, x_max: int) -> tuple[list[int], list[int], list[int]]:
+    """The x, y and value lists of the window x <= x_max, in ``lattice_window`` order."""
     xs, ys, scale, vals = window_values(poly, s, x_max)
     assert (vals >= 0).all() and not (vals % scale).any()
-    return dict(zip(zip(xs.tolist(), ys.tolist()), (vals // scale).tolist()))
+    return xs.tolist(), ys.tolist(), (vals // scale).tolist()
 
 
 def _render_ascii(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> str:
-    values = _window_values(s, poly, x_max)
-    y_top = max(y for _, y in values)
-    labeled = [v for v in values.values() if v <= value_max]
-    width = max(2, max((len(str(v)) for v in labeled), default=1) + 1)
-    lines = []
-    for y in range(y_top, -1, -1):
-        row = f"{y:>3} |"
-        for x in range(x_max + 1):
-            if (x, y) in values:
-                v = values[(x, y)]
-                cell = str(v) if v <= value_max else "."
-            else:
-                cell = ""
-            row += cell.rjust(width)
-        lines.append(row.rstrip())
+    xs, ys, vals = _window_values(s, poly, x_max)
+    width = max(2, max((len(str(v)) for v in vals if v <= value_max), default=1) + 1)
+    y_top = max(ys)
+    rows = [[""] * (x_max + 1) for _ in range(y_top + 1)]
+    for x, y, v in zip(xs, ys, vals):
+        rows[y][x] = str(v) if v <= value_max else "."
+    lines = [f"{y:>3} |{''.join(cell.rjust(width) for cell in rows[y])}".rstrip() for y in range(y_top, -1, -1)]
     lines.append("    +" + "-" * ((x_max + 1) * width))
     lines.append("     " + "".join(str(x).rjust(width) for x in range(x_max + 1)))
     return "\n".join(lines) + "\n"
@@ -99,8 +92,8 @@ def _fmt_len(q: int | Fraction) -> str:
 
 
 def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> str:
-    values = _window_values(s, poly, x_max)
-    y_top = max(y for _, y in values)
+    xs, ys, vals = _window_values(s, poly, x_max)
+    y_top = max(ys)
     width = 2 * SVG_MARGIN + SVG_SCALE * x_max + 30
     height = 2 * SVG_MARGIN + SVG_SCALE * y_top
 
@@ -154,7 +147,7 @@ def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> st
     cys = [sy(y) for y in range(y_top + 1)]
     label_xs = [_fmt_len(SVG_MARGIN + SVG_SCALE * x + 6) for x in range(x_max + 1)]
     label_ys = [_fmt_len(height - SVG_MARGIN - SVG_SCALE * y + 4) for y in range(y_top + 1)]
-    for (x, y), v in sorted(values.items()):
+    for x, y, v in zip(xs, ys, vals):
         parts.append(f'<circle cx="{cxs[x]}" cy="{cys[y]}" r="3" fill="#000000"/>')
         if v <= value_max:
             parts.append(f'<text x="{label_xs[x]}" y="{label_ys[y]}">{v}</text>')

@@ -22,7 +22,8 @@ summary line counted from the rows, the reference for ``atlas_to_csv``.  ``parse
 back, the oracle of its round-trip test.
 
 The paper's proof objects are small oracles here, built from their defining
-formulas: ``skew(s)`` straightens the sector's staircases, ``flip(n)`` swaps
+formulas: ``in_sector(s, x, y)`` is the sector's defining inequality,
+``skew(s)`` straightens the sector's staircases, ``flip(n)`` swaps
 the two boundary rays of the slope-n sector, ``staircase(s, i)`` lists the
 steps of staircase i up from ``first_step_y``, and ``skewed_form(s, k, F)`` is
 a packing polynomial in skewed coordinates.  ``unimodular_maps`` draws
@@ -106,6 +107,11 @@ def skew(s: SectorSpec) -> UnimodularMap:
     return UnimodularMap(1, Fraction(1 - s.m, s.n), 0, 1)
 
 
+def in_sector(s: SectorSpec, x, y) -> bool:
+    """Whether (x, y) lies in the closed sector 0 <= y <= (n/m) x; for the quadrant (m = 0), x, y >= 0."""
+    return y >= 0 and (x >= 0 if s.m == 0 else s.m * y <= s.n * x)
+
+
 def flip(n: int) -> UnimodularMap:
     """The involution (x, y) -> (x, n x - y), which swaps the two boundary rays of the sector of slope n."""
     return UnimodularMap(1, 0, n, -1)
@@ -132,7 +138,7 @@ def skewed_form(s: SectorSpec, k: int, f_const) -> QuadPoly:
 
 
 def _unimodular_product(steps) -> UnimodularMap:
-    m = UnimodularMap.identity()
+    m = UnimodularMap(1, 0, 0, 1)
     for kind, arg in steps:
         m = m @ (shear_map(arg), flip(abs(arg) + 1), x_axis_reflection())[kind]
     return m

@@ -134,7 +134,7 @@ class TestClassify:
             if a.B == 1:
                 assert e.sector.m == 0
             else:
-                assert Fraction(a.A, 1 - a.B) == e.sector.slope()
+                assert Fraction(a.A, 1 - a.B) == Fraction(e.sector.n, e.sector.m)
 
     def test_no_qpp_reason(self):
         assert no_qpp_reason(make_sector(3, 2)) == "3 does not divide (2-1)^2 = 1"

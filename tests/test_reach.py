@@ -1,12 +1,20 @@
 """``src/qpacking`` holds what the ``qpacking`` command reaches, and what an open ROADMAP direction builds on.
 
-The walk is by name: from ``cli.main`` it follows every ``Name`` in a reached top-level
-definition that is a top-level definition of the same module or a name imported from a
-sibling module.  A reached class reaches everything its methods name.
+The walk works on names.  It starts from ``cli.main`` and from every ``KEPT`` entry, and it
+follows every ``Name`` in a reached definition that is a top-level definition of the same
+module or a name imported from a sibling module.  A reached class reaches its dunder methods,
+since syntax calls them.  It reaches any other method only when a reached definition names it
+as an attribute (``node.attr``), or when its own class body names it (``__matmul__ = compose``).
+Attribute names are not matched to a class, so a name that two classes share reaches both
+methods: the walk can only over-reach, and it never reports code that is used.
+
+``KEPT`` maps ``module.name`` or ``module.Class.method`` to the direction it is kept for.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import qpacking
 
@@ -15,6 +23,8 @@ KEPT = {
     "geometry.reduce_general_sector": "ROADMAP Direction 8: sectors given by two rays",
     "geometry.shear_map": "ROADMAP Direction 8: sectors given by two rays",
     "geometry.x_axis_reflection": "ROADMAP Direction 8: sectors given by two rays",
+    "geometry.UnimodularMap": "ROADMAP Directions 8 and 13: cones and straightened staircases",
+    "poly.QuadPoly.conjugate": "ROADMAP Directions 8 and 13: cones and straightened staircases",
     "poly.step_difference": "ROADMAP Direction 1: the staircase proof",
     "poly.NonConstantStepDifference": "ROADMAP Direction 1: the staircase proof",
     "staircase.first_step_y": "ROADMAP Directions 1 and 11: the base staircases",
@@ -24,40 +34,86 @@ KEPT = {
 TREES = {path.stem: ast.parse(path.read_text()) for path in Path(qpacking.__file__).parent.glob("*.py")}
 
 
-def top_level(tree) -> dict:
-    """Name -> node of each function, class and non-dunder assignment at module level."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _methods(cls: ast.ClassDef) -> dict:
+    return {item.name: item for item in cls.body if isinstance(item, ast.FunctionDef)}
+
+
+def definitions(tree) -> dict:
+    """Key -> node of each function, class and non-dunder assignment at module level (``name``),
+    and of each method (``Class.method``)."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            out.update({f"{node.name}.{name}": method for name, method in _methods(node).items()})
         for target in getattr(node, "targets", [getattr(node, "target", None)]):
             if isinstance(target, ast.Name) and not target.id.startswith("__"):
                 out[target.id] = node
     return out
 
 
-def unreached() -> set[str]:
-    defs = {mod: top_level(tree) for mod, tree in TREES.items()}
+def reached(trees: dict, roots) -> set[str]:
+    """Keys ``module.name`` and ``module.Class.method`` of the definitions that ``roots`` reach."""
+    defs = {mod: definitions(tree) for mod, tree in trees.items()}
     imported = {mod: {alias.asname or alias.name: (node.module, alias.name)
                       for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
                       for alias in node.names}
-                for mod, tree in TREES.items()}
-    seen, todo = set(), [("cli", "main")]
+                for mod, tree in trees.items()}
+    seen, attrs, todo = set(), set(), [tuple(root.split(".", 1)) for root in roots]
     while todo:
-        mod, name = todo.pop()
-        if (mod, name) in seen:
-            continue
-        seen.add((mod, name))
-        for node in ast.walk(defs[mod][name]):
-            if isinstance(node, ast.Name) and node.id in defs[mod]:
-                todo.append((mod, node.id))
-            elif isinstance(node, ast.Name) and node.id in imported[mod]:
-                todo.append(imported[mod][node.id])
-    return {f"{mod}.{name}" for mod, names in defs.items() for name in names if (mod, name) not in seen}
+        while todo:
+            mod, key = todo.pop()
+            if (mod, key) in seen:
+                continue
+            seen.add((mod, key))
+            node = defs[mod][key]
+            own, parts = {}, [node]
+            if isinstance(node, ast.ClassDef):
+                # the class body without its methods, which are reached one by one
+                own = _methods(node)
+                parts = [*node.bases, *node.keywords, *node.decorator_list,
+                         *(item for item in node.body if not isinstance(item, ast.FunctionDef))]
+                todo += [(mod, f"{key}.{name}") for name in own if _is_dunder(name)]
+            for sub in (sub for part in parts for sub in ast.walk(part)):
+                if isinstance(sub, ast.Attribute):
+                    attrs.add(sub.attr)
+                elif isinstance(sub, ast.Name) and sub.id in own:
+                    todo.append((mod, f"{key}.{sub.id}"))
+                elif isinstance(sub, ast.Name) and sub.id in defs[mod]:
+                    todo.append((mod, sub.id))
+                elif isinstance(sub, ast.Name) and sub.id in imported[mod]:
+                    todo.append(imported[mod][sub.id])
+        todo = [(mod, key) for mod, keys in defs.items() for key in keys if "." in key and (mod, key) not in seen
+                and (mod, key.partition(".")[0]) in seen and key.partition(".")[2] in attrs]
+    return {f"{mod}.{key}" for mod, key in seen}
 
 
-def test_unreached_definitions_are_the_kept_ones():
-    assert unreached() == set(KEPT)
+def every_key(trees: dict) -> set[str]:
+    return {f"{mod}.{key}" for mod, tree in trees.items() for key in definitions(tree)}
+
+
+def unreached(trees: dict, kept) -> set[str]:
+    """Definitions and methods that neither ``cli.main`` nor a ``kept`` entry reaches."""
+    return every_key(trees) - reached(trees, ["cli.main", *kept])
+
+
+def stale(trees: dict, kept) -> set[str]:
+    """``kept`` entries that ``cli.main`` reaches on its own."""
+    return set(kept) & reached(trees, ["cli.main"])
+
+
+def test_every_definition_and_method_is_reached():
+    assert set(KEPT) <= every_key(TREES)
+    assert unreached(TREES, KEPT) == set()
+
+
+def test_no_kept_entry_is_reached_from_the_cli():
+    assert stale(TREES, KEPT) == set()
 
 
 def test_every_import_is_used():
@@ -70,3 +126,56 @@ def test_every_import_is_used():
         if names - used:
             unused[mod] = names - used
     assert unused == {}
+
+
+def _trees(**sources) -> dict:
+    return {mod: ast.parse(source) for mod, source in sources.items()}
+
+
+WALKED = _trees(
+    cli="""
+from .shapes import Box
+
+
+def main():
+    return Box(1) @ Box(2)
+""",
+    shapes="""
+class Box:
+    def __init__(self, size):
+        self.size = size
+
+    def compose(self, other):
+        return Box(self.size * other.size)
+
+    __matmul__ = compose
+
+    def grow(self):
+        return self.widen()
+
+    def widen(self):
+        return Box(self.size + 1)
+
+
+def spare():
+    return Box(0).grow()
+""",
+)
+
+
+@pytest.mark.parametrize("kept, missing", [
+    ([], {"shapes.Box.grow", "shapes.Box.widen", "shapes.spare"}),
+    (["shapes.spare"], set()),
+    (["shapes.Box.grow"], {"shapes.spare"}),
+], ids=["cli-only", "kept-function", "kept-method"])
+def test_walk_reports_a_method_that_no_reached_code_names(kept, missing):
+    assert unreached(WALKED, kept) == missing
+
+
+def test_walk_reaches_dunders_with_the_class_and_names_in_its_body():
+    assert {"shapes.Box", "shapes.Box.__init__", "shapes.Box.compose"} <= reached(WALKED, ["cli.main"])
+
+
+def test_a_kept_entry_that_the_cli_reaches_is_stale():
+    assert stale(WALKED, ["shapes.Box.compose", "shapes.Box.__init__", "shapes.spare"]) == {
+        "shapes.Box.compose", "shapes.Box.__init__"}

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from qpacking.geometry import make_sector
 from qpacking.staircase import first_step_y, lattice_window
 
-from helpers import coprime_sectors, reference_window, skew, staircase
+from helpers import coprime_sectors, in_sector, reference_window, skew, staircase
 
 sectors = st.builds(make_sector, st.integers(1, 12), st.integers(0, 12))
 
@@ -58,7 +58,7 @@ class TestLatticeWindow:
         assert len(set(pts)) == len(pts)
         for x, y in pts:
             assert 0 <= x <= x_max
-            assert s.contains(x, y)
+            assert in_sector(s, x, y)
             if s.m == 0:
                 assert y <= x_max
 
