@@ -2,11 +2,14 @@
 
 Exit codes: 0 success (or a passing verdict), 1 negative verdict (failed
 verification, inadmissible figure request, unwritable file), 2 usage error.
-Work limits, each checked before the work starts: ``MAX_DIGITS`` per sector
-number and coefficient part (exit 2), ``verify.MAX_WINDOW_POINTS`` per window
-(exit 2), ``verify.MAX_CANDIDATES`` per search box (exit 2),
-``atlas.MAX_ATLAS_CELLS`` for nmax * mmax (exit 2) and
-``render.MAX_FIGURE_POINTS`` per figure (exit 1).
+Exit 2 is decided in ``main`` alone: a ``ValueError`` from the sector, the
+atlas range or any command becomes one ``error:`` line; only ``render``
+catches its own, for exit 1.  Work limits, each checked before the work
+starts: ``MAX_DIGITS`` per sector number and coefficient part (exit 2),
+``verify.MAX_WINDOW_POINTS`` per window (exit 2), ``verify.MAX_CANDIDATES``
+per search box (exit 2), ``atlas.MAX_ATLAS_CELLS`` for nmax * mmax (exit 2)
+and ``render.MAX_FIGURE_POINTS`` per figure, which bounds its lattice points
+and, for SVG, its staircase lines (exit 1).
 
 ``main`` may be called any number of times in one process. The parser is built
 once, on the first call, and shared by every later call.
@@ -123,7 +126,7 @@ def _cmd_classify(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"sector {s.n}/{s.m}" + (" (first quadrant)" if s.is_quadrant else ""))
+    print(f"sector {s.n}/{s.m}" + (" (first quadrant)" if s.m == 0 else ""))
     print(f"l = {ar.l}, n/l = {ar.n_over_l}, l^2/n = {ar.l2_over_n}")
     print(f"n | (m-1)^2: {'yes' if ar.divides_n_l2 else 'no'}")
     reason = no_qpp_reason(s)
@@ -142,12 +145,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     s = args.sector
-    try:
-        poly = _parse_coeffs(args.coefficients)
-        cert = packing_window_verify(poly, s, args.xmax)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    poly = _parse_coeffs(args.coefficients)
+    cert = packing_window_verify(poly, s, args.xmax)
     print(f"polynomial: {format_poly(poly)}")
     print(f"window: x <= {cert.x_max}")
     if cert.floor_bound is not None:
@@ -182,13 +181,8 @@ def _parse_bounds(text: str, mode: str) -> SearchBounds:
 
 def _cmd_search(args) -> int:
     s = args.sector
-    try:
-        bounds = _parse_bounds(args.bounds, args.mode)
-        found = brute_force_search(s, bounds, mode=args.mode, x_max=args.xmax,
-                                   t_min=args.tmin, jobs=args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    bounds = _parse_bounds(args.bounds, args.mode)
+    found = brute_force_search(s, bounds, mode=args.mode, x_max=args.xmax, t_min=args.tmin, jobs=args.jobs)
     classified = {e.poly for e in classify(s)}
     if args.format == "json":
         payload = {
@@ -297,10 +291,10 @@ def main(argv=None) -> int:
             args.sector = make_sector(args.n, args.m)
         else:
             check_atlas_size(args.nmax, args.mmax)
-    except ValueError as exc:
+        return args.func(args)
+    except ValueError as exc:  # a usage error, from the checks above or from any command
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -27,11 +27,16 @@ def _frac(value) -> Fraction:
 
 
 def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    if a == 0:
-        return (abs(b), 0, 1 if b >= 0 else -1)
-    g, x, y = extended_gcd(b % a, a)
-    return (g, y - (b // a) * x, x)
+    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0.
+
+    Euclid's steps (a, b) -> (b % a, a) run in a loop, each remainder carried with its
+    coefficients (x, y) over the inputs, until the first entry is 0.
+    """
+    (r, ax, ay), (s, bx, by) = (a, 1, 0), (b, 0, 1)
+    while r:
+        q = s // r
+        (r, ax, ay), (s, bx, by) = (s - q * r, bx - q * ax, by - q * ay), (r, ax, ay)
+    return (s, bx, by) if s >= 0 else (-s, -bx, -by)
 
 
 @dataclass(frozen=True)
@@ -52,10 +57,6 @@ class SectorSpec:
             raise ValueError(f"sector needs m >= 0, got m={self.m}")
         if gcd(self.n, self.m) != 1:
             raise ValueError(f"sector {self.n}/{self.m} not in lowest terms; use make_sector")
-
-    @property
-    def is_quadrant(self) -> bool:
-        return self.m == 0
 
     @property
     def l(self) -> int:

@@ -17,10 +17,6 @@ from typing import NamedTuple
 from .geometry import SectorSpec, UnimodularMap, _frac
 
 
-class NonConstantStepDifference(ValueError):
-    """The difference along the staircase step vector is not a constant."""
-
-
 @dataclass(frozen=True)
 class QuadPoly:
     """Bivariate quadratic with exact rational coefficients (monomial basis)."""
@@ -111,7 +107,7 @@ def step_difference(p: QuadPoly, s: SectorSpec) -> Fraction:
     rem_x = 2 * p.c_xx * dx + p.c_xy * dy
     rem_y = p.c_xy * dx + 2 * p.c_yy * dy
     if rem_x != 0 or rem_y != 0:
-        raise NonConstantStepDifference(
+        raise ValueError(
             f"step difference along ({dx}, {dy}) is not constant: "
             f"residual {rem_x}*x + {rem_y}*y"
         )
@@ -166,55 +162,36 @@ def _term_body(coeff: Fraction, monomial: str) -> str:
     return f"{mag}*{monomial}"
 
 
-def _join_terms(parts: list[tuple[str, str]]) -> str:
-    if not parts:
-        return "0"
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
 def format_poly(p: QuadPoly) -> str:
     """Canonical rendering, monomials in the order x^2, xy, y^2, x, y, 1."""
-    parts = []
+    text = ""
     for monomial, field in _MONOMIAL_FIELDS:
         coeff = getattr(p, field)
         if coeff == 0:
             continue
-        parts.append(("-" if coeff < 0 else "+", _term_body(coeff, monomial)))
-    return _join_terms(parts)
-
-
-def _linear_factor_str(y_coeff: Fraction, const: Fraction) -> str:
-    parts = [("+", "x")]
-    if y_coeff != 0:
-        parts.append(("-" if y_coeff < 0 else "+", _term_body(y_coeff, "y")))
-    if const != 0:
-        parts.append(("-" if const < 0 else "+", _term_body(const, "")))
-    body = _join_terms(parts)
-    return body if len(parts) == 1 else f"({body})"
+        if text:
+            text += " - " if coeff < 0 else " + "
+        elif coeff < 0:
+            text = "-"
+        text += _term_body(coeff, monomial)
+    return text or "0"
 
 
 def format_factored(s: SectorSpec, k: int) -> str:
     """The classified polynomial in its factored layout.
 
     (n/2)*(x - ((m-1)/n) y)*(x - ((m-1)/n) y - kl/n) + x + ((kl-(m-1))/n) y + |k|-1
-    with zero pieces dropped.
+    with zero pieces dropped.  Each linear piece is a ``format_poly`` text; a factor keeps its
+    parentheses unless it is just x.
     """
     _check_k(k)
-    n, m = s.n, s.m
     kl = k * s.l
-    beta = Fraction(m - 1, n)
-    scale = Fraction(n, 2)
-    first = _linear_factor_str(-beta, Fraction(0))
-    second = _linear_factor_str(-beta, -Fraction(kl, n))
+    beta = Fraction(s.m - 1, s.n)
+    first, second, tail = (
+        format_poly(QuadPoly(0, 0, 0, 1, y_coeff, const))
+        for y_coeff, const in ((-beta, 0), (-beta, Fraction(-kl, s.n)), (Fraction(kl - (s.m - 1), s.n), abs(k) - 1))
+    )
+    factors = "*".join(text if text == "x" else f"({text})" for text in (first, second))
+    scale = Fraction(s.n, 2)
     prefix = "" if scale == 1 else f"{scale}*"
-    parts = [("+", f"{prefix}{first}*{second}"), ("+", "x")]
-    y_coeff = Fraction(kl - (m - 1), n)
-    if y_coeff != 0:
-        parts.append(("-" if y_coeff < 0 else "+", _term_body(y_coeff, "y")))
-    if abs(k) != 1:
-        parts.append(("+", str(abs(k) - 1)))
-    return _join_terms(parts)
+    return f"{prefix}{factors} + {tail}"

@@ -35,14 +35,17 @@ def _classified_poly(s: SectorSpec, k: int) -> QuadPoly:
 def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fmt: str = "ascii") -> str:
     """Figure of the classified polynomial with step constant k on the sector.
 
-    A window of more than ``MAX_FIGURE_POINTS`` lattice points is refused with ``ValueError``
-    before the polynomial is looked up or any value computed.
+    A window of more than ``MAX_FIGURE_POINTS`` lattice points, or an SVG figure of more than
+    ``MAX_FIGURE_POINTS`` staircase lines, is refused with ``ValueError`` before the polynomial is
+    looked up or any value computed.
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if value_max < 0:
         raise ValueError(f"value_max must be >= 0, got {value_max}")
     _check_figure_size(s, x_max)
+    if fmt == "svg" and _staircase_lines(s, x_max) > MAX_FIGURE_POINTS:
+        raise ValueError(f"figure x <= {x_max} has more than {MAX_FIGURE_POINTS} staircase lines")
     poly = _classified_poly(s, k)
     if fmt == "ascii":
         return _render_ascii(s, poly, x_max, value_max)
@@ -61,6 +64,11 @@ def _check_figure_size(s: SectorSpec, x_max: int) -> None:
         points += height
         if points > MAX_FIGURE_POINTS:
             raise ValueError(f"figure x <= {x_max} has more than {MAX_FIGURE_POINTS} lattice points")
+
+
+def _staircase_lines(s: SectorSpec, x_max: int) -> int:
+    """How many staircases the SVG figure draws: the i >= 0 that start at l i / n <= x_max + 1/2."""
+    return (2 * x_max + 1) * s.n // (2 * s.l) + 1
 
 
 def _window_values(s: SectorSpec, poly: QuadPoly, x_max: int) -> tuple[list[int], list[int], list[int]]:
@@ -119,8 +127,7 @@ def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> st
     # climbs in direction (m - 1, n) (anti-diagonal for the quadrant).
     l = s.l
     direction = (Fraction(s.m - 1), Fraction(s.n))
-    i = 0
-    while Fraction(l * i, s.n) <= x_edge:
+    for i in range(_staircase_lines(s, x_max)):
         base = (Fraction(l * i, s.n), Fraction(0))
         limits = [(y_edge - base[1]) / direction[1]]
         if direction[0] > 0:
@@ -131,7 +138,6 @@ def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> st
         if t_top > 0:
             tip = (base[0] + t_top * direction[0], base[1] + t_top * direction[1])
             parts.append(line(base, tip, "#bbbbbb", "0.75"))
-        i += 1
 
     # Boundary rays.
     parts.append(line((Fraction(0), Fraction(0)), (x_edge, Fraction(0)), "#000000", "1.5"))

@@ -149,7 +149,7 @@ def _floor_of_integers(coeffs: tuple[int, ...], s: SectorSpec, x_lo: int) -> tup
     pair (num, den > 0), and candidates are compared by cross-multiplication.
     """
     a, b, c, d, e, f = coeffs
-    m, n = (0, 1) if s.m == 0 else (s.m, s.n)  # the second cone direction; the first is (1, 0)
+    m, n = s.m, s.n  # the second cone direction, (0, 1) on the quadrant; the first is (1, 0)
 
     # Unboundedness inside the recession cone spanned by (1, 0) and (m, n).
     qc = a * m * m + b * m * n + c * n * n
@@ -190,7 +190,7 @@ def _floor_of_integers(coeffs: tuple[int, ...], s: SectorSpec, x_lo: int) -> tup
         xs, ys = b * e - 2 * c * d, b * d - 2 * a * e
         if det < 0:
             det, xs, ys = -det, -xs, -ys
-        if xs >= x_lo * det and ys >= 0 and (s.m == 0 or m * ys <= n * xs):
+        if xs >= x_lo * det and ys >= 0 and m * ys <= n * xs:
             candidates.append((2 * f * det + d * xs + e * ys, 2 * det))
 
     return _smallest(candidates)
@@ -487,8 +487,12 @@ def brute_force_search(
     built; a restricted search on a sector without forced A, B, C passes
     these checks before it returns [].  Each accepted polynomial carries a
     passing certificate from ``packing_window_verify`` at the configured
-    window, with threshold at least ``t_min`` when given.  Output is sorted
-    by coefficient tuple.
+    window, with threshold at least ``t_min`` when given.  The output is in
+    the prescreen's scan order, ascending (A, B, C, D, E), and so sorted by
+    coefficient tuple: the monomial coefficients (A/2, B, C/2, D - A/2,
+    E - C/2, F) compare in the same order, as each increases with its
+    alpha-form coefficient once the earlier ones are equal, and F is fixed by
+    the rest.
 
     The search runs in the calling process.  ``jobs`` is still validated and
     otherwise unused: the CLI's ``--jobs`` passes it, and the benchmark's
@@ -513,9 +517,7 @@ def brute_force_search(
             raise ValueError(f"full mode needs A >= 1, got lower bound {bounds.a[0]}")
         abc_ranges = [bounds.a, bounds.b, bounds.c]
 
-    size = (bounds.d[1] - bounds.d[0] + 1) * (bounds.e[1] - bounds.e[0] + 1)
-    for lo, hi in abc_ranges:
-        size *= hi - lo + 1
+    size = prod(hi - lo + 1 for lo, hi in (*abc_ranges, bounds.d, bounds.e))
     if size > MAX_CANDIDATES:
         raise ValueError(f"search box has {size} candidates, more than the limit of {MAX_CANDIDATES}")
     coeff_cap = max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc_ranges) for v in r)
@@ -532,5 +534,4 @@ def brute_force_search(
         cert = packing_window_verify(candidate, s, x_max)
         if cert.ok and (t_min is None or cert.threshold >= t_min):
             found.append(candidate)
-    found.sort(key=QuadPoly.coefficients)
     return found

@@ -102,6 +102,14 @@ def window_for_threshold(s: SectorSpec, polys, t_target: int, x_start: int = 8) 
 # -- the paper's proof objects --------------------------------------------------
 
 
+def recursive_extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, by one recursion per Euclid step."""
+    if a == 0:
+        return (abs(b), 0, 1 if b >= 0 else -1)
+    g, x, y = recursive_extended_gcd(b % a, a)
+    return (g, y - (b // a) * x, x)
+
+
 def skew(s: SectorSpec) -> UnimodularMap:
     """The shear (x, y) -> (x - ((m-1)/n) y, y), which carries the sector of slope n/m onto the sector of slope n."""
     return UnimodularMap(1, Fraction(1 - s.m, s.n), 0, 1)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 from time import perf_counter
 
@@ -175,6 +176,30 @@ def test_render_thin_sector_over_figure_limit_is_refused_at_once(capsys):
     assert run(["render", "1", "4000000", "1", "--xmax", "3999999"]) == 1
     assert perf_counter() - start < 1
     assert capsys.readouterr() == ("", "error: figure x <= 3999999 has more than 10000 lattice points\n")
+
+
+def _staircase_sector(n: int) -> list[str]:
+    """render argv for N/(N + sqrt(N) + 1): l = sqrt(N), k = 1 admissible and 22 points at x_max 6."""
+    return ["render", str(n), str(n + isqrt(n) + 1), "1"]
+
+
+def test_render_svg_over_staircase_line_limit_is_refused_at_once(capsys):
+    # the SVG of 10^8 would draw (2 x_max + 1) N / (2 l) + 1 = 65,001 staircase lines; its ASCII draws none
+    argv = _staircase_sector(10**8)
+    start = perf_counter()
+    assert run(argv + ["--format", "svg"]) == 1
+    assert perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: figure x <= 6 has more than 10000 staircase lines\n")
+    assert run(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 8 and err == ""
+
+
+def test_render_svg_under_staircase_line_limit_runs(capsys):
+    # 10^6 counts 6,501 staircases; the last starts at x = x_max + 1/2 and has no length inside the window
+    assert run(_staircase_sector(10**6) + ["--format", "svg"]) == 0
+    out, err = capsys.readouterr()
+    assert out.count('stroke="#bbbbbb"') == 6500 and err == ""
 
 
 def test_window_at_limit_runs(monkeypatch, capsys):

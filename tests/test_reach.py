@@ -26,7 +26,6 @@ KEPT = {
     "geometry.UnimodularMap": "ROADMAP Directions 8 and 13: cones and straightened staircases",
     "poly.QuadPoly.conjugate": "ROADMAP Directions 8 and 13: cones and straightened staircases",
     "poly.step_difference": "ROADMAP Direction 1: the staircase proof",
-    "poly.NonConstantStepDifference": "ROADMAP Direction 1: the staircase proof",
     "staircase.first_step_y": "ROADMAP Directions 1 and 11: the base staircases",
     "verify.value_floor": "the bench tracer wraps it (ROADMAP Direction 3)",
 }
