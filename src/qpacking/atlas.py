@@ -7,10 +7,11 @@ hold a coprime m <= mmax, each with its ``SectorArithmetic`` and its ks, and bui
 implied: row (n, m) exists for each 0 <= m <= mmax whose class m mod n is in n's table (every coprime m >= 1,
 and the first-quadrant row m = 0 on n = 1), and class r of n holds (mmax - r)//n + 1 of them.
 
-The writers lay a row's text out once for all classes of n with the same l and ks, then write each row, in (n, m)
-order, as one f-string of m, r and that text, plus the polynomials of a row with ks: the integer (num, den) pairs
-of ``poly.packing_coefficients`` of its own (n, m).  Both texts are joined once from one piece per row: the JSON
-as ``json.dumps(indent=2)`` lays it out, rationals as numerator/denominator strings; the CSV with rationals as
+The writers lay a row's text out once for all classes of n with the same l and ks, and ``_rows`` takes the texts
+of m and r from one table of str(0..mmax).  Each row, in (n, m) order, adds these shared pieces to one list; only
+a row with ks adds a new string, its polynomials: the integer (num, den) pairs of ``poly.packing_coefficients`` of
+its own (n, m).  Each text is then the one text-sized string made, joined once from that list: the JSON as
+``json.dumps(indent=2)`` lays it out, rationals as numerator/denominator strings; the CSV with rationals as
 ``str(Fraction)`` prints them and numbers joined by " " and ";", so no field holds ",", '"' or a newline to quote.
 """
 
@@ -78,20 +79,26 @@ def summary_line(atlas: Atlas, mmax: int) -> str:
 
 
 def _rows(atlas: Atlas, mmax: int, layout):
-    """(n, m, m mod n, ks, layout(n, arithmetic, ks)) of each row in (n, m) order; the layout runs once per (l, ks)."""
+    """(n, m, ks, text of m, text of m mod n, layout(n, arithmetic, ks)) of each row in (n, m) order.
+
+    The layout runs once per (l, ks) of each n.  The number texts come from one table of str(0..mmax), as m and
+    m mod n are at most mmax, so a row adds no new string: it only refers to texts shared with other rows.
+    """
+    numbers = [str(i) for i in range(mmax + 1)]
     for n, classes in atlas.items():
         texts = {}  # (l, ks) -> layout(n, arithmetic, ks)
-        laid = []  # (r, ks, text) of each class, r ascending
+        laid = []  # (r, ks, text of r, text) of each class, r ascending
         for r, (ar, ks) in classes.items():
             text = texts.get((ar.l, ks))
             if text is None:
                 text = texts[ar.l, ks] = layout(n, ar, ks)
-            laid.append((r, ks, text))
+            laid.append((r, ks, numbers[r], text))
         for base in range(0, mmax + 1, n):
-            for r, ks, text in laid:
-                if base + r > mmax:
+            for r, ks, r_text, text in laid:
+                m = base + r
+                if m > mmax:
                     break
-                yield n, base + r, r, ks, text
+                yield n, m, ks, numbers[m], r_text, text
 
 
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -123,12 +130,17 @@ def _json_polynomials(n: int, m: int, ks: tuple[int, ...]) -> str:
                                      for num, den in packing_coefficients(n, m, k)], " " * 8) for k in ks], " " * 6)
 
 
+_JSON_ROW_END = "\n      ]\n    }"  # after r: the close of canonical_sector and of the row
+
+
 def atlas_to_json(atlas: Atlas, nmax: int, mmax: int) -> str:
-    """The atlas as ``json.dumps(indent=2)`` lays it out, joined once from a head, one piece per row and a tail."""
+    """The atlas as ``json.dumps(indent=2)`` lays it out, joined once from a head, each row's pieces and a tail."""
     parts = [f'{{\n  "nmax": {nmax},\n  "mmax": {mmax},\n  "rows": [']
-    for n, m, r, ks, (head, after_m, after_polys) in _rows(atlas, mmax, _json_class):
-        polys = _json_polynomials(n, m, ks) if ks else ""
-        parts.append(f"{head}{m}{after_m}{polys}{after_polys}{r}\n      ]\n    }}")
+    for n, m, ks, m_text, r_text, (head, after_m, after_polys) in _rows(atlas, mmax, _json_class):
+        if ks:
+            parts.extend((head, m_text, after_m, _json_polynomials(n, m, ks), after_polys, r_text, _JSON_ROW_END))
+        else:
+            parts.extend((head, m_text, after_m, r_text, _JSON_ROW_END))
     close = "\n  ]" if len(parts) > 1 else "]"
     if len(parts) > 1:
         parts[1] = parts[1][1:]  # each row opens with the comma that follows the row before it
@@ -156,10 +168,13 @@ def _csv_class(n: int, ar: SectorArithmetic, ks: tuple[int, ...]) -> tuple[str, 
 
 
 def atlas_to_csv(atlas: Atlas, mmax: int) -> str:
-    """The atlas as CSV lines, joined once: the header, one line per row, the summary comment."""
-    lines = ["n,m,l,n_over_l,l2_over_n,qpp_count,ks,canonical_n,canonical_m,polynomials\n"]
-    for n, m, r, ks, (head, after_m) in _rows(atlas, mmax, _csv_class):
-        polys = ";".join(" ".join(_rational_csv(*c) for c in packing_coefficients(n, m, k)) for k in ks) if ks else ""
-        lines.append(f"{head}{m}{after_m}{r},{polys}\n")
-    lines.append(f"# {summary_line(atlas, mmax)}\n")
-    return "".join(lines)
+    """The atlas as CSV, joined once: the header, each row's pieces, the summary comment."""
+    parts = ["n,m,l,n_over_l,l2_over_n,qpp_count,ks,canonical_n,canonical_m,polynomials\n"]
+    for n, m, ks, m_text, r_text, (head, after_m) in _rows(atlas, mmax, _csv_class):
+        if ks:
+            polys = ";".join(" ".join(_rational_csv(*c) for c in packing_coefficients(n, m, k)) for k in ks)
+            parts.extend((head, m_text, after_m, r_text, f",{polys}\n"))
+        else:
+            parts.extend((head, m_text, after_m, r_text, ",\n"))
+    parts.append(f"# {summary_line(atlas, mmax)}\n")
+    return "".join(parts)

@@ -6,10 +6,11 @@ Exit 2 is decided in ``main`` alone: a ``ValueError`` from the sector, the
 atlas range or any command becomes one ``error:`` line; only ``render``
 catches its own, for exit 1.  Work limits, each checked before the work
 starts: ``MAX_DIGITS`` per sector number and coefficient part (exit 2),
-``verify.MAX_WINDOW_POINTS`` per window (exit 2), ``verify.MAX_CANDIDATES``
-per search box (exit 2), ``atlas.MAX_ATLAS_CELLS`` for nmax * mmax (exit 2)
-and ``render.MAX_FIGURE_POINTS`` per figure, which bounds its lattice points
-and, for SVG, its staircase lines (exit 1).
+``verify.MAX_WINDOW_POINTS`` per window (exit 2), ``verify.MAX_WINDOW_BITS``
+for a Python-int window's points times the bits of its values (exit 2),
+``verify.MAX_CANDIDATES`` per search box (exit 2), ``atlas.MAX_ATLAS_CELLS``
+for nmax * mmax (exit 2) and ``render.MAX_FIGURE_POINTS`` per figure, which
+bounds its lattice points and, for SVG, its staircase lines (exit 1).
 
 ``main`` may be called any number of times in one process. The parser is built
 once, on the first call, and shared by every later call.
@@ -81,12 +82,20 @@ def _parse_coeffs(spec: str) -> QuadPoly:
     return QuadPoly(*coeffs)
 
 
+WRITE_SLICE = 1 << 16  # characters per write: an ASCII slice's bytes stay under glibc's 128 KiB mmap threshold
+
+
 def _write(path: str, make) -> int:
-    """Open path, then write the text of make() -> (text, note) and print the note: exit 0, or 1 with an error line."""
+    """Open path, then write the text of make() -> (text, note) and print the note: exit 0, or 1 with an error line.
+
+    The text is written in slices of ``WRITE_SLICE`` characters, so no UTF-8 copy of the whole text is
+    ever made; a slice of a ``str`` never splits a character, so the file holds exactly its encoding.
+    """
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             text, note = make()
-            handle.write(text)
+            for start in range(0, len(text), WRITE_SLICE):
+                handle.write(text[start:start + WRITE_SLICE])
     except OSError as exc:
         print(f"error writing {path}: {exc}", file=sys.stderr)
         return 1

@@ -137,7 +137,7 @@ def packing_coefficients(n: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     kl = k * gcd(m - 1, n)
     pairs = ((n, 2), (1 - m, 1), ((m - 1) ** 2, 2 * n), (2 - kl, 2), (kl * (m - 1) + 2 * (kl - (m - 1)), 2 * n),
              (abs(k) - 1, 1))
-    return tuple((num // (g := gcd(num, den)), den // g) for num, den in pairs)
+    return tuple([(num // (g := gcd(num, den)), den // g) for num, den in pairs])
 
 
 def packing_polynomial(s: SectorSpec, k: int) -> QuadPoly:

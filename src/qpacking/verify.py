@@ -65,6 +65,7 @@ FailureKind = Literal[
 
 
 MAX_WINDOW_POINTS = 4_000_000  # lattice points in a window's bounding box (x_max + 1)(y_top + 1)
+MAX_WINDOW_BITS = 4_000_000_000  # box points times the bit length of the size bound, for Python-int windows
 MAX_CANDIDATES = 1_000_000  # (A, B, C, D, E) candidates in a search box; F is derived, not scanned
 _MAX_PRINTED_BITS = 13_000  # about 3,900 digits, under the 4,300 digits Python converts to text
 
@@ -244,7 +245,10 @@ def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray
     terms are >= 0 and sum to at most (x + y + 1)^2.  The rows are int32 when
     that bound is below 2^30, int64 when it is below 2^62, and Python-int
     object arrays otherwise; the int64 rows are views of the block
-    ``lattice_window`` builds.
+    ``lattice_window`` builds.  The memory of an object window's values
+    grows with their digits, so one whose box points times the bit length
+    of that bound exceed ``MAX_WINDOW_BITS`` is refused with ``ValueError``
+    too, before any point is built.  An int32 or int64 window never is.
     """
     y_top = x_max if s.m == 0 else s.n * x_max // s.m
     box = (x_max + 1) * (y_top + 1)
@@ -253,6 +257,9 @@ def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray
                          f"more than the limit of {MAX_WINDOW_POINTS}")
     bound = cap * (x_max + y_top + 1) ** 2
     dtype = np.int32 if bound < 2 ** 30 else np.int64 if bound < 2 ** 62 else object
+    if dtype is object and box * bound.bit_length() > MAX_WINDOW_BITS:
+        raise ValueError(f"window x <= {x_max} has {box} lattice points in its bounding box and values of up to "
+                         f"{bound.bit_length()} bits: more than the limit of {MAX_WINDOW_BITS} point-bits")
     xs, ys = lattice_window(s, x_max).T.astype(dtype, copy=False)
     return xs, ys
 

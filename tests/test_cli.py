@@ -213,6 +213,24 @@ def test_window_at_limit_runs(monkeypatch, capsys):
         "error: window x <= 121 has a bounding box of 25376 lattice points, more than the limit of 24926\n")
 
 
+# 1/(10^999 + d): the lcm of the six denominators makes every window of these a Python-int window
+HUGE_DENOMINATORS = ",".join(f"1/{10**999 + d}" for d in (7, 9, 13, 19, 21, 27))
+
+
+def test_object_window_over_bit_limit_is_refused_at_once(capsys):
+    # 2,000 x 2,000 points of values up to 19,936 bits: the window would have needed about 9 GB
+    start = perf_counter()
+    assert run(["verify", "1", "1", HUGE_DENOMINATORS, "--xmax", "1999"]) == 2
+    assert perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: window x <= 1999 has 4000000 lattice points in its bounding box and "
+                                       "values of up to 19936 bits: more than the limit of 4000000000 point-bits\n")
+
+
+def test_object_window_under_bit_limit_runs(capsys):
+    assert run(["verify", "1", "1", HUGE_DENOMINATORS, "--xmax", "100"]) == 1
+    assert "verdict: FAIL [non_integral_value] " in capsys.readouterr().out
+
+
 def test_verify_prints_a_tail_floor_too_long_for_str(capsys):
     # each coefficient is under the 1,000-digit limit, but the tail floor's numerator and
     # denominator grow with the lcm of all four denominators, past what str() converts
@@ -316,9 +334,10 @@ def test_atlas_300_matches_bench_goldens(fmt, golden, tmp_path, capsys):
 
 
 def test_atlas_out_holds_the_text_at_most_twice(tmp_path, capsys):
-    # one join of the row pieces into the text, then one write of it: beyond the class table the
-    # peak is the pieces and the text (or the text and its encoded bytes), about twice the file's size;
-    # a layout that joins the rows and then copies them into an enclosing text holds three times it
+    # the rows refer to shared pieces, so the one join makes the only text-sized string, and the write
+    # encodes it one slice at a time: beyond the class table the peak is the text, the list of pieces and
+    # the polynomial texts, about 1.5 times the file's size.  A new string per row (about 1.95 times)
+    # or a whole-text UTF-8 copy in the write (2.3 times with both) passes 1.75 times it
     out = tmp_path / "atlas.json"
     tracemalloc.start()
     try:
@@ -330,8 +349,22 @@ def test_atlas_out_holds_the_text_at_most_twice(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert out.stat().st_size > 3_000_000
-    assert peak - table_peak < 2.5 * out.stat().st_size
+    assert peak - table_peak < 1.75 * out.stat().st_size
     capsys.readouterr()
+
+
+# 2.5 slices with "é€😀" from character WRITE_SLICE - 1: the first slice ends with "é", whose two bytes
+# straddle byte WRITE_SLICE of the file; then a text of exactly one slice, and an empty one
+@pytest.mark.parametrize("text", [
+    "a" * (cli.WRITE_SLICE - 1) + "é€😀" + "b" * (cli.WRITE_SLICE // 2 + cli.WRITE_SLICE - 2),
+    "c" * cli.WRITE_SLICE,
+    "",
+], ids=["2.5-slices-multibyte", "one-slice", "empty"])
+def test_write_writes_the_texts_utf8_bytes(text, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    assert cli._write(str(out), lambda: (text, "note")) == 0
+    assert out.read_bytes() == text.encode("utf-8")
+    assert capsys.readouterr() == ("note\n", "")
 
 
 UNCLASSIFIED = "  [window-certified to x <= {} only; not a classified packing polynomial]"
