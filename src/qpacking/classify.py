@@ -79,12 +79,9 @@ def classify(s: SectorSpec) -> list[ClassifiedQPP]:
     return out
 
 
-def no_qpp_reason(s: SectorSpec) -> str | None:
-    """Human-readable reason the sector has no packing polynomial, or None if it has some."""
-    ar = sector_arithmetic(s)
+def no_qpp_reason(s: SectorSpec, ar: SectorArithmetic) -> str:
+    """Why a sector whose ``classify`` list is empty has no packing polynomial; ``ar`` is ``sector_arithmetic(s)``."""
     if not ar.divides_n_l2:
         return f"{s.n} does not divide ({s.m}-1)^2 = {(s.m - 1) ** 2}"
-    if not admissible_ks(s, ar):
-        return "no admissible k: the congruence and l^2/n conditions all fail"
-    return None
+    return "no admissible k: the congruence and l^2/n conditions all fail"
 

@@ -8,7 +8,8 @@ catches its own, for exit 1.  Work limits, each checked before the work
 starts: ``MAX_DIGITS`` per sector number and coefficient part (exit 2),
 ``verify.MAX_WINDOW_POINTS`` per window (exit 2), ``verify.MAX_WINDOW_BITS``
 for a Python-int window's points times the bits of its values (exit 2),
-``verify.MAX_CANDIDATES`` per search box (exit 2), ``atlas.MAX_ATLAS_CELLS``
+``verify.MAX_CANDIDATES`` per search box and ``verify.MAX_SEARCH_WORK`` for its
+candidates times its window's box points (exit 2), ``atlas.MAX_ATLAS_CELLS``
 for nmax * mmax (exit 2) and ``render.MAX_FIGURE_POINTS`` per figure, which
 bounds its lattice points and, for SVG, its staircase lines (exit 1).
 
@@ -138,9 +139,8 @@ def _cmd_classify(args) -> int:
     print(f"sector {s.n}/{s.m}" + (" (first quadrant)" if s.m == 0 else ""))
     print(f"l = {ar.l}, n/l = {ar.n_over_l}, l^2/n = {ar.l2_over_n}")
     print(f"n | (m-1)^2: {'yes' if ar.divides_n_l2 else 'no'}")
-    reason = no_qpp_reason(s)
-    if reason is not None:
-        print(f"no QPPs: {reason}")
+    if not entries:
+        print(f"no QPPs: {no_qpp_reason(s, ar)}")
         return 0
     print(f"admissible k: {', '.join(str(e.k) for e in entries)}")
     for e in entries:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .classify import classify, no_qpp_reason
+from .classify import classify, no_qpp_reason, sector_arithmetic
 from .geometry import SectorSpec
 from .poly import QuadPoly
 from .staircase import column_heights
@@ -24,7 +24,7 @@ MAX_FIGURE_POINTS = 10_000  # lattice points of the window a figure draws
 def _classified_poly(s: SectorSpec, k: int) -> QuadPoly:
     entries = classify(s)
     if not entries:
-        raise ValueError(f"no QPPs on sector {s}: {no_qpp_reason(s)}")
+        raise ValueError(f"no QPPs on sector {s}: {no_qpp_reason(s, sector_arithmetic(s))}")
     for e in entries:
         if e.k == k:
             return e.poly
@@ -73,7 +73,7 @@ def _staircase_lines(s: SectorSpec, x_max: int) -> int:
 
 def _window_values(s: SectorSpec, poly: QuadPoly, x_max: int) -> tuple[list[int], list[int], list[int]]:
     """The x, y and value lists of the window x <= x_max, in ``lattice_window`` order."""
-    xs, ys, scale, vals = window_values(poly, s, x_max)
+    xs, ys, scale, vals, _ = window_values(poly, s, x_max)
     assert (vals >= 0).all() and not (vals % scale).any()
     return xs.tolist(), ys.tolist(), (vals // scale).tolist()
 

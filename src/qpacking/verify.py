@@ -33,10 +33,10 @@ process and derives the one constant term that puts the window minimum at 0
    window points nearest the origin and drops those that repeat a value or
    need F above its box there, then the whole window checks the rest, and
    each survivor is yielded with the first value missing from its window;
-2. ``_survivor_passes`` rejects a survivor whose ``_tail_floor`` on 2p, the
-   floor the certificate uses, gives no threshold T >= t_min or one that
-   reaches that missing value (a coverage gap), without rebuilding the window;
-3. each remaining hit gets ``packing_window_verify``'s certificate.
+2. ``_verdict``, the certificate's own tail, threshold and coverage verdict,
+   judges each survivor's 2p without rebuilding the window, and accepts it
+   when it finds no failure and T >= t_min, the one place t_min is applied;
+3. each accepted hit gets ``packing_window_verify``'s certificate.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from math import floor, lcm, prod
+from math import lcm, prod
 from typing import Literal
 
 import numpy as np
@@ -67,6 +67,7 @@ FailureKind = Literal[
 MAX_WINDOW_POINTS = 4_000_000  # lattice points in a window's bounding box (x_max + 1)(y_top + 1)
 MAX_WINDOW_BITS = 4_000_000_000  # box points times the bit length of the size bound, for Python-int windows
 MAX_CANDIDATES = 1_000_000  # (A, B, C, D, E) candidates in a search box; F is derived, not scanned
+MAX_SEARCH_WORK = 10 ** 9  # search box candidates times the lattice points in the window's bounding box
 _MAX_PRINTED_BITS = 13_000  # about 3,900 digits, under the 4,300 digits Python converts to text
 
 
@@ -230,7 +231,25 @@ def _tail_floor(coeffs: tuple[int, ...], s: SectorSpec, x_max: int) -> tuple[int
     return None if other is None else _smallest([bound, other])
 
 
+def _verdict(coeffs: tuple[int, ...], scale: int, s: SectorSpec, x_max: int, missing: int):
+    """(failure kind or None, ``_tail_floor`` (num, den) or None, T = floor(num / (den scale)) - 1 or None)
+    of the quadratic coeffs / scale, whose window x <= x_max takes distinct integers >= 0 and misses ``missing``.
+    """
+    pair = _tail_floor(coeffs, s, x_max)
+    if pair is None:
+        return "tail_unbounded", None, None
+    threshold = pair[0] // (pair[1] * scale) - 1
+    kind = "tail_below_zero" if threshold < 0 else "coverage_gap" if missing <= threshold else None
+    return kind, pair, threshold
+
+
 # -- certified window verification --------------------------------------------
+
+
+def _box(s: SectorSpec, x_max: int) -> tuple[int, int]:
+    """(y_top, the (x_max + 1)(y_top + 1) points of the bounding box) of the window x <= x_max."""
+    y_top = x_max if s.m == 0 else s.n * x_max // s.m
+    return y_top, (x_max + 1) * (y_top + 1)
 
 
 def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,8 +269,7 @@ def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray
     of that bound exceed ``MAX_WINDOW_BITS`` is refused with ``ValueError``
     too, before any point is built.  An int32 or int64 window never is.
     """
-    y_top = x_max if s.m == 0 else s.n * x_max // s.m
-    box = (x_max + 1) * (y_top + 1)
+    y_top, box = _box(s, x_max)
     if box > MAX_WINDOW_POINTS:
         raise ValueError(f"window x <= {x_max} has a bounding box of {number_text(box)} lattice points, "
                          f"more than the limit of {MAX_WINDOW_POINTS}")
@@ -264,8 +282,9 @@ def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray
     return xs, ys
 
 
-def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """(xs, ys, L, L*p at each point) on the window x <= x_max, exactly.
+def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray,
+                                                                  tuple[int, ...]]:
+    """(xs, ys, L, L*p at each point, the coefficients of L*p) on the window x <= x_max, exactly.
 
     L is the lcm of p's coefficient denominators, inside the size bound of ``_window`` so that L*p // L
     and L*p % L stay exact: p(pt) is integral iff L divides L*p(pt).  L*p is evaluated in place in
@@ -285,7 +304,7 @@ def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[np.ndarray, n
     term *= xs
     vals += term
     vals += f
-    return xs, ys, scale, vals
+    return xs, ys, scale, vals, coeffs
 
 
 def _first_missing(ranked: np.ndarray) -> np.ndarray:
@@ -303,7 +322,7 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
     """
     if x_max < 1:
         raise ValueError(f"x_max must be >= 1, got {x_max}")
-    xs, ys, scale, vals = window_values(p, s, x_max)
+    xs, ys, scale, vals, coeffs = window_values(p, s, x_max)
     q, r = vals // scale, vals % scale
     ranked = np.sort(q)
     repeats = ranked[1:] == ranked[:-1]
@@ -324,21 +343,17 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
             failure = Failure("collision", f"value {v} taken at both {first} and {pt}", (first, pt), v)
         return WindowCertificate(x_max, None, None, failure)
 
-    scale, coeffs = _scaled(p)
-    floor_pair = _tail_floor(coeffs, s, x_max)
-    if floor_pair is None:
-        return WindowCertificate(x_max, None, None, Failure(
-            "tail_unbounded", f"polynomial is unbounded below outside the window x <= {x_max}"))
-    bound = Fraction(floor_pair[0], floor_pair[1] * scale)
-    threshold = floor(bound) - 1
-    if threshold < 0:
-        return WindowCertificate(x_max, threshold, bound, Failure(
-            "tail_below_zero", f"tail lower bound {number_text(bound)} certifies no threshold; enlarge the window"))
     missing = int(_first_missing(ranked))
-    if missing <= threshold:
-        return WindowCertificate(x_max, threshold, bound, Failure(
-            "coverage_gap", f"value {missing} is not attained on the window", missing=missing))
-    return WindowCertificate(x_max, threshold, bound, None)
+    kind, pair, threshold = _verdict(coeffs, scale, s, x_max, missing)
+    if pair is None:
+        return WindowCertificate(x_max, None, None, Failure(
+            kind, f"polynomial is unbounded below outside the window x <= {x_max}"))
+    bound, failure = Fraction(pair[0], pair[1] * scale), None
+    if kind == "tail_below_zero":
+        failure = Failure(kind, f"tail lower bound {number_text(bound)} certifies no threshold; enlarge the window")
+    elif kind == "coverage_gap":
+        failure = Failure(kind, f"value {missing} is not attained on the window", missing=missing)
+    return WindowCertificate(x_max, threshold, bound, failure)
 
 
 # -- exhaustive coefficient search ---------------------------------------------
@@ -394,7 +409,7 @@ def _sieve(coeffs: np.ndarray, terms: np.ndarray, f_max: int) -> np.ndarray:
     return coeffs[(-ranked[:, 0] <= f_max) & _distinct(ranked)]
 
 
-def _full_window(coeffs: np.ndarray, bounds: SearchBounds, terms: np.ndarray, t_min: int | None):
+def _full_window(coeffs: np.ndarray, bounds: SearchBounds, terms: np.ndarray):
     """Stage 2 of ``_prescreen``: the rows (A, B, C, D, E) of ``coeffs`` over the whole window.
 
     Returns the indices of the rows kept, their F and the first value >= 0 each window misses.
@@ -404,14 +419,11 @@ def _full_window(coeffs: np.ndarray, bounds: SearchBounds, terms: np.ndarray, t_
     kept = np.flatnonzero((bounds.f[0] <= f) & (f <= bounds.f[1]))
     ranked = np.sort(vals[kept], axis=1)
     ok = _distinct(ranked)
-    if t_min is not None:
-        # with F added, distinct values hold {0..t_min} iff rank t_min holds t_min
-        ok &= t_min < ranked.shape[1] and ranked[:, t_min] + f[kept] == t_min
     survivors = kept[ok]
     return survivors, f[survivors], _first_missing(ranked[ok] + f[survivors, None])
 
 
-def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray, t_min: int | None):
+def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray):
     """Yield, in coefficient order, each (A, B, C, D, E, F) that the prescreen keeps,
     followed by the first value >= 0 that its window does not take (xs.size if it takes 0..size-1).
 
@@ -428,7 +440,7 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray,
     the sieve points are window points, so a repeat there is a window collision, and their
     minimum is at least the window's, so F = -(window minimum) is at least -(sieve minimum).
     Stage 2, ``_full_window``, takes the survivors about ``_BLOCK // xs.size`` at a time and
-    applies the F box, distinctness and ``t_min`` on the whole window.
+    applies the F box and distinctness on the whole window.
     """
     terms = np.array([(xs * (xs - 1)) // 2, xs * ys, (ys * (ys - 1)) // 2, xs, ys],
                      dtype=np.float64 if xs.dtype == np.int32 else xs.dtype)
@@ -443,25 +455,9 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray,
         coeffs = _sieve(coeffs, near, bounds.f[1])
         for i in range(0, len(coeffs), rows):
             chunk = coeffs[i:i + rows]
-            kept, f, missing = _full_window(chunk, bounds, terms, t_min)
+            kept, f, missing = _full_window(chunk, bounds, terms)
             for candidate, F, first_missing in zip(chunk[kept].tolist(), f.tolist(), missing.tolist()):
                 yield (*candidate, F, first_missing)
-
-
-def _survivor_passes(survivor, s: SectorSpec, x_max: int, t_min: int | None) -> bool:
-    """Whether a ``_prescreen`` survivor passes ``packing_window_verify`` with threshold >= t_min.
-
-    The prescreen has proved the window values distinct non-negative integers
-    that take 0, so the certificate can fail only on its tail floor (unbounded,
-    or a threshold T = floor(tail floor) - 1 below 0) or on coverage (T reaches
-    the first value missing from the window).
-    """
-    A, B, C, D, E, F = survivor[:6]
-    bound = _tail_floor((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), s, x_max)  # of 2p, from its alpha form
-    if bound is None:
-        return False
-    threshold = bound[0] // (2 * bound[1]) - 1
-    return (t_min or 0) <= threshold < survivor[6]
 
 
 def brute_force_search(
@@ -481,25 +477,26 @@ def brute_force_search(
     its constant term F as minus the minimum of the rest, and only that F,
     when it lies in ``bounds.f``, can be accepted.  The stages are those of
     the module docstring: the prescreen's sieve on the window points nearest
-    the origin, its full-window check of what the sieve keeps, the tail-floor
-    verdict on each survivor, and the certificate of each hit.  The
-    prescreen's sums of alpha-form terms have partial sums that the bound of
-    ``_window`` covers inside the box, so it is exact, and its sieve drops
-    only candidates that the full window drops, so it drops only provably
-    failing candidates.
+    the origin, its full-window check of what the sieve keeps, the
+    certificate's ``_verdict`` on each survivor, which accepts a survivor
+    with no failure and T >= ``t_min`` (0 when None), and the certificate of
+    each hit.  The prescreen's sums of alpha-form terms have partial sums
+    that the bound of ``_window`` covers inside the box, so it is exact, and
+    its sieve drops only candidates that the full window drops.
 
     Bounds for which ``_window`` cannot prove the prescreen exact are
     refused with ``ValueError``, and so are boxes of more than
-    ``MAX_CANDIDATES`` (A, B, C, D, E) candidates, before any window is
-    built; a restricted search on a sector without forced A, B, C passes
-    these checks before it returns [].  Each accepted polynomial carries a
-    passing certificate from ``packing_window_verify`` at the configured
-    window, with threshold at least ``t_min`` when given.  The output is in
-    the prescreen's scan order, ascending (A, B, C, D, E), and so sorted by
-    coefficient tuple: the monomial coefficients (A/2, B, C/2, D - A/2,
-    E - C/2, F) compare in the same order, as each increases with its
-    alpha-form coefficient once the earlier ones are equal, and F is fixed by
-    the rest.
+    ``MAX_CANDIDATES`` (A, B, C, D, E) candidates and searches of more than
+    ``MAX_SEARCH_WORK`` candidates times window bounding-box points, before
+    any window is built; a restricted search on a sector without forced A,
+    B, C passes these checks before it returns [].  Each accepted polynomial
+    carries a passing certificate from ``packing_window_verify`` at the
+    configured window, with threshold at least ``t_min`` when given.  The
+    output is in the prescreen's scan order, ascending (A, B, C, D, E), and
+    so sorted by coefficient tuple: the monomial coefficients (A/2, B, C/2,
+    D - A/2, E - C/2, F) compare in the same order, as each increases with
+    its alpha-form coefficient once the earlier ones are equal, and F is
+    fixed by the rest.
 
     The search runs in the calling process.  ``jobs`` is still validated and
     otherwise unused: the CLI's ``--jobs`` passes it, and the benchmark's
@@ -527,6 +524,11 @@ def brute_force_search(
     size = prod(hi - lo + 1 for lo, hi in (*abc_ranges, bounds.d, bounds.e))
     if size > MAX_CANDIDATES:
         raise ValueError(f"search box has {size} candidates, more than the limit of {MAX_CANDIDATES}")
+    box = _box(s, x_max)[1]
+    if size * box > MAX_SEARCH_WORK:
+        raise ValueError(f"search box has {size} candidates for a window x <= {x_max} with a bounding box of "
+                         f"{number_text(box)} lattice points: more than the limit of {MAX_SEARCH_WORK} "
+                         "candidate-points")
     coeff_cap = max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc_ranges) for v in r)
     xs, ys = _window(s, x_max, coeff_cap)
     if xs.dtype == object:
@@ -534,11 +536,10 @@ def brute_force_search(
     if not abc_ranges:
         return []  # restricted, and no forced A, B, C: the sector has no packing polynomial
     found = []
-    for survivor in _prescreen(abc_ranges, bounds, xs, ys, t_min):
-        if not _survivor_passes(survivor, s, x_max, t_min):
-            continue
-        candidate = AlphaFormCoeffs(*survivor[:6]).to_poly()
-        cert = packing_window_verify(candidate, s, x_max)
-        if cert.ok and (t_min is None or cert.threshold >= t_min):
-            found.append(candidate)
+    for A, B, C, D, E, F, missing in _prescreen(abc_ranges, bounds, xs, ys):
+        kind, _, threshold = _verdict((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), 2, s, x_max, missing)  # of 2p
+        if kind is None and threshold >= (t_min or 0):
+            candidate = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
+            if packing_window_verify(candidate, s, x_max).ok:
+                found.append(candidate)
     return found

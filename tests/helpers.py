@@ -392,7 +392,7 @@ def reference_search(s: SectorSpec, bounds: SearchBounds, mode: str, x_max: int,
     return sorted(found, key=QuadPoly.coefficients)
 
 
-def reference_prescreen(abc_ranges, bounds: SearchBounds, xs, ys, t_min):
+def reference_prescreen(abc_ranges, bounds: SearchBounds, xs, ys):
     """Each (A, B, C, D, E, F) that survives the prescreen, in integer arithmetic of the
     window's dtype with one sort per candidate, with the first value >= 0 that its window does
     not take."""
@@ -407,10 +407,6 @@ def reference_prescreen(abc_ranges, bounds: SearchBounds, xs, ys, t_min):
                 vals = np.sort(base_d + E * ys)
                 F = -int(vals[0])
                 if not bounds.f[0] <= F <= bounds.f[1] or (np.diff(vals) == 0).any():
-                    continue
-                # With F added the distinct values start at 0, so they hold
-                # {0..t_min} exactly when the one at rank t_min is t_min.
-                if t_min is not None and (t_min >= vals.size or int(vals[t_min]) + F != t_min):
                     continue
                 present = set((vals + F).tolist())
                 yield A, B, C, D, E, F, next(t for t in count() if t not in present)

@@ -137,9 +137,14 @@ class TestClassify:
                 assert Fraction(a.A, 1 - a.B) == Fraction(e.sector.n, e.sector.m)
 
     def test_no_qpp_reason(self):
-        assert no_qpp_reason(make_sector(3, 2)) == "3 does not divide (2-1)^2 = 1"
-        assert no_qpp_reason(make_sector(4, 3)) is None
-        assert no_qpp_reason(make_sector(25, 11)) is not None
+        # the reason is asked for only when classify's list is empty: 3 fails n | (m-1)^2, and 25/11,
+        # with l^2/n = 1, passes it but admits no k
+        reasons = {(3, 2): "3 does not divide (2-1)^2 = 1",
+                   (25, 11): "no admissible k: the congruence and l^2/n conditions all fail"}
+        for (n, m), reason in reasons.items():
+            s = make_sector(n, m)
+            assert classify(s) == []
+            assert no_qpp_reason(s, sector_arithmetic(s)) == reason
 
 
 class TestConstantTerm:

@@ -135,6 +135,23 @@ def test_search_over_many_prescreen_blocks(capsys):
         "".join(format_poly(p) + "\n" for p in polys) + "found 2 packing polynomial(s) on sector 4/3\n", "")
 
 
+def test_search_over_work_limit_is_refused_at_once(capsys):
+    # 999,999 candidates, each within MAX_CANDIDATES, on the 2,000 x 2,000 window, which is within
+    # MAX_WINDOW_POINTS and int64: scanned, it would take hours
+    start = perf_counter()
+    assert run(["search", "1", "1", "--mode", "full", "--bounds", "1:0:0:500:499:0", "--xmax", "1999"]) == 2
+    assert perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: search box has 999999 candidates for a window x <= 1999 with a "
+                                       "bounding box of 4000000 lattice points: more than the limit of 1000000000 "
+                                       "candidate-points\n")
+
+
+def test_search_of_one_candidate_on_a_large_window_runs(capsys):
+    # the one candidate, x(x - 1)/2, takes 0 at (0, 0) and (1, 0) in the 1,000 x 1,000 window
+    assert run(["search", "1", "1", "--mode", "full", "--bounds", "1:0:0:0:0:0", "--xmax", "999"]) == 0
+    assert capsys.readouterr() == ("found 0 packing polynomial(s) on sector 1/1\n", "")
+
+
 WINDOW_REFUSED = "error: window x <= {} has a bounding box of {} lattice points, more than the limit of 4000000\n"
 FIGURE_REFUSED = "error: figure x <= 2000 has more than 10000 lattice points\n"
 
@@ -142,8 +159,8 @@ FIGURE_REFUSED = "error: figure x <= 2000 has more than 10000 lattice points\n"
 @pytest.mark.parametrize("argv, code, err", [
     (["verify", "1", "0", "1/2,1,1/2,1/2,3/2,0", "--xmax", "2000"], 2, WINDOW_REFUSED.format(2000, 4004001)),
     (["search", "1", "0", "--bounds", "1:1:1", "--xmax", "2000"], 2, WINDOW_REFUSED.format(2000, 4004001)),
-    # 3/2 has no forced A, B, C
-    (["search", "3", "2", "--xmax", "1633"], 2, WINDOW_REFUSED.format(1633, 4003300)),
+    # 3/2 has no forced A, B, C; its 9 candidates times 4,003,300 points are within MAX_SEARCH_WORK
+    (["search", "3", "2", "--bounds", "1:1:1", "--xmax", "1633"], 2, WINDOW_REFUSED.format(1633, 4003300)),
     # render's own limit of 10,000 points comes first
     (["render", "1", "0", "1", "--xmax", "2000"], 1, FIGURE_REFUSED),
 ], ids=["verify", "search", "search-no-forced-abc", "render"])

@@ -14,7 +14,7 @@ from qpacking.staircase import first_step_y, lattice_window
 from qpacking.verify import (
     SearchBounds,
     _prescreen,
-    _survivor_passes,
+    _verdict,
     _window,
     brute_force_search,
     packing_window_verify,
@@ -303,8 +303,8 @@ class TestPackingWindowVerify:
         assert xs.dtype == ys.dtype == dtype
         # every coefficient at the cap: the largest value and partial sums the bound allows
         p = QuadPoly(*[cap] * 6)
-        _, _, scale, vals = verify.window_values(p, s, 1)
-        assert vals.dtype == dtype and scale == 1
+        _, _, scale, vals, coeffs = verify.window_values(p, s, 1)
+        assert vals.dtype == dtype and scale == 1 and coeffs == (cap,) * 6
         assert vals.tolist() == [int(p(x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
 
     def test_int64_rows_are_views_of_the_lattice_block(self, monkeypatch):
@@ -446,15 +446,19 @@ class TestBruteForceSearch:
         got = brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min)
         assert got == reference_search(s, bounds, mode, x_max, t_min or 0)
 
-    @pytest.mark.parametrize("t_min", [None, 0, 5, "last"])
+    @pytest.mark.parametrize("sizes", ["default", "origin-sieve", "window-sieve", "one-row-blocks"])
     @pytest.mark.parametrize("n, m, bounds, mode, x_max", BENCH_SEARCHES,
                              ids=[f"{n}-{m}-{mode}" for n, m, _, mode, _ in BENCH_SEARCHES])
-    def test_prescreen_matches_one_sort_per_candidate(self, n, m, bounds, mode, x_max, t_min):
+    def test_prescreen_matches_one_sort_per_candidate(self, monkeypatch, n, m, bounds, mode, x_max, sizes):
         # survivors are compared as (A..F) tuples in order, so a block row
-        # mapped to the wrong (D, E) fails here even when no output changes
+        # mapped to the wrong (D, E) fails here even when no output changes;
+        # the sieve is the default one, the origin alone or larger than the
+        # window, and the last size sends the full window one row at a time
         abc, xs, ys = prescreen_inputs(make_sector(n, m), bounds, mode, x_max)
-        t_min = xs.size - 1 if t_min == "last" else t_min
-        assert list(_prescreen(abc, bounds, xs, ys, t_min)) == list(reference_prescreen(abc, bounds, xs, ys, t_min))
+        name, value = {"origin-sieve": ("_SIEVE", 1), "window-sieve": ("_SIEVE", xs.size + 1),
+                       "one-row-blocks": ("_BLOCK", xs.size)}.get(sizes, ("_SIEVE", verify._SIEVE))
+        monkeypatch.setattr(verify, name, value)
+        assert list(_prescreen(abc, bounds, xs, ys)) == list(reference_prescreen(abc, bounds, xs, ys))
 
     @pytest.mark.parametrize("n, m, bounds, mode, x_max, t_min", [
         (1, 1, SMALL_FULL_BOX, "full", 2, None),
@@ -469,7 +473,7 @@ class TestBruteForceSearch:
         default = brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min)
         assert default == reference_search(s, bounds, mode, x_max, t_min or 0)
         abc, xs, ys = prescreen_inputs(s, bounds, mode, x_max)
-        survivors = list(reference_prescreen(abc, bounds, xs, ys, t_min))
+        survivors = list(reference_prescreen(abc, bounds, xs, ys))
         # one candidate per block, then full-window blocks of 5 with a short last
         # block (the (D, E) planes have 49 and 169 points), each with a sieve of
         # the default size, of the origin alone and larger than the window
@@ -477,7 +481,7 @@ class TestBruteForceSearch:
             for sieve in (verify._SIEVE, 1, xs.size + 1):
                 monkeypatch.setattr(verify, "_BLOCK", block)
                 monkeypatch.setattr(verify, "_SIEVE", sieve)
-                assert list(_prescreen(abc, bounds, xs, ys, t_min)) == survivors
+                assert list(_prescreen(abc, bounds, xs, ys)) == survivors
                 assert brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min) == default
 
     def test_prescreen_matches_reference_on_random_cases(self, monkeypatch):
@@ -500,11 +504,10 @@ class TestBruteForceSearch:
                                       d=span(rng, 3), e=span(rng, 3), f=(f_lo, f_hi))
             abc, xs, ys = prescreen_inputs(s, bounds, mode, rng.randint(1, 10))
             dtypes.add(xs.dtype)
-            t_min = rng.choice([None, 0, rng.randrange(xs.size), xs.size - 1])
-            survivors = list(reference_prescreen(abc, bounds, xs, ys, t_min))
+            survivors = list(reference_prescreen(abc, bounds, xs, ys))
             for sieve in (verify._SIEVE, 1, xs.size + 1):
                 monkeypatch.setattr(verify, "_SIEVE", sieve)
-                assert list(_prescreen(abc, bounds, xs, ys, t_min)) == survivors, (s, bounds, mode, t_min, sieve)
+                assert list(_prescreen(abc, bounds, xs, ys)) == survivors, (s, bounds, mode, sieve)
         # so both products of the prescreen are checked: float64 for int32 windows, int64 for int64 ones
         assert {np.dtype(np.int32), np.dtype(np.int64)} <= dtypes
 
@@ -516,8 +519,8 @@ class TestBruteForceSearch:
         bounds = SearchBounds(a=(1, 1), b=(cap - 1, cap), c=(0, 0), d=(-cap, 1 - cap), e=(cap - 1, cap), f=(0, cap))
         abc, xs, ys = prescreen_inputs(make_sector(1, 1), bounds, "full", 1)
         assert xs.dtype == dtype
-        survivors = list(_prescreen(abc, bounds, xs, ys, None))
-        assert survivors == list(reference_prescreen(abc, bounds, xs, ys, None))
+        survivors = list(_prescreen(abc, bounds, xs, ys))
+        assert survivors == list(reference_prescreen(abc, bounds, xs, ys))
         assert len(survivors) == 8
         assert {F for *_, F, _ in survivors} == {cap - 1, cap}
 
@@ -532,8 +535,8 @@ class TestBruteForceSearch:
             return full_window(coeffs, *args)
 
         monkeypatch.setattr(verify, "_full_window", counted)
-        survivors = list(_prescreen(abc, BENCH_FULL, xs, ys, None))
-        assert survivors == list(reference_prescreen(abc, BENCH_FULL, xs, ys, None))
+        survivors = list(_prescreen(abc, BENCH_FULL, xs, ys))
+        assert survivors == list(reference_prescreen(abc, BENCH_FULL, xs, ys))
         assert sum(rows) < 0.1 * 4116
 
     def test_prescreen_memory_is_bounded_by_the_block(self):
@@ -556,14 +559,22 @@ class TestBruteForceSearch:
                              ids=[f"{n}-{m}-{mode}-x{x_max}" for n, m, _, mode, x_max in
                                   BENCH_SEARCHES + SMALL_FULL_SEARCHES])
     def test_in_block_verdict_matches_certificate(self, n, m, bounds, mode, x_max, t_min):
+        # the search's verdict on each survivor's 2p is the certificate's, and it
+        # accepts exactly the survivors certified to threshold >= t_min
         s = make_sector(n, m)
         abc, xs, ys = prescreen_inputs(s, bounds, mode, x_max)
         t_min = xs.size - 1 if t_min == "last" else t_min
-        for survivor in _prescreen(abc, bounds, xs, ys, t_min):
-            p = AlphaFormCoeffs(*survivor[:6]).to_poly()
+        certified = []
+        for A, B, C, D, E, F, missing in _prescreen(abc, bounds, xs, ys):
+            kind, pair, threshold = _verdict((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), 2, s, x_max, missing)
+            p = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
             cert = packing_window_verify(p, s, x_max)
-            assert _survivor_passes(survivor, s, x_max, t_min) == (cert.ok and cert.threshold >= (t_min or 0))
+            assert (kind, threshold) == (cert.failure.kind if cert.failure else None, cert.threshold)
             assert cert.floor_bound == reference_tail_floor(p, s, x_max)
+            assert cert.floor_bound == (None if pair is None else Fraction(pair[0], 2 * pair[1]))
+            if cert.ok and cert.threshold >= (t_min or 0):
+                certified.append(p)
+        assert brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min) == certified
 
     def test_in_block_verdict_cases_are_reached(self):
         # the differential test above sees every way a survivor fails, and on the
@@ -571,14 +582,14 @@ class TestBruteForceSearch:
         s, x_max = make_sector(1, 0), 1
         abc, xs, ys = prescreen_inputs(s, SMALL_FULL_BOX, "full", x_max)
         outcomes, swapped_smaller = set(), 0
-        for t_min in (None, xs.size - 1):
-            for survivor in _prescreen(abc, SMALL_FULL_BOX, xs, ys, t_min):
-                p = AlphaFormCoeffs(*survivor[:6]).to_poly()
-                cert = packing_window_verify(p, s, x_max)
-                outcomes.add(cert.failure.kind if cert.failure else cert.threshold >= (t_min or 0))
-                # plain can be finite where the swapped strip, and so the tail, is unbounded
-                plain, tail = reference_value_floor(p, s, x_max + 1), reference_tail_floor(p, s, x_max)
-                swapped_smaller += plain is not None and tail is not None and tail < plain
+        for A, B, C, D, E, F, missing in _prescreen(abc, SMALL_FULL_BOX, xs, ys):
+            kind, _, threshold = _verdict((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), 2, s, x_max, missing)
+            # a passing survivor is accepted or not by t_min = xs.size - 1
+            outcomes.add(kind or threshold >= xs.size - 1)
+            p = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
+            # plain can be finite where the swapped strip, and so the tail, is unbounded
+            plain, tail = reference_value_floor(p, s, x_max + 1), reference_tail_floor(p, s, x_max)
+            swapped_smaller += plain is not None and tail is not None and tail < plain
         assert outcomes == {"tail_unbounded", "tail_below_zero", "coverage_gap", True, False}
         assert swapped_smaller
 
