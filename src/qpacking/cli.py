@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds", default="12:12:12",
                    help="D:E:F (restricted) or A:B:C:D:E:F (full); D,E,B span [-X,X], F,C span [0,X], A spans [1,X]")
     p.add_argument("--xmax", type=_int_at_least(1), default=25)
-    p.add_argument("--tmin", type=_int_at_least(0), default=None,
+    p.add_argument("--tmin", type=_int_at_least(0), default=0,
                    help="only accept candidates certified to threshold at least this")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
     p.add_argument("--format", choices=("text", "json"), default="text")

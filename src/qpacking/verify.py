@@ -14,12 +14,14 @@ nothing can overflow.  The certificate sorts them once.  Only a failing window
 is ranked, stably, to name its witness: the first point in ``lattice_window``
 order that is non-integral, negative or a repeat, by the first such check.  A
 passing window's first missing value comes from the sorted values.  The
-bound on the points a window leaves out also has one place: ``_tail_floor``
-works on integer coefficients, such as those of L*p, and an integer edge
-x_max + 1.  Its case analysis tests the directions inside the cone for
-unboundedness and lets the two boundary rays decide the boundary directions.
-It keeps every candidate minimum as an integer pair (num, den), compares them
-by cross-multiplication, and the caller builds one ``Fraction`` at the end.
+bound on the points a window leaves out also has one place: ``value_floor``
+floors an integer quadratic, such as L*p, over the sector's points with
+x >= x_lo, an integer >= 0, and ``_verdict`` calls it at x_max + 1 (on the
+quadrant once more for the strip y > x_max).  Its case analysis tests the
+directions inside the cone for unboundedness and lets the two boundary rays
+decide the boundary directions.  It keeps every candidate minimum as an
+integer pair (num, den), compares them by cross-multiplication, and the
+certificate builds one ``Fraction`` at the end.
 
 ``brute_force_search`` rediscovers classifications without trusting them: it
 scans integer boxes of the non-constant alpha-form coefficients in the calling
@@ -50,7 +52,7 @@ from typing import Literal
 import numpy as np
 
 from .classify import forced_quadratic_coeffs
-from .geometry import SectorSpec, _frac
+from .geometry import SectorSpec
 from .poly import AlphaFormCoeffs, QuadPoly
 from .staircase import lattice_window
 
@@ -116,13 +118,6 @@ class WindowCertificate:
 # -- exact infimum over the truncated sector ---------------------------------
 
 
-def _scaled(p: QuadPoly) -> tuple[int, tuple[int, ...]]:
-    """(L, the coefficients of L*p) with L the lcm of p's coefficient denominators."""
-    coeffs = p.coefficients()
-    scale = lcm(*(q.denominator for q in coeffs))
-    return scale, tuple(q.numerator * (scale // q.denominator) for q in coeffs)
-
-
 def _halfline_min(a: int, bn: int, cn: int, den: int) -> tuple[int, int] | None:
     """Min over t >= 0 of a t^2 + (bn/den) t + cn/den^2 as (num, den > 0); None when unbounded below."""
     if a < 0 or (a == 0 and bn < 0):
@@ -141,8 +136,10 @@ def _smallest(candidates: list[tuple[int, int]]) -> tuple[int, int]:
     return num, den
 
 
-def _floor_of_integers(coeffs: tuple[int, ...], s: SectorSpec, x_lo: int) -> tuple[int, int] | None:
-    """Exact infimum of the integer quadratic ``coeffs`` over the sector region with x >= x_lo, an integer >= 0.
+def value_floor(coeffs: tuple[int, ...], s: SectorSpec, x_lo: int) -> tuple[int, int] | None:
+    """Exact infimum of the quadratic with integer coefficients ``coeffs`` (a, b, c, d, e, f of
+    a x^2 + b xy + c y^2 + d x + e y + f) over the sector region 0 <= y <= (n/m) x, the first
+    quadrant when m = 0, with x >= x_lo, an integer >= 0.
 
     Returns (num, den > 0), or None when the infimum is -infinity.  The region is a 2-D truncated
     cone.  The directions inside its recession cone come first, as no boundary ray sees them; the
@@ -198,44 +195,20 @@ def _floor_of_integers(coeffs: tuple[int, ...], s: SectorSpec, x_lo: int) -> tup
     return _smallest(candidates)
 
 
-def value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
-    """Exact infimum of p over the points of the sector region with x >= x_min.
-
-    The region is the real cone 0 <= y <= (n/m) x, the first quadrant when
-    m = 0; it holds no point with x < 0, so any x_min <= 0 gives the infimum
-    over the whole region.  Returns None when the infimum is -infinity.
-    ``_floor_of_integers`` finds it in integers on an integer edge: with L the
-    lcm of p's coefficient denominators and x_min = xn/xd, it floors the
-    integer quadratic xd^2 L p(x/xd, y/xd) over x >= xn, and as the cone is
-    scale-invariant, that floor divided by xd^2 L is p's.
-    """
-    x_min = max(_frac(x_min), 0)
-    xd = x_min.denominator
-    scale, (a, b, c, d, e, f) = _scaled(p)
-    floor_pair = _floor_of_integers((a, b, c, d * xd, e * xd, f * xd * xd), s, x_min.numerator)
-    return None if floor_pair is None else Fraction(floor_pair[0], floor_pair[1] * scale * xd * xd)
-
-
-def _tail_floor(coeffs: tuple[int, ...], s: SectorSpec, x_max: int) -> tuple[int, int] | None:
-    """Exact lower bound of the integer quadratic ``coeffs`` on the sector points outside the window x <= x_max.
-
-    Returns (num, den > 0), or None when it is unbounded below there.  For m >= 1 the window's
-    complement is {x > x_max}.  The first quadrant's window is a box, and its second strip
-    {y > x_max} is the first under coordinate swap, so it is bounded through the swapped coefficients.
-    """
-    bound = _floor_of_integers(coeffs, s, x_max + 1)
-    if s.m != 0 or bound is None:
-        return bound
-    a, b, c, d, e, f = coeffs
-    other = _floor_of_integers((c, b, a, e, d, f), s, x_max + 1)
-    return None if other is None else _smallest([bound, other])
-
-
 def _verdict(coeffs: tuple[int, ...], scale: int, s: SectorSpec, x_max: int, missing: int):
-    """(failure kind or None, ``_tail_floor`` (num, den) or None, T = floor(num / (den scale)) - 1 or None)
+    """(failure kind or None, tail floor (num, den) or None, T = floor(num / (den scale)) - 1 or None)
     of the quadratic coeffs / scale, whose window x <= x_max takes distinct integers >= 0 and misses ``missing``.
+
+    The tail floor is the exact lower bound of the integer quadratic ``coeffs`` on the sector points
+    outside the window, None when it is unbounded below there.  For m >= 1 the window's complement is
+    {x > x_max}.  The first quadrant's window is a box, and its second strip {y > x_max} is the first
+    under coordinate swap, so it is bounded through the swapped coefficients (c, b, a, e, d, f).
     """
-    pair = _tail_floor(coeffs, s, x_max)
+    pair = value_floor(coeffs, s, x_max + 1)
+    if s.m == 0 and pair is not None:
+        a, b, c, d, e, f = coeffs
+        other = value_floor((c, b, a, e, d, f), s, x_max + 1)
+        pair = None if other is None else _smallest([pair, other])
     if pair is None:
         return "tail_unbounded", None, None
     threshold = pair[0] // (pair[1] * scale) - 1
@@ -291,7 +264,9 @@ def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[np.ndarray, n
     Horner form, (c y + b x + e) y + (a x + d) x + f, with two window-sized arrays; each partial sum
     is within that bound, so the values are exact in the rows' dtype.
     """
-    scale, coeffs = _scaled(p)
+    rationals = p.coefficients()
+    scale = lcm(*(q.denominator for q in rationals))
+    coeffs = tuple(q.numerator * (scale // q.denominator) for q in rationals)
     a, b, c, d, e, f = coeffs
     xs, ys = _window(s, x_max, max(scale, *map(abs, coeffs)))
     vals = ys * c
@@ -377,8 +352,8 @@ class SearchBounds:
                 raise ValueError(f"empty bound for {name}: [{rng[0]}, {rng[1]}]")
 
 
-_BLOCK = 2 ** 15  # most window values in one prescreen block; its products of at most 5 * 2^15
-# multiply-adds stay under the size at which OpenBLAS splits a float64 product over threads
+_BLOCK = 2 ** 15  # most window values in one prescreen block or BLAS product; a product of at most
+# 5 * 2^15 multiply-adds stays under the size at which OpenBLAS splits a float64 product over threads
 _SIEVE = 24  # window points nearest the origin on which stage 1 of the prescreen evaluates every candidate
 
 
@@ -386,11 +361,17 @@ def _products(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """The values ``coeffs @ terms`` of the (A, B, C, D, E) rows at the points of ``terms``.
 
     float64 terms are those of an int32 window: the product runs on BLAS and is cast back to int32,
-    exactly (see ``_prescreen``).  int64 terms keep numpy's int64 product.
+    exactly (see ``_prescreen``), in column slices of at most ``_BLOCK`` values, so that a row against a
+    window of more than ``_BLOCK`` points is no product that OpenBLAS splits over threads.  int64 terms
+    keep numpy's int64 product.
     """
-    if terms.dtype == np.float64:
-        return (coeffs.astype(np.float64) @ terms).astype(np.int32)
-    return coeffs @ terms
+    if terms.dtype != np.float64:
+        return coeffs @ terms
+    floats, out = coeffs.astype(np.float64), np.empty((len(coeffs), terms.shape[1]), dtype=np.int32)
+    step = max(1, _BLOCK // len(coeffs))
+    for i in range(0, terms.shape[1], step):
+        out[:, i:i + step] = floats @ terms[:, i:i + step]
+    return out
 
 
 def _distinct(ranked: np.ndarray) -> np.ndarray:
@@ -465,7 +446,7 @@ def brute_force_search(
     bounds: SearchBounds,
     mode: Literal["restricted", "full"] = "restricted",
     x_max: int = 25,
-    t_min: int | None = None,
+    t_min: int = 0,
     jobs: int = 1,
 ) -> list[QuadPoly]:
     """Exhaustively search integer alpha-form coefficients for packing polynomials.
@@ -479,7 +460,7 @@ def brute_force_search(
     the module docstring: the prescreen's sieve on the window points nearest
     the origin, its full-window check of what the sieve keeps, the
     certificate's ``_verdict`` on each survivor, which accepts a survivor
-    with no failure and T >= ``t_min`` (0 when None), and the certificate of
+    with no failure and T >= ``t_min``, and the certificate of
     each hit.  The prescreen's sums of alpha-form terms have partial sums
     that the bound of ``_window`` covers inside the box, so it is exact, and
     its sieve drops only candidates that the full window drops.
@@ -491,7 +472,7 @@ def brute_force_search(
     any window is built; a restricted search on a sector without forced A,
     B, C passes these checks before it returns [].  Each accepted polynomial
     carries a passing certificate from ``packing_window_verify`` at the
-    configured window, with threshold at least ``t_min`` when given.  The
+    configured window, with threshold at least ``t_min``.  The
     output is in the prescreen's scan order, ascending (A, B, C, D, E), and
     so sorted by coefficient tuple: the monomial coefficients (A/2, B, C/2,
     D - A/2, E - C/2, F) compare in the same order, as each increases with
@@ -508,7 +489,7 @@ def brute_force_search(
         raise ValueError(f"x_max must be >= 1, got {x_max}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if t_min is not None and t_min < 0:
+    if t_min < 0:
         raise ValueError(f"t_min must be >= 0, got {t_min}")
 
     if mode == "restricted":
@@ -538,7 +519,7 @@ def brute_force_search(
     found = []
     for A, B, C, D, E, F, missing in _prescreen(abc_ranges, bounds, xs, ys):
         kind, _, threshold = _verdict((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), 2, s, x_max, missing)  # of 2p
-        if kind is None and threshold >= (t_min or 0):
+        if kind is None and threshold >= t_min:
             candidate = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
             if packing_window_verify(candidate, s, x_max).ok:
                 found.append(candidate)

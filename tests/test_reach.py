@@ -27,7 +27,6 @@ KEPT = {
     "poly.QuadPoly.conjugate": "ROADMAP Directions 8 and 13: cones and straightened staircases",
     "poly.step_difference": "ROADMAP Direction 1: the staircase proof",
     "staircase.first_step_y": "ROADMAP Directions 1 and 11: the base staircases",
-    "verify.value_floor": "the bench tracer wraps it (ROADMAP Direction 3)",
 }
 
 TREES = {path.stem: ast.parse(path.read_text()) for path in Path(qpacking.__file__).parent.glob("*.py")}

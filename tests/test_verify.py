@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -83,17 +84,22 @@ semidefinite_polys = st.builds(
     floor_rationals, floor_rationals, floor_rationals, floor_drifts, floor_drifts, floor_rationals)
 floor_polys = st.builds(QuadPoly, *[floor_rationals] * 6) | semidefinite_polys
 floor_sectors = st.just(make_sector(1, 0)) | st.sampled_from(coprime_sectors(9, 9))
-floor_x_mins = st.integers(-5, 30) | st.builds(Fraction, st.integers(-60, 300), st.integers(1, 7))
+floor_x_los = st.integers(0, 300)
 small_rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
-def _no_y2_quadrant_floor(p: QuadPoly, x_min) -> Fraction | None:
-    """The closed-form floor over the quadrant's x >= x_min of a p with no y^2 term; None for -infinity.
+def _cleared(p: QuadPoly) -> tuple[int, ...]:
+    """The coefficients of L*p, with L the lcm of p's coefficient denominators: the same floors up to the factor L."""
+    scale = lcm(*(q.denominator for q in p.coefficients()))
+    return tuple(q.numerator * (scale // q.denominator) for q in p.coefficients())
 
-    p is affine in y with slope c_xy x + c_y, which is >= 0 on all of x >= x_lo = max(x_min, 0)
-    exactly when c_xy >= 0 and c_xy x_lo + c_y >= 0; the floor is then that of p(x, 0) over x >= x_lo.
+
+def _no_y2_quadrant_floor(p: QuadPoly, x_lo: int) -> Fraction | None:
+    """The closed-form floor over the quadrant's x >= x_lo of a p with no y^2 term; None for -infinity.
+
+    p is affine in y with slope c_xy x + c_y, which is >= 0 on all of x >= x_lo exactly when
+    c_xy >= 0 and c_xy x_lo + c_y >= 0; the floor is then that of p(x, 0) over x >= x_lo.
     """
-    x_lo = max(Fraction(x_min), 0)
     if p.c_xy < 0 or p.c_xy * x_lo + p.c_y < 0:
         return None
     a, d, f = p.c_xx, p.c_x, p.c_0
@@ -104,98 +110,83 @@ def _no_y2_quadrant_floor(p: QuadPoly, x_min) -> Fraction | None:
     return a * x_lo * x_lo + d * x_lo + f
 
 
+def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
+    return None if pair is None else Fraction(*pair)
+
+
 class TestValueFloor:
     def test_slope_one_shifted(self):
-        p = QuadPoly(Fraction(1, 2), 0, 0, Fraction(1, 2), 1, 0)  # x(x+1)/2 + y
-        assert value_floor(p, make_sector(1, 1), 3) == 6
+        # 2 (x(x+1)/2 + y)
+        assert _fraction(value_floor((1, 0, 0, 1, 2, 0), make_sector(1, 1), 3)) == 12
 
     def test_unbounded(self):
-        assert value_floor(QuadPoly(-1, 0, 0, 0, 0, 0), make_sector(4, 3), 0) is None
+        assert value_floor((-1, 0, 0, 0, 0, 0), make_sector(4, 3), 0) is None
 
     def test_attained_at_origin(self):
-        assert value_floor(EX1, make_sector(4, 3), 0) == 0
+        assert _fraction(value_floor((4, -4, 1, 0, 1, 0), make_sector(4, 3), 0)) == 0  # 2 EX1
 
     def test_indefinite_interior_direction(self):
         # positive on both boundary rays, negative along an interior direction
-        p = QuadPoly(1, -3, 1, 0, 0, 0)
-        assert value_floor(p, make_sector(1, 0), 0) is None
+        assert value_floor((1, -3, 1, 0, 0, 0), make_sector(1, 0), 0) is None
 
     def test_kernel_valley_decreasing(self):
-        p = QuadPoly(1, -2, 1, -1, 0, 0)  # (x - y)^2 - x
-        assert value_floor(p, make_sector(1, 0), 0) is None
+        assert value_floor((1, -2, 1, -1, 0, 0), make_sector(1, 0), 0) is None  # (x - y)^2 - x
 
     def test_kernel_valley_increasing(self):
-        p = QuadPoly(1, -2, 1, 1, 0, 0)  # (x - y)^2 + x, min on the x = 2 edge
-        assert value_floor(p, make_sector(1, 0), 2) == 2
+        # (x - y)^2 + x, min on the x = 2 edge
+        assert _fraction(value_floor((1, -2, 1, 1, 0, 0), make_sector(1, 0), 2)) == 2
 
     def test_interior_stationary_point(self):
         # (x - 4)^2 + (y - 2)^2 has its minimum strictly inside the sector
-        p = QuadPoly(1, 0, 1, -8, -4, 20)
-        assert value_floor(p, make_sector(1, 1), 0) == 0
+        assert _fraction(value_floor((1, 0, 1, -8, -4, 20), make_sector(1, 1), 0)) == 0
 
     def test_affine(self):
-        p = QuadPoly(0, 0, 0, 1, 1, 5)
-        assert value_floor(p, make_sector(2, 1), 3) == 8
-        assert value_floor(QuadPoly(0, 0, 0, -1, 0, 0), make_sector(2, 1), 0) is None
+        assert _fraction(value_floor((0, 0, 0, 1, 1, 5), make_sector(2, 1), 3)) == 8
+        assert value_floor((0, 0, 0, -1, 0, 0), make_sector(2, 1), 0) is None
 
-    def test_negative_x_min_means_whole_sector(self):
-        assert value_floor(EX1, make_sector(4, 3), -5) == 0
-        assert value_floor(QuadPoly(1, 0, 1, 2, -2, 2), make_sector(1, 0), -5) == 1
-        assert value_floor(QuadPoly(1, 1, 0, 2, 1, -1), make_sector(1, 0), -5) == -1
+    def test_stationary_point_left_of_the_quadrant(self):
+        # a minimum, (x + 1)^2 + (y - 1)^2, whose quadrant infimum is 1, and a saddle of an
+        # indefinite Hessian, x^2 + xy + 2x + y - 1, whose quadrant infimum is -1: both
+        # stationary points lie at x < 0, outside the region, and must not count
+        assert _fraction(value_floor((1, 0, 1, 2, -2, 2), make_sector(1, 0), 0)) == 1
+        assert _fraction(value_floor((1, 1, 0, 2, 1, -1), make_sector(1, 0), 0)) == -1
 
-    def test_rejects_float_x_min(self):
-        # exact arithmetic would read 0.1 as its binary fraction 3602879701896397/2^55
-        with pytest.raises(TypeError):
-            value_floor(QuadPoly(1, 0, 0, 0, 0, 0), make_sector(1, 1), 0.1)
-
-    # Stationary points left of the quadrant, at x_min <= x* < 0, which must
-    # not count when x_min < 0: a minimum, (x + 1)^2 + (y - 1)^2, whose
-    # quadrant infimum is 1, and a saddle of an indefinite Hessian,
-    # x^2 + xy + 2x + y - 1, whose quadrant infimum is -1.  Random draws
-    # rarely reach either case.
+    # The two quadrant cases above, which random draws rarely reach, and
     # x*y - y = y(x - 1) >= 0 on the quadrant's x >= 1, although it has no y^2
     # term and falls along the y-axis.
-    @example(QuadPoly(1, 0, 1, 2, -2, 2), make_sector(1, 0), -5)
-    @example(QuadPoly(1, 1, 0, 2, 1, -1), make_sector(1, 0), -5)
-    @example(QuadPoly(0, 1, 0, 0, -1, 0), make_sector(1, 0), 1)
+    @example((1, 0, 1, 2, -2, 2), make_sector(1, 0), 0)
+    @example((1, 1, 0, 2, 1, -1), make_sector(1, 0), 0)
+    @example((0, 1, 0, 0, -1, 0), make_sector(1, 0), 1)
     @settings(max_examples=1000, deadline=None)
-    @given(floor_polys, floor_sectors, floor_x_mins)
-    def test_matches_fraction_reference(self, p, s, x_min):
-        assert value_floor(p, s, x_min) == reference_value_floor(p, s, x_min)
-
-    # The sector holds no point with x < 0, so any x_min <= 0 floors the whole
-    # sector; the examples are the two quadrant cases above.
-    @example(QuadPoly(1, 0, 1, 2, -2, 2), make_sector(1, 0), -5)
-    @example(QuadPoly(1, 1, 0, 2, 1, -1), make_sector(1, 0), -5)
-    @settings(max_examples=300, deadline=None)
-    @given(floor_polys, floor_sectors, st.integers(-5, 0) | st.builds(Fraction, st.integers(-60, 0), st.integers(1, 7)))
-    def test_nonpositive_x_min_means_whole_sector(self, p, s, x_min):
-        assert value_floor(p, s, x_min) == value_floor(p, s, 0)
+    @given(floor_polys.map(_cleared), floor_sectors, floor_x_los)
+    def test_matches_fraction_reference(self, coeffs, s, x_lo):
+        assert _fraction(value_floor(coeffs, s, x_lo)) == reference_value_floor(QuadPoly(*coeffs), s, x_lo)
 
     # On the quadrant the y-ray from (x_lo, 0) has slope c_xy x_lo + c_y, not c_y.
-    @example(QuadPoly(0, 1, 0, 0, -1, 0), 1)
-    @example(QuadPoly(0, 1, 0, 0, -1, 0), 2)
-    @example(QuadPoly(0, 2, 0, 0, -3, 5), 3)
+    @example((0, 1, 0, 0, -1, 0), 1)
+    @example((0, 1, 0, 0, -1, 0), 2)
+    @example((0, 2, 0, 0, -3, 5), 3)
     @settings(max_examples=500, deadline=None)
     @given(st.builds(QuadPoly, small_rationals, small_rationals, st.just(0), small_rationals, small_rationals,
-                     small_rationals), floor_x_mins)
-    def test_quadrant_without_y2_matches_closed_form(self, p, x_min):
-        assert value_floor(p, make_sector(1, 0), x_min) == _no_y2_quadrant_floor(p, x_min)
+                     small_rationals).map(_cleared), floor_x_los)
+    def test_quadrant_without_y2_matches_closed_form(self, coeffs, x_lo):
+        expected = _no_y2_quadrant_floor(QuadPoly(*coeffs), x_lo)
+        assert _fraction(value_floor(coeffs, make_sector(1, 0), x_lo)) == expected
 
     def test_grid_never_undercuts(self):
         cases = [
-            (EX1, make_sector(4, 3), 0),
-            (QuadPoly(Fraction(1, 2), 0, 0, Fraction(1, 2), 1, 0), make_sector(1, 1), 3),
-            (QuadPoly(1, -2, 1, 1, 0, 0), make_sector(1, 0), 2),
-            (QuadPoly(1, 0, 1, -8, -4, 20), make_sector(1, 1), 0),
-            (QuadPoly(0, 1, 0, 0, -1, 0), make_sector(1, 0), 2),  # x*y - y, floor 0
-            (QuadPoly(0, 2, 0, 0, -3, 5), make_sector(1, 0), 3),  # 2*x*y - 3*y + 5, floor 5
+            ((4, -4, 1, 0, 1, 0), make_sector(4, 3), 0),  # 2 EX1
+            ((1, 0, 0, 1, 2, 0), make_sector(1, 1), 3),  # 2 (x(x+1)/2 + y)
+            ((1, -2, 1, 1, 0, 0), make_sector(1, 0), 2),
+            ((1, 0, 1, -8, -4, 20), make_sector(1, 1), 0),
+            ((0, 1, 0, 0, -1, 0), make_sector(1, 0), 2),  # x*y - y, floor 0
+            ((0, 2, 0, 0, -3, 5), make_sector(1, 0), 3),  # 2*x*y - 3*y + 5, floor 5
         ]
         quarter = Fraction(1, 4)
-        for p, s, x_min in cases:
-            exact = value_floor(p, s, x_min)
+        for coeffs, s, x_lo in cases:
+            p, exact = QuadPoly(*coeffs), _fraction(value_floor(coeffs, s, x_lo))
             samples = []
-            for i in range(4 * x_min, 4 * (x_min + 12) + 1):
+            for i in range(4 * x_lo, 4 * (x_lo + 12) + 1):
                 x = i * quarter
                 y_top = (s.n * x / s.m) if s.m else x + 12
                 j = 0
@@ -432,19 +423,19 @@ class TestBruteForceSearch:
             brute_force_search(make_sector(2, 1), SearchBounds(d=(0, 0), e=(0, 0), f=(0, 0)), mode="full")
 
     @pytest.mark.parametrize("n, m, bounds, mode, x_max, t_min", [
-        (1, 1, SMALL_FULL_BOX, "full", 2, None),
-        (2, 1, SMALL_FULL_BOX, "full", 2, None),
-        (3, 1, SMALL_FULL_BOX, "full", 2, None),
-        (1, 0, SMALL_FULL_BOX, "full", 1, None),
+        (1, 1, SMALL_FULL_BOX, "full", 2, 0),
+        (2, 1, SMALL_FULL_BOX, "full", 2, 0),
+        (3, 1, SMALL_FULL_BOX, "full", 2, 0),
+        (1, 0, SMALL_FULL_BOX, "full", 1, 0),
         (1, 1, SMALL_FULL_BOX, "full", 3, 2),
-        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 2, None),
+        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 2, 0),
         # the window has 6 points, too few to certify {0..100}
         (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 2, 100),
     ], ids=["1-1", "2-1", "3-1", "1-0", "1-1-tmin-2", "4-3-restricted", "4-3-tmin-beyond-window"])
     def test_matches_certifying_every_candidate(self, n, m, bounds, mode, x_max, t_min):
         s = make_sector(n, m)
         got = brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min)
-        assert got == reference_search(s, bounds, mode, x_max, t_min or 0)
+        assert got == reference_search(s, bounds, mode, x_max, t_min)
 
     @pytest.mark.parametrize("sizes", ["default", "origin-sieve", "window-sieve", "one-row-blocks"])
     @pytest.mark.parametrize("n, m, bounds, mode, x_max", BENCH_SEARCHES,
@@ -461,17 +452,17 @@ class TestBruteForceSearch:
         assert list(_prescreen(abc, bounds, xs, ys)) == list(reference_prescreen(abc, bounds, xs, ys))
 
     @pytest.mark.parametrize("n, m, bounds, mode, x_max, t_min", [
-        (1, 1, SMALL_FULL_BOX, "full", 2, None),
+        (1, 1, SMALL_FULL_BOX, "full", 2, 0),
         (1, 1, SMALL_FULL_BOX, "full", 3, 2),
-        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 2, None),
+        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 2, 0),
         (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 12, 5),
         # F = -min >= 0, as the window holds the origin; only this box drops F = 0
-        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(1, 6)), "restricted", 12, None),
+        (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(1, 6)), "restricted", 12, 0),
     ], ids=["1-1", "1-1-tmin-2", "4-3-restricted", "4-3-tmin-5", "4-3-f-from-1"])
     def test_block_boundaries(self, monkeypatch, n, m, bounds, mode, x_max, t_min):
         s = make_sector(n, m)
         default = brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min)
-        assert default == reference_search(s, bounds, mode, x_max, t_min or 0)
+        assert default == reference_search(s, bounds, mode, x_max, t_min)
         abc, xs, ys = prescreen_inputs(s, bounds, mode, x_max)
         survivors = list(reference_prescreen(abc, bounds, xs, ys))
         # one candidate per block, then full-window blocks of 5 with a short last
@@ -510,6 +501,17 @@ class TestBruteForceSearch:
                 assert list(_prescreen(abc, bounds, xs, ys)) == survivors, (s, bounds, mode, sieve)
         # so both products of the prescreen are checked: float64 for int32 windows, int64 for int64 ones
         assert {np.dtype(np.int32), np.dtype(np.int64)} <= dtypes
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_float_products_are_exact_across_slices(self, rows):
+        # 2 _BLOCK + 1 columns: one row is multiplied in slices of _BLOCK columns, the last
+        # of one column, and three rows in slices of _BLOCK // 3; values stay below 2^30
+        rng = np.random.default_rng(rows)
+        coeffs = rng.integers(-2 ** 17, 2 ** 17, size=(rows, 5))
+        terms = rng.integers(0, 2 ** 10, size=(5, 2 * verify._BLOCK + 1))
+        got = verify._products(coeffs, terms.astype(np.float64))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, coeffs @ terms)
 
     @pytest.mark.parametrize("cap, dtype", [(119_304_647, np.int32), (119_304_648, np.int64)])
     def test_prescreen_is_exact_at_the_int32_bound(self, cap, dtype):
@@ -554,7 +556,7 @@ class TestBruteForceSearch:
         assert len(got) == 2
         assert peak < 12 * verify._BLOCK * 8
 
-    @pytest.mark.parametrize("t_min", [None, 0, 5, "last"])
+    @pytest.mark.parametrize("t_min", [0, 5, "last"])
     @pytest.mark.parametrize("n, m, bounds, mode, x_max", BENCH_SEARCHES + SMALL_FULL_SEARCHES,
                              ids=[f"{n}-{m}-{mode}-x{x_max}" for n, m, _, mode, x_max in
                                   BENCH_SEARCHES + SMALL_FULL_SEARCHES])
@@ -572,7 +574,7 @@ class TestBruteForceSearch:
             assert (kind, threshold) == (cert.failure.kind if cert.failure else None, cert.threshold)
             assert cert.floor_bound == reference_tail_floor(p, s, x_max)
             assert cert.floor_bound == (None if pair is None else Fraction(pair[0], 2 * pair[1]))
-            if cert.ok and cert.threshold >= (t_min or 0):
+            if cert.ok and cert.threshold >= t_min:
                 certified.append(p)
         assert brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min) == certified
 
