@@ -162,6 +162,18 @@ class TestValueFloor:
     def test_matches_fraction_reference(self, coeffs, s, x_lo):
         assert _fraction(value_floor(coeffs, s, x_lo)) == reference_value_floor(QuadPoly(*coeffs), s, x_lo)
 
+    # A rational edge x >= xn/k is the integer edge x' >= xn of k^2 p(x'/k, y'/k), cleared
+    # by L; the cone is scale-invariant, so that floor over k^2 L is p's.
+    @settings(max_examples=300, deadline=None)
+    @given(floor_polys, floor_sectors, floor_x_los, st.integers(1, 7))
+    def test_rational_edge_by_scaling(self, p, s, xn, k):
+        a, b, c, d, e, f = p.coefficients()
+        scaled = QuadPoly(a, b, c, d * k, e * k, f * k * k)
+        scale = lcm(*(q.denominator for q in scaled.coefficients()))
+        pair = value_floor(_cleared(scaled), s, xn)
+        got = None if pair is None else Fraction(pair[0], pair[1] * scale * k * k)
+        assert got == reference_value_floor(p, s, Fraction(xn, k))
+
     # On the quadrant the y-ray from (x_lo, 0) has slope c_xy x_lo + c_y, not c_y.
     @example((0, 1, 0, 0, -1, 0), 1)
     @example((0, 1, 0, 0, -1, 0), 2)
@@ -556,16 +568,18 @@ class TestBruteForceSearch:
         assert len(got) == 2
         assert peak < 12 * verify._BLOCK * 8
 
-    @pytest.mark.parametrize("t_min", [0, 5, "last"])
+    @pytest.mark.parametrize("t_min", [None, 0, 5, "last"])
     @pytest.mark.parametrize("n, m, bounds, mode, x_max", BENCH_SEARCHES + SMALL_FULL_SEARCHES,
                              ids=[f"{n}-{m}-{mode}-x{x_max}" for n, m, _, mode, x_max in
                                   BENCH_SEARCHES + SMALL_FULL_SEARCHES])
     def test_in_block_verdict_matches_certificate(self, n, m, bounds, mode, x_max, t_min):
         # the search's verdict on each survivor's 2p is the certificate's, and it
-        # accepts exactly the survivors certified to threshold >= t_min
+        # accepts exactly the survivors certified to threshold >= t_min; None leaves t_min
+        # at its default, which accepts every certified survivor
         s = make_sector(n, m)
         abc, xs, ys = prescreen_inputs(s, bounds, mode, x_max)
-        t_min = xs.size - 1 if t_min == "last" else t_min
+        kwargs = {} if t_min is None else {"t_min": xs.size - 1 if t_min == "last" else t_min}
+        t_min = kwargs.get("t_min", 0)
         certified = []
         for A, B, C, D, E, F, missing in _prescreen(abc, bounds, xs, ys):
             kind, pair, threshold = _verdict((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), 2, s, x_max, missing)
@@ -576,7 +590,7 @@ class TestBruteForceSearch:
             assert cert.floor_bound == (None if pair is None else Fraction(pair[0], 2 * pair[1]))
             if cert.ok and cert.threshold >= t_min:
                 certified.append(p)
-        assert brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min) == certified
+        assert brute_force_search(s, bounds, mode=mode, x_max=x_max, **kwargs) == certified
 
     def test_in_block_verdict_cases_are_reached(self):
         # the differential test above sees every way a survivor fails, and on the
