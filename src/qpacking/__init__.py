@@ -2,10 +2,10 @@
 
 Each name has one import path, the module that defines it:
 
-- ``geometry``: sectors (``SectorSpec``, ``make_sector``), unimodular maps and the reduction of a two-ray cone to a sector.
+- ``geometry``: sectors, their staircase record ``Staircases``, unimodular maps and the reduction of cones to sectors.
 - ``poly``: ``QuadPoly``, the alpha form, the closed forms and the text rendering.
-- ``classify``: the decision procedure ``classify`` and the sector arithmetic behind it.
-- ``staircase``: lattice windows and the lowest step of each staircase.
+- ``classify``: ``sector_arithmetic``, the one builder of ``Staircases``, and the decision procedure ``classify``.
+- ``staircase``: lattice windows.
 - ``verify``: certified window checks, the exact tail floor and the coefficient search.
 - ``atlas``: classification tables over slope ranges, as JSON or CSV.
 - ``render``: labeled lattice figures, as SVG or ASCII.

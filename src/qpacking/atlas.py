@@ -3,9 +3,9 @@
 A sector n/m depends on m only through its class r = m mod n: l = gcd(m-1, n), n/l, l^2/n, the admissible
 step constants k and the canonical shear representative (n, r) are those of every m of the class; only the
 closed-form polynomial coefficients change with m.  So ``build_atlas`` keeps, for each n, the classes r that
-hold a coprime m <= mmax, each with its ``SectorArithmetic`` and its ks, and builds no row.  The rows are
-implied: row (n, m) exists for each 0 <= m <= mmax whose class m mod n is in n's table (every coprime m >= 1,
-and the first-quadrant row m = 0 on n = 1), and class r of n holds (mmax - r)//n + 1 of them.
+hold a coprime m <= mmax, each with its printed columns (l, n/l, l^2/n) and its ks, and builds no row.  The
+rows are implied: row (n, m) exists for each 0 <= m <= mmax whose class m mod n is in n's table (every coprime
+m >= 1, and the first-quadrant row m = 0 on n = 1), and class r of n holds (mmax - r)//n + 1 of them.
 
 The writers lay a row's text out once for all classes of n with the same l and ks, and ``_rows`` takes the texts
 of m and r from one table of str(0..mmax).  Each row, in (n, m) order, adds these shared pieces to one list; only
@@ -17,16 +17,18 @@ its own (n, m).  Each text is then the one text-sized string made, joined once f
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
-from .classify import SectorArithmetic, admissible_ks, sector_arithmetic
+from .classify import admissible_ks, sector_arithmetic
 from .geometry import SectorSpec
 from .poly import packing_coefficients
 
 
 MAX_ATLAS_CELLS = 250_000  # nmax * mmax: the (n, m) pairs an atlas scans
 
-Atlas = dict[int, dict[int, tuple[SectorArithmetic, tuple[int, ...]]]]  # n -> {r: (arithmetic, ks)}, keys ascending
+Columns = tuple[int, int, Fraction]  # the printed (l, n/l, l^2/n) of a class
+Atlas = dict[int, dict[int, tuple[Columns, tuple[int, ...]]]]  # n -> {r: (columns, ks)}, keys ascending
 
 
 def check_atlas_size(nmax: int, mmax: int) -> None:
@@ -41,22 +43,26 @@ def build_atlas(nmax: int, mmax: int) -> Atlas:
     """The class table of the coprime (n, m) with n <= nmax, 1 <= m <= mmax, plus (1, 0); n and r ascending.
 
     A class's first m is its residue r, so n's classes are the r < min(n, mmax + 1) coprime to n; r = 0 only
-    for n = 1.  ``sector_arithmetic`` runs once per pair (n, l), l = gcd(r-1, n), and ``admissible_ks`` once per
-    class whose (n, l) has n | l^2; the other classes have no ks.  A range that ``check_atlas_size`` refuses raises
-    its ``ValueError`` before any class is built.
+    for n = 1.  The classes of n with the same l = gcd(r-1, n) share the columns and n | l^2 of the
+    ``sector_arithmetic`` record of the first of them.  When n | l^2, ``admissible_ks`` reads each class's own
+    record, for its own u = (r-1)/l; the other classes have no ks.  A range that ``check_atlas_size`` refuses
+    raises its ``ValueError`` before any class is built.
     """
     check_atlas_size(nmax, mmax)
     atlas = {}
     for n in range(1, nmax + 1):
-        arithmetic = {}  # l -> sector_arithmetic of this n's sectors with gcd(m-1, n) = l
+        shared = {}  # l -> (columns, n | l^2) of this n's classes with gcd(r-1, n) = l
         classes = atlas[n] = {}
         for r in range(min(n, mmax + 1)):
             if gcd(n, r) == 1:
                 l = gcd(r - 1, n)
-                ar = arithmetic.get(l)
-                if ar is None:
-                    ar = arithmetic[l] = sector_arithmetic(SectorSpec(n, r))
-                classes[r] = (ar, tuple(admissible_ks(SectorSpec(n, r), ar)) if ar.divides_n_l2 else ())
+                if l not in shared:
+                    st = sector_arithmetic(SectorSpec(n, r))
+                    shared[l] = (st.l, st.v, st.l2_over_n), st.divides_n_l2
+                elif shared[l][1]:
+                    st = sector_arithmetic(SectorSpec(n, r))
+                columns, divides = shared[l]  # when divides, st is the record of this class
+                classes[r] = (columns, tuple(admissible_ks(st)) if divides else ())
     return atlas
 
 
@@ -79,19 +85,19 @@ def summary_line(atlas: Atlas, mmax: int) -> str:
 
 
 def _rows(atlas: Atlas, mmax: int, layout):
-    """(n, m, ks, text of m, text of m mod n, layout(n, arithmetic, ks)) of each row in (n, m) order.
+    """(n, m, ks, text of m, text of m mod n, layout(n, columns, ks)) of each row in (n, m) order.
 
     The layout runs once per (l, ks) of each n.  The number texts come from one table of str(0..mmax), as m and
     m mod n are at most mmax, so a row adds no new string: it only refers to texts shared with other rows.
     """
     numbers = [str(i) for i in range(mmax + 1)]
     for n, classes in atlas.items():
-        texts = {}  # (l, ks) -> layout(n, arithmetic, ks)
+        texts = {}  # (l, ks) -> layout(n, columns, ks)
         laid = []  # (r, ks, text of r, text) of each class, r ascending
-        for r, (ar, ks) in classes.items():
-            text = texts.get((ar.l, ks))
+        for r, (columns, ks) in classes.items():
+            text = texts.get((columns[0], ks))
             if text is None:
-                text = texts[ar.l, ks] = layout(n, ar, ks)
+                text = texts[columns[0], ks] = layout(n, columns, ks)
             laid.append((r, ks, numbers[r], text))
         for base in range(0, mmax + 1, n):
             for r, ks, r_text, text in laid:
@@ -107,14 +113,15 @@ def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{pad}  {inner.join(items)}\n{pad}{brackets[1]}" if items else brackets
 
 
-def _json_class(n: int, ar: SectorArithmetic, ks: tuple[int, ...]) -> tuple[str, str, str]:
+def _json_class(n: int, columns: Columns, ks: tuple[int, ...]) -> tuple[str, str, str]:
     """(a row's text before m, after m up to the polynomials, after them up to r); without ks, after m up to r."""
+    l, v, l2_over_n = columns
     after_m = f""",
-      "l": {ar.l},
-      "n_over_l": {ar.n_over_l},
+      "l": {l},
+      "n_over_l": {v},
       "l2_over_n": {{
-        "num": "{ar.l2_over_n.numerator}",
-        "den": "{ar.l2_over_n.denominator}"
+        "num": "{l2_over_n.numerator}",
+        "den": "{l2_over_n.denominator}"
       }},
       "qpp_count": {len(ks)},
       "ks": {_json_block([str(k) for k in ks], " " * 6)},
@@ -161,10 +168,10 @@ def _rational_csv(num: int, den: int) -> str:
     return f"{num}" if den == 1 else f"{num}/{den}"
 
 
-def _csv_class(n: int, ar: SectorArithmetic, ks: tuple[int, ...]) -> tuple[str, str]:
+def _csv_class(n: int, columns: Columns, ks: tuple[int, ...]) -> tuple[str, str]:
     """(a row's text before m, after m up to r); a row ends with r, a comma and its polynomials."""
-    l2_over_n = _rational_csv(ar.l2_over_n.numerator, ar.l2_over_n.denominator)
-    return f"{n},", f",{ar.l},{ar.n_over_l},{l2_over_n},{len(ks)},{' '.join(map(str, ks))},{n},"
+    l, v, l2_over_n = columns  # str(Fraction) prints l^2/n as _rational_csv does
+    return f"{n},", f",{l},{v},{l2_over_n},{len(ks)},{' '.join(map(str, ks))},{n},"
 
 
 def atlas_to_csv(atlas: Atlas, mmax: int) -> str:

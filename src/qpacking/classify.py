@@ -1,10 +1,12 @@
 """The decision procedure listing all quadratic packing polynomials of a sector.
 
-With l = gcd(m-1, n) and u = (m-1)/l, a sector admits packing polynomials only
-when n | l^2 (equivalently n | (m-1)^2).  The step constant k of any packing
-polynomial then lies in {+-1, +-2, +-3} and must satisfy, sign included,
+``sector_arithmetic`` builds the sector's staircase record (``geometry.Staircases``):
+l = gcd(m-1, n), v = n/l, u = (m-1)/l, l^2/n and whether n | l^2.  A sector admits
+packing polynomials only when n | l^2 (equivalently n | (m-1)^2).  The step
+constant k of any packing polynomial then lies in {+-1, +-2, +-3} and must
+satisfy, sign included,
 
-    u = k (mod n/l),   and   l^2/n = 4 when |k| = 2,   l^2/n = 3 when |k| = 3.
+    u = k (mod v),   and   l^2/n = 4 when |k| = 2,   l^2/n = 3 when |k| = 3.
 
 Each admissible k yields exactly one polynomial, the expanded closed form whose
 six coefficients ``poly.packing_coefficients`` gives as integer (num, den) pairs
@@ -17,19 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .geometry import SectorSpec
+from .geometry import SectorSpec, Staircases
 from .poly import K_ORDER, AlphaFormCoeffs, QuadPoly, packing_polynomial, to_alpha_form
-
-
-@dataclass(frozen=True)
-class SectorArithmetic:
-    """Derived sector invariants driving the classification."""
-
-    l: int
-    n_over_l: int
-    l2_over_n: Fraction
-    divides_n_l2: bool
 
 
 @dataclass(frozen=True)
@@ -42,46 +35,47 @@ class ClassifiedQPP:
     alpha_form: AlphaFormCoeffs
 
 
-def sector_arithmetic(s: SectorSpec) -> SectorArithmetic:
-    l2_over_n = Fraction(s.l ** 2, s.n)
-    return SectorArithmetic(s.l, s.n_over_l, l2_over_n, l2_over_n.denominator == 1)
+def sector_arithmetic(s: SectorSpec) -> Staircases:
+    """The sector's staircase record: the one place l = gcd(m-1, n) and u = (m-1)/l are derived."""
+    l = gcd(s.m - 1, s.n)
+    l2_over_n = Fraction(l * l, s.n)
+    return Staircases(s.n, l, s.n // l, (s.m - 1) // l, l2_over_n, l2_over_n.denominator == 1)
 
 
-def forced_quadratic_coeffs(s: SectorSpec) -> tuple[int, int, int] | None:
-    """The only possible (A, B, C) alpha coefficients: (n, 1-m, (m-1)^2/n).
+def forced_quadratic_coeffs(st: Staircases) -> tuple[int, int, int] | None:
+    """The only possible (A, B, C) alpha coefficients: (n, 1-m, (m-1)^2/n) = (n, -u l, u^2 l^2/n).
 
-    Returns None when n does not divide (m-1)^2, in which case the sector has
-    no packing polynomial at all.
+    ``st`` is the sector's ``sector_arithmetic``.  Returns None when n does not divide l^2, in which
+    case the sector has no packing polynomial at all.
     """
-    if (s.m - 1) ** 2 % s.n != 0:
+    if not st.divides_n_l2:
         return None
-    return (s.n, 1 - s.m, (s.m - 1) ** 2 // s.n)
+    return (st.n, -st.u * st.l, st.u * st.u * st.l2_over_n.numerator)
 
 
-def admissible_ks(s: SectorSpec, ar: SectorArithmetic) -> list[int]:
-    """The step constants k, in ``K_ORDER``, for which the sector carries a packing polynomial.
+def admissible_ks(st: Staircases) -> list[int]:
+    """The step constants k, in ``K_ORDER``, for which the sector of the record ``st`` carries a packing polynomial.
 
-    ``ar`` is ``sector_arithmetic(s)``; |k| = 2, 3 need l^2/n = 4, 3.
+    They need n | l^2, k = u (mod v), and l^2/n = 4 or 3 when |k| = 2 or 3.
     """
-    if not ar.divides_n_l2:
+    if not st.divides_n_l2:
         return []
-    u = (s.m - 1) // ar.l
     need = {2: 4, 3: 3}
-    return [k for k in K_ORDER if need.get(abs(k), ar.l2_over_n) == ar.l2_over_n and (k - u) % ar.n_over_l == 0]
+    return [k for k in K_ORDER if need.get(abs(k), st.l2_over_n) == st.l2_over_n and (k - st.u) % st.v == 0]
 
 
 def classify(s: SectorSpec) -> list[ClassifiedQPP]:
     """All packing polynomials of the sector, in the fixed order k = 1, -1, 2, -2, 3, -3."""
     out = []
-    for k in admissible_ks(s, sector_arithmetic(s)):
+    for k in admissible_ks(sector_arithmetic(s)):
         poly = packing_polynomial(s, k)
         out.append(ClassifiedQPP(s, k, poly, to_alpha_form(poly)))
     return out
 
 
-def no_qpp_reason(s: SectorSpec, ar: SectorArithmetic) -> str:
-    """Why a sector whose ``classify`` list is empty has no packing polynomial; ``ar`` is ``sector_arithmetic(s)``."""
-    if not ar.divides_n_l2:
+def no_qpp_reason(s: SectorSpec, st: Staircases) -> str:
+    """Why a sector whose ``classify`` list is empty has no packing polynomial; ``st`` is ``sector_arithmetic(s)``."""
+    if not st.divides_n_l2:
         return f"{s.n} does not divide ({s.m}-1)^2 = {(s.m - 1) ** 2}"
     return "no admissible k: the congruence and l^2/n conditions all fail"
 

@@ -9,9 +9,10 @@ starts: ``MAX_DIGITS`` per sector number and coefficient part (exit 2),
 ``verify.MAX_WINDOW_POINTS`` per window (exit 2), ``verify.MAX_WINDOW_BITS``
 for a Python-int window's points times the bits of its values (exit 2),
 ``verify.MAX_CANDIDATES`` per search box and ``verify.MAX_SEARCH_WORK`` for its
-candidates times its window's box points (exit 2), ``atlas.MAX_ATLAS_CELLS``
-for nmax * mmax (exit 2) and ``render.MAX_FIGURE_POINTS`` per figure, which
-bounds its lattice points and, for SVG, its staircase lines (exit 1).
+candidates times its window's box points (exit 2), a search whose prescreen
+would need a Python-int window (exit 2), ``atlas.MAX_ATLAS_CELLS`` for
+nmax * mmax (exit 2) and ``render.MAX_FIGURE_POINTS`` per figure, which bounds
+its lattice points and, for SVG, its staircase lines (exit 1).
 
 ``main`` may be called any number of times in one process. The parser is built
 once, on the first call, and shared by every later call.
@@ -110,16 +111,16 @@ def rational_json(q: Fraction) -> dict[str, str]:
 
 def _cmd_classify(args) -> int:
     s = args.sector
-    ar = sector_arithmetic(s)
+    st = sector_arithmetic(s)
     entries = classify(s)
     if args.format == "json":
         payload = {
             "sector": {"n": s.n, "m": s.m},
             "arithmetic": {
-                "l": ar.l,
-                "n_over_l": ar.n_over_l,
-                "l2_over_n": rational_json(ar.l2_over_n),
-                "divides_n_l2": ar.divides_n_l2,
+                "l": st.l,
+                "n_over_l": st.v,
+                "l2_over_n": rational_json(st.l2_over_n),
+                "divides_n_l2": st.divides_n_l2,
             },
             "qpps": [
                 {
@@ -128,7 +129,7 @@ def _cmd_classify(args) -> int:
                     "coefficients": [rational_json(c) for c in e.poly.coefficients()],
                     "alpha_form": {"A": e.alpha_form.A, "B": e.alpha_form.B, "C": e.alpha_form.C,
                                    "D": e.alpha_form.D, "E": e.alpha_form.E, "F": e.alpha_form.F},
-                    "factored": format_factored(s, e.k),
+                    "factored": format_factored(st, e.k),
                     "expanded": format_poly(e.poly),
                 }
                 for e in entries
@@ -137,15 +138,15 @@ def _cmd_classify(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
     print(f"sector {s.n}/{s.m}" + (" (first quadrant)" if s.m == 0 else ""))
-    print(f"l = {ar.l}, n/l = {ar.n_over_l}, l^2/n = {ar.l2_over_n}")
-    print(f"n | (m-1)^2: {'yes' if ar.divides_n_l2 else 'no'}")
+    print(f"l = {st.l}, n/l = {st.v}, l^2/n = {st.l2_over_n}")
+    print(f"n | (m-1)^2: {'yes' if st.divides_n_l2 else 'no'}")
     if not entries:
-        print(f"no QPPs: {no_qpp_reason(s, ar)}")
+        print(f"no QPPs: {no_qpp_reason(s, st)}")
         return 0
     print(f"admissible k: {', '.join(str(e.k) for e in entries)}")
     for e in entries:
         print(f"k = {e.k} (F = {e.alpha_form.F}):")
-        print(f"  factored: {format_factored(s, e.k)}")
+        print(f"  factored: {format_factored(st, e.k)}")
         print(f"  expanded: {format_poly(e.poly)}")
         a = e.alpha_form
         print(f"  alpha form: A={a.A} B={a.B} C={a.C} D={a.D} E={a.E} F={a.F}")

@@ -5,7 +5,8 @@ the core ever touches floating point.  A sector is the wedge between the
 positive x-axis and the ray of slope n/m, and the maps built here (the
 integral shear, the x-axis reflection and the general two-ray reduction) are
 the exact determinant +-1 transformations that move packing problems between
-sectors.
+sectors.  ``Staircases`` is a sector's staircase arithmetic, the one record
+of it that every module reads; ``classify.sector_arithmetic`` builds it.
 
 Points are plain ``(x, y)`` tuples: integer pairs on the original lattice,
 ``(Fraction, int)`` pairs on skewed lattices.
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import floor, gcd
+from typing import NamedTuple
 
 
 def _frac(value) -> Fraction:
@@ -58,18 +60,32 @@ class SectorSpec:
         if gcd(self.n, self.m) != 1:
             raise ValueError(f"sector {self.n}/{self.m} not in lowest terms; use make_sector")
 
-    @property
-    def l(self) -> int:
-        """l = gcd(m-1, n): it fixes the staircase spacing n/l, the test n | l^2 and the admissible k."""
-        return gcd(self.m - 1, self.n)
-
-    @property
-    def n_over_l(self) -> int:
-        """n/l, the spacing of the steps on a straightened staircase."""
-        return self.n // self.l
-
     def __str__(self) -> str:
         return f"{self.n}/{self.m}"
+
+
+class Staircases(NamedTuple):
+    """The arithmetic of the staircases of a sector n/m, built by ``classify.sector_arithmetic`` alone.
+
+    Staircase i holds the sector's lattice points with n x - (m-1) y = l i, l = gcd(m-1, n), spaced
+    (u, v) = ((m-1)/l, n/l) apart.  The skew (x, y) -> (x - ((m-1)/n) y, y) straightens it to the
+    line x = i/v, where its steps are the y with u y = -i (mod v), the lowest ``bottom(i)``.  l^2/n
+    fixes the staircase sizes, and n | l^2 (equivalently n | (m-1)^2) is the sector's first
+    condition for a packing polynomial.
+    """
+
+    n: int
+    l: int
+    v: int
+    u: int
+    l2_over_n: Fraction
+    divides_n_l2: bool
+
+    def bottom(self, i: int) -> int:
+        """The y of the lowest step of staircase i, the y in [0, v) with u y = -i (mod v); period v in i."""
+        if i < 0:
+            raise ValueError(f"staircase index must be >= 0, got {i}")
+        return -i * pow(self.u, -1, self.v) % self.v
 
 
 def make_sector(n: int, m: int) -> SectorSpec:

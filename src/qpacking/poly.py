@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .geometry import SectorSpec, UnimodularMap, _frac
+from .geometry import SectorSpec, Staircases, UnimodularMap, _frac
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,14 @@ def to_alpha_form(p: QuadPoly) -> AlphaFormCoeffs:
     return AlphaFormCoeffs(*out)
 
 
-def step_difference(p: QuadPoly, s: SectorSpec) -> Fraction:
-    """Constant difference of p across consecutive staircase steps of the sector.
+def step_difference(p: QuadPoly, st: Staircases) -> Fraction:
+    """Constant difference of p across consecutive staircase steps of the sector of the record ``st``.
 
-    The step vector is ((m-1)/l, n/l); the difference must be independent of
+    The step vector is (u, v) = ((m-1)/l, n/l); the difference must be independent of
     the step, which is asserted symbolically (the difference polynomial has to
     be degree 0), not sampled.
     """
-    dx = Fraction(s.m - 1, s.l)
-    dy = Fraction(s.n_over_l)
+    dx, dy = st.u, st.v
     rem_x = 2 * p.c_xx * dx + p.c_xy * dy
     rem_y = p.c_xy * dx + 2 * p.c_yy * dy
     if rem_x != 0 or rem_y != 0:
@@ -177,21 +176,21 @@ def format_poly(p: QuadPoly) -> str:
     return text or "0"
 
 
-def format_factored(s: SectorSpec, k: int) -> str:
-    """The classified polynomial in its factored layout.
+def format_factored(st: Staircases, k: int) -> str:
+    """The classified polynomial with step constant k of the sector of the record ``st``, in its factored layout.
 
     (n/2)*(x - ((m-1)/n) y)*(x - ((m-1)/n) y - kl/n) + x + ((kl-(m-1))/n) y + |k|-1
-    with zero pieces dropped.  Each linear piece is a ``format_poly`` text; a factor keeps its
+    with zero pieces dropped, its rationals reduced: (m-1)/n = u/v, kl/n = k/v and
+    (kl-(m-1))/n = (k-u)/v.  Each linear piece is a ``format_poly`` text; a factor keeps its
     parentheses unless it is just x.
     """
     _check_k(k)
-    kl = k * s.l
-    beta = Fraction(s.m - 1, s.n)
+    beta = Fraction(st.u, st.v)
     first, second, tail = (
         format_poly(QuadPoly(0, 0, 0, 1, y_coeff, const))
-        for y_coeff, const in ((-beta, 0), (-beta, Fraction(-kl, s.n)), (Fraction(kl - (s.m - 1), s.n), abs(k) - 1))
+        for y_coeff, const in ((-beta, 0), (-beta, Fraction(-k, st.v)), (Fraction(k - st.u, st.v), abs(k) - 1))
     )
     factors = "*".join(text if text == "x" else f"({text})" for text in (first, second))
-    scale = Fraction(s.n, 2)
+    scale = Fraction(st.n, 2)
     prefix = "" if scale == 1 else f"{scale}*"
     return f"{prefix}{factors} + {tail}"

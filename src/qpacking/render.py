@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .classify import classify, no_qpp_reason, sector_arithmetic
-from .geometry import SectorSpec
+from .geometry import SectorSpec, Staircases
 from .poly import QuadPoly
 from .staircase import column_heights
 from .verify import window_values
@@ -21,10 +21,10 @@ SVG_MARGIN = 30
 MAX_FIGURE_POINTS = 10_000  # lattice points of the window a figure draws
 
 
-def _classified_poly(s: SectorSpec, k: int) -> QuadPoly:
+def _classified_poly(s: SectorSpec, st: Staircases, k: int) -> QuadPoly:
     entries = classify(s)
     if not entries:
-        raise ValueError(f"no QPPs on sector {s}: {no_qpp_reason(s, sector_arithmetic(s))}")
+        raise ValueError(f"no QPPs on sector {s}: {no_qpp_reason(s, st)}")
     for e in entries:
         if e.k == k:
             return e.poly
@@ -44,13 +44,14 @@ def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fm
     if value_max < 0:
         raise ValueError(f"value_max must be >= 0, got {value_max}")
     _check_figure_size(s, x_max)
-    if fmt == "svg" and _staircase_lines(s, x_max) > MAX_FIGURE_POINTS:
+    st = sector_arithmetic(s)
+    if fmt == "svg" and _staircase_lines(st, x_max) > MAX_FIGURE_POINTS:
         raise ValueError(f"figure x <= {x_max} has more than {MAX_FIGURE_POINTS} staircase lines")
-    poly = _classified_poly(s, k)
+    poly = _classified_poly(s, st, k)
     if fmt == "ascii":
         return _render_ascii(s, poly, x_max, value_max)
     if fmt == "svg":
-        return _render_svg(s, poly, x_max, value_max)
+        return _render_svg(s, st, poly, x_max, value_max)
     raise ValueError(f"unknown figure format {fmt!r}")
 
 
@@ -66,9 +67,9 @@ def _check_figure_size(s: SectorSpec, x_max: int) -> None:
             raise ValueError(f"figure x <= {x_max} has more than {MAX_FIGURE_POINTS} lattice points")
 
 
-def _staircase_lines(s: SectorSpec, x_max: int) -> int:
-    """How many staircases the SVG figure draws: the i >= 0 that start at l i / n <= x_max + 1/2."""
-    return (2 * x_max + 1) * s.n // (2 * s.l) + 1
+def _staircase_lines(st: Staircases, x_max: int) -> int:
+    """How many staircases the SVG figure draws: the i >= 0 that start at i / v <= x_max + 1/2."""
+    return (2 * x_max + 1) * st.v // 2 + 1
 
 
 def _window_values(s: SectorSpec, poly: QuadPoly, x_max: int) -> tuple[list[int], list[int], list[int]]:
@@ -99,7 +100,7 @@ def _fmt_len(q: int | Fraction) -> str:
     return f"{sign}{cents // 100}.{cents % 100:02d}"
 
 
-def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> str:
+def _render_svg(s: SectorSpec, st: Staircases, poly: QuadPoly, x_max: int, value_max: int) -> str:
     xs, ys, vals = _window_values(s, poly, x_max)
     y_top = max(ys)
     width = 2 * SVG_MARGIN + SVG_SCALE * x_max + 30
@@ -123,12 +124,11 @@ def _render_svg(s: SectorSpec, poly: QuadPoly, x_max: int, value_max: int) -> st
         '<g font-family="monospace" font-size="11">',
     ]
 
-    # Staircase lines: staircase i starts on the x-axis at x = l i / n and
+    # Staircase lines: staircase i starts on the x-axis at x = l i / n = i / v and
     # climbs in direction (m - 1, n) (anti-diagonal for the quadrant).
-    l = s.l
     direction = (Fraction(s.m - 1), Fraction(s.n))
-    for i in range(_staircase_lines(s, x_max)):
-        base = (Fraction(l * i, s.n), Fraction(0))
+    for i in range(_staircase_lines(st, x_max)):
+        base = (Fraction(i, st.v), Fraction(0))
         limits = [(y_edge - base[1]) / direction[1]]
         if direction[0] > 0:
             limits.append((x_edge - base[0]) / direction[0])

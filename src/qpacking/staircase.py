@@ -1,13 +1,10 @@
-"""Lattice windows of sectors, and the lowest steps of their staircases.
+"""Lattice windows of sectors.
 
-``lattice_window`` lists the sector's lattice points with x <= x_max.  Every
-lattice point of the sector of slope n/m lies on exactly one line of slope
-n/(m-1) (vertical for m = 1, anti-diagonal for the first quadrant).  With
-l = gcd(m-1, n), the i-th such line carries the i-th staircase: the points
-with (m-1) y = n x - l i, spaced ((m-1)/l, n/l) apart.  The skew
-(x, y) -> (x - ((m-1)/n) y, y) straightens staircase i to the vertical line
-x = i/(n/l), where its steps are the y with ((m-1)/l) y = -i (mod n/l);
-``first_step_y`` gives the lowest of them.
+``lattice_window`` lists the sector's lattice points with x <= x_max, column by
+column.  Every lattice point of the sector of slope n/m lies on exactly one line
+of slope n/(m-1) (vertical for m = 1, anti-diagonal for the first quadrant):
+the i-th staircase, whose arithmetic (its step spacing and its lowest step) is
+the record ``geometry.Staircases`` that ``classify.sector_arithmetic`` builds.
 """
 
 from __future__ import annotations
@@ -48,18 +45,3 @@ def lattice_window(s: SectorSpec, x_max: int) -> np.ndarray:
     block[1, ends[:-1]] -= heights[:-1]
     np.cumsum(block, axis=1, out=block)
     return block.T
-
-
-def first_step_y(s: SectorSpec, i: int) -> int:
-    """y-coordinate of the lowest step of staircase i.
-
-    The unique y in [0, n/l) with ((m-1)/l) y = -i (mod n/l); identically 0
-    for integral sectors, periodic in i with period n/l.
-    """
-    if i < 0:
-        raise ValueError(f"staircase index must be >= 0, got {i}")
-    l, v = s.l, s.n_over_l
-    if v == 1:
-        return 0
-    u = (s.m - 1) // l
-    return (-i * pow(u, -1, v)) % v

@@ -8,20 +8,20 @@ integers containing all of {0, ..., T} certifies that the polynomial packs the
 initial segment {0, ..., T} correctly, no matter what happens further out.
 
 Window values are exact integers from one place: ``window_values`` evaluates
-L*p, with L the lcm of p's coefficient denominators, on the arrays of
-``_window``, in int32 or int64 only when the window's extents prove that
-nothing can overflow.  The certificate sorts them once.  Only a failing window
-is ranked, stably, to name its witness: the first point in ``lattice_window``
-order that is non-integral, negative or a repeat, by the first such check.  A
-passing window's first missing value comes from the sorted values.  The
-bound on the points a window leaves out also has one place: ``value_floor``
-floors an integer quadratic, such as L*p, over the sector's points with
-x >= x_lo, an integer >= 0, and ``_verdict`` calls it at x_max + 1 (on the
-quadrant once more for the strip y > x_max).  Its case analysis tests the
-directions inside the cone for unboundedness and lets the two boundary rays
-decide the boundary directions.  It keeps every candidate minimum as an
-integer pair (num, den), compares them by cross-multiplication, and the
-certificate builds one ``Fraction`` at the end.
+L*p, with L the lcm of p's coefficient denominators, on the window's rows, in
+int32 or int64 only when ``_window_dtype`` proves that nothing can overflow.
+The certificate sorts them once.  Only a failing window is ranked, stably, to
+name its witness: the first point in ``lattice_window`` order that is
+non-integral, negative or a repeat, by the first such check.  A passing
+window's first missing value comes from the sorted values.  The bound on the
+points a window leaves out also has one place: ``value_floor`` floors an
+integer quadratic, such as L*p, over the sector's points with x >= x_lo, an
+integer >= 0, and ``_verdict`` calls it at x_max + 1 (on the quadrant once more
+for the strip y > x_max).  Its case analysis tests the directions inside the
+cone for unboundedness and lets the two boundary rays decide the boundary
+directions.  It keeps every candidate minimum as an integer pair (num, den),
+compares them by cross-multiplication, and the certificate builds one
+``Fraction`` at the end.
 
 ``brute_force_search`` rediscovers classifications without trusting them: it
 scans integer boxes of the non-constant alpha-form coefficients in the calling
@@ -51,7 +51,7 @@ from typing import Literal
 
 import numpy as np
 
-from .classify import forced_quadratic_coeffs
+from .classify import forced_quadratic_coeffs, sector_arithmetic
 from .geometry import SectorSpec
 from .poly import AlphaFormCoeffs, QuadPoly
 from .staircase import lattice_window
@@ -225,22 +225,22 @@ def _box(s: SectorSpec, x_max: int) -> tuple[int, int]:
     return y_top, (x_max + 1) * (y_top + 1)
 
 
-def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """The x and y rows of the window x <= x_max, in ``lattice_window`` order.
+def _window_dtype(s: SectorSpec, x_max: int, cap: int) -> type:
+    """The dtype of the x and y rows of the window x <= x_max, ``lattice_window(s, x_max).T`` cast to it.
 
-    A window whose bounding box (x_max + 1)(y_top + 1) holds more than
-    ``MAX_WINDOW_POINTS`` points is refused with ``ValueError`` before any
-    point is built.  On the window, a quadratic with integer coefficients of
-    size at most cap has size at most cap * (x_max + y_top + 1)^2, and so has
-    each partial sum of its Horner form in ``window_values``, and each partial
-    sum, in any order, of the alpha-form products in ``_prescreen``: their
-    terms are >= 0 and sum to at most (x + y + 1)^2.  The rows are int32 when
-    that bound is below 2^30, int64 when it is below 2^62, and Python-int
-    object arrays otherwise; the int64 rows are views of the block
-    ``lattice_window`` builds.  The memory of an object window's values
-    grows with their digits, so one whose box points times the bit length
-    of that bound exceed ``MAX_WINDOW_BITS`` is refused with ``ValueError``
-    too, before any point is built.  An int32 or int64 window never is.
+    This sizes the window and builds none of it.  A window whose bounding box
+    (x_max + 1)(y_top + 1) holds more than ``MAX_WINDOW_POINTS`` points is
+    refused with ``ValueError``.  On the window, a quadratic with integer
+    coefficients of size at most cap has size at most cap * (x_max + y_top + 1)^2,
+    and so has each partial sum of its Horner form in ``window_values``, and
+    each partial sum, in any order, of the alpha-form products in
+    ``_prescreen``: their terms are >= 0 and sum to at most (x + y + 1)^2.
+    The rows are int32 when that bound is below 2^30, int64 when it is below
+    2^62, and Python-int objects otherwise; int64 rows are views of the block
+    ``lattice_window`` builds.  The memory of an object window's values grows
+    with their digits, so one whose box points times the bit length of that
+    bound exceed ``MAX_WINDOW_BITS`` is refused with ``ValueError`` too.  An
+    int32 or int64 window never is.
     """
     y_top, box = _box(s, x_max)
     if box > MAX_WINDOW_POINTS:
@@ -251,15 +251,14 @@ def _window(s: SectorSpec, x_max: int, cap: int) -> tuple[np.ndarray, np.ndarray
     if dtype is object and box * bound.bit_length() > MAX_WINDOW_BITS:
         raise ValueError(f"window x <= {x_max} has {box} lattice points in its bounding box and values of up to "
                          f"{bound.bit_length()} bits: more than the limit of {MAX_WINDOW_BITS} point-bits")
-    xs, ys = lattice_window(s, x_max).T.astype(dtype, copy=False)
-    return xs, ys
+    return dtype
 
 
 def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray,
                                                                   tuple[int, ...]]:
     """(xs, ys, L, L*p at each point, the coefficients of L*p) on the window x <= x_max, exactly.
 
-    L is the lcm of p's coefficient denominators, inside the size bound of ``_window`` so that L*p // L
+    L is the lcm of p's coefficient denominators, inside the size bound of ``_window_dtype`` so that L*p // L
     and L*p % L stay exact: p(pt) is integral iff L divides L*p(pt).  L*p is evaluated in place in
     Horner form, (c y + b x + e) y + (a x + d) x + f, with two window-sized arrays; each partial sum
     is within that bound, so the values are exact in the rows' dtype.
@@ -268,7 +267,7 @@ def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[np.ndarray, n
     scale = lcm(*(q.denominator for q in rationals))
     coeffs = tuple(q.numerator * (scale // q.denominator) for q in rationals)
     a, b, c, d, e, f = coeffs
-    xs, ys = _window(s, x_max, max(scale, *map(abs, coeffs)))
+    xs, ys = lattice_window(s, x_max).T.astype(_window_dtype(s, x_max, max(scale, *map(abs, coeffs))), copy=False)
     vals = ys * c
     term = xs * b
     vals += term
@@ -410,7 +409,7 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray)
 
     Values are (A, B, C, D, E) rows times the matrix of terms x(x-1)/2, xy, y(y-1)/2, x, y at the
     points, in the window's dtype.  The terms are >= 0 and sum to ((x+y)^2 + (x+y))/2 <= (x+y+1)^2,
-    so every product and every partial sum, in any order, is at most the bound of ``_window``.
+    so every product and every partial sum, in any order, is at most the bound of ``_window_dtype``.
     On an int32 window that bound is below 2^30 < 2^53, so ``_products`` multiplies in float64 on
     BLAS: whatever summation order, blocking or fused multiply-add it uses, each intermediate is an
     exactly representable integer, and the result is cast back to int32.  An int64 window keeps the
@@ -462,22 +461,22 @@ def brute_force_search(
     certificate's ``_verdict`` on each survivor, which accepts a survivor
     with no failure and T >= ``t_min``, and the certificate of
     each hit.  The prescreen's sums of alpha-form terms have partial sums
-    that the bound of ``_window`` covers inside the box, so it is exact, and
-    its sieve drops only candidates that the full window drops.
+    that the bound of ``_window_dtype`` covers inside the box, so it is
+    exact, and its sieve drops only candidates that the full window drops.
 
-    Bounds for which ``_window`` cannot prove the prescreen exact are
-    refused with ``ValueError``, and so are boxes of more than
-    ``MAX_CANDIDATES`` (A, B, C, D, E) candidates and searches of more than
-    ``MAX_SEARCH_WORK`` candidates times window bounding-box points, before
-    any window is built; a restricted search on a sector without forced A,
-    B, C passes these checks before it returns [].  Each accepted polynomial
-    carries a passing certificate from ``packing_window_verify`` at the
-    configured window, with threshold at least ``t_min``.  The
-    output is in the prescreen's scan order, ascending (A, B, C, D, E), and
-    so sorted by coefficient tuple: the monomial coefficients (A/2, B, C/2,
-    D - A/2, E - C/2, F) compare in the same order, as each increases with
-    its alpha-form coefficient once the earlier ones are equal, and F is
-    fixed by the rest.
+    Boxes of more than ``MAX_CANDIDATES`` (A, B, C, D, E) candidates, searches
+    of more than ``MAX_SEARCH_WORK`` candidates times window bounding-box
+    points, windows that ``_window_dtype`` refuses and bounds that need a
+    Python-int window to prescreen exactly are refused with ``ValueError``, in
+    that order, before any window is built; a restricted search on a sector
+    without forced A, B, C then returns [] without one.  Each accepted
+    polynomial carries a passing certificate from ``packing_window_verify`` at
+    the configured window, with threshold at least ``t_min``.  The output is
+    in the prescreen's scan order, ascending (A, B, C, D, E), and so sorted by
+    coefficient tuple: the monomial coefficients (A/2, B, C/2, D - A/2,
+    E - C/2, F) compare in the same order, as each increases with its
+    alpha-form coefficient once the earlier ones are equal, and F is fixed by
+    the rest.
 
     The search runs in the calling process.  ``jobs`` is still validated and
     otherwise unused: the CLI's ``--jobs`` passes it, and the benchmark's
@@ -493,7 +492,7 @@ def brute_force_search(
         raise ValueError(f"t_min must be >= 0, got {t_min}")
 
     if mode == "restricted":
-        fixed = forced_quadratic_coeffs(s)
+        fixed = forced_quadratic_coeffs(sector_arithmetic(s))
         abc_ranges = [] if fixed is None else [(c, c) for c in fixed]
     else:
         if bounds.a is None or bounds.b is None or bounds.c is None:
@@ -511,11 +510,12 @@ def brute_force_search(
                          f"{number_text(box)} lattice points: more than the limit of {MAX_SEARCH_WORK} "
                          "candidate-points")
     coeff_cap = max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc_ranges) for v in r)
-    xs, ys = _window(s, x_max, coeff_cap)
-    if xs.dtype == object:
+    dtype = _window_dtype(s, x_max, coeff_cap)
+    if dtype is object:
         raise ValueError("search bounds or the sector's forced A, B, C too large for exact 64-bit prescreening")
     if not abc_ranges:
         return []  # restricted, and no forced A, B, C: the sector has no packing polynomial
+    xs, ys = lattice_window(s, x_max).T.astype(dtype, copy=False)
     found = []
     for A, B, C, D, E, F, missing in _prescreen(abc_ranges, bounds, xs, ys):
         kind, _, threshold = _verdict((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), 2, s, x_max, missing)  # of 2p

@@ -25,7 +25,7 @@ The paper's proof objects are small oracles here, built from their defining
 formulas: ``in_sector(s, x, y)`` is the sector's defining inequality,
 ``skew(s)`` straightens the sector's staircases, ``flip(n)`` swaps
 the two boundary rays of the slope-n sector, ``staircase(s, i)`` lists the
-steps of staircase i up from ``first_step_y``, and ``skewed_form(s, k, F)`` is
+steps of staircase i up from the record's ``bottom(i)``, and ``skewed_form(s, k, F)`` is
 a packing polynomial in skewed coordinates.  ``unimodular_maps`` draws
 products of shears, flips and reflections for the property tests of
 ``UnimodularMap``.
@@ -46,10 +46,9 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from qpacking.classify import SectorArithmetic, classify, forced_quadratic_coeffs
+from qpacking.classify import classify, forced_quadratic_coeffs, sector_arithmetic
 from qpacking.geometry import SectorSpec, UnimodularMap, make_sector, shear_map, x_axis_reflection
 from qpacking.poly import _MONOMIAL_FIELDS, AlphaFormCoeffs, QuadPoly, packing_polynomial
-from qpacking.staircase import first_step_y
 from qpacking.verify import Failure, SearchBounds, WindowCertificate, packing_window_verify
 
 
@@ -128,12 +127,13 @@ def flip(n: int) -> UnimodularMap:
 def staircase(s: SectorSpec, i: int) -> list[tuple[int, int]]:
     """The lattice points (x, y) with (m-1) y = n x - l i in the sector, in ascending y.
 
-    The steps start at y = ``first_step_y(s, i)``, lie n/l apart and end at or below y = l i, where
-    the line meets the sector's second ray; each x is (l i + (m-1) y)/n.
+    The steps start at y = ``bottom(i)`` of the sector's record, lie v = n/l apart and end at or below
+    y = l i, where the line meets the sector's second ray; each x is (l i + (m-1) y)/n.
     """
+    st = sector_arithmetic(s)
     out = []
-    for y in range(first_step_y(s, i), s.l * i + 1, s.n_over_l):
-        x, rem = divmod(s.l * i + (s.m - 1) * y, s.n)
+    for y in range(st.bottom(i), st.l * i + 1, st.v):
+        x, rem = divmod(st.l * i + (s.m - 1) * y, s.n)
         assert rem == 0, "every step is a lattice point"
         out.append((x, y))
     return out
@@ -141,7 +141,7 @@ def staircase(s: SectorSpec, i: int) -> list[tuple[int, int]]:
 
 def skewed_form(s: SectorSpec, k: int, f_const) -> QuadPoly:
     """(n/2) x (x - k/(n/l)) + x + (k/(n/l)) y + F, the packing polynomial with step constant k in skewed coordinates."""
-    kl = k * s.l
+    kl = k * sector_arithmetic(s).l
     return QuadPoly(Fraction(s.n, 2), 0, 0, 1 - Fraction(kl, 2), Fraction(kl, s.n), f_const)
 
 
@@ -377,7 +377,7 @@ def reference_search(s: SectorSpec, bounds: SearchBounds, mode: str, x_max: int,
     """Every alpha-form candidate of the box whose window certificate passes
     with threshold >= t_min, sorted by coefficients; no prescreen."""
     if mode == "restricted":
-        fixed = forced_quadratic_coeffs(s)
+        fixed = forced_quadratic_coeffs(sector_arithmetic(s))
         if fixed is None:
             return []
         abc_ranges = [(c, c) for c in fixed]
@@ -419,7 +419,7 @@ def _rational_payload(q: Fraction) -> dict[str, str]:
 class AtlasRow(NamedTuple):
     n: int
     m: int
-    arithmetic: SectorArithmetic
+    columns: tuple[int, int, Fraction]  # the printed (l, n/l, l^2/n) of the row's class
     ks: tuple[int, ...]
     polynomials: tuple[tuple[Fraction, ...], ...]
 
@@ -433,9 +433,9 @@ def atlas_rows(atlas, mmax: int) -> list[AtlasRow]:
     for n in sorted(atlas):
         for m in range(mmax + 1):
             if m % n in atlas[n]:
-                ar, ks = atlas[n][m % n]
+                columns, ks = atlas[n][m % n]
                 polys = tuple(packing_polynomial(SectorSpec(n, m), k).coefficients() for k in ks)
-                rows.append(AtlasRow(n, m, ar, ks, polys))
+                rows.append(AtlasRow(n, m, columns, ks, polys))
     return rows
 
 
@@ -455,9 +455,9 @@ def reference_atlas_payload(atlas, nmax: int, mmax: int) -> dict:
             {
                 "n": row.n,
                 "m": row.m,
-                "l": row.arithmetic.l,
-                "n_over_l": row.arithmetic.n_over_l,
-                "l2_over_n": _rational_payload(row.arithmetic.l2_over_n),
+                "l": row.columns[0],
+                "n_over_l": row.columns[1],
+                "l2_over_n": _rational_payload(row.columns[2]),
                 "qpp_count": len(row.ks),
                 "ks": list(row.ks),
                 "polynomials": [[_rational_payload(c) for c in poly] for poly in row.polynomials],
@@ -486,7 +486,7 @@ def reference_atlas_csv(atlas, mmax: int) -> str:
     for row in rows:
         polys = ";".join(" ".join(str(c) for c in poly) for poly in row.polynomials)
         writer.writerow([
-            row.n, row.m, row.arithmetic.l, row.arithmetic.n_over_l, str(row.arithmetic.l2_over_n),
+            row.n, row.m, *row.columns[:2], str(row.columns[2]),
             len(row.ks), " ".join(str(k) for k in row.ks),
             row.n, row.m % row.n, polys,
         ])

@@ -10,7 +10,7 @@ import pytest
 from qpacking import atlas, poly
 from qpacking import classify as classify_module
 from qpacking.atlas import atlas_to_csv, atlas_to_json, build_atlas, summary_line
-from qpacking.classify import SectorArithmetic, admissible_ks, classify, sector_arithmetic
+from qpacking.classify import admissible_ks, classify, sector_arithmetic
 from qpacking.geometry import SectorSpec
 from qpacking.poly import QuadPoly, packing_polynomial, to_alpha_form
 
@@ -20,13 +20,13 @@ from helpers import (atlas_rows, coprime_sectors, reference_atlas_csv, reference
 F = Fraction
 
 # Classes with 0, 1, 2 and 4 ks, negative ks and coefficients, and numbers of several
-# digits; the arithmetic need not be that of the sector.  At mmax 40 they hold 13, 10,
-# 5 and 1 rows.
+# digits; the columns (l, n/l, l^2/n) need not be those of the sector.  At mmax 40 they
+# hold 13, 10, 5 and 1 rows.
 HAND_TABLE = {
-    3: {2: (SectorArithmetic(1, 3, F(1, 3), False), ())},
-    4: {3: (SectorArithmetic(2, 2, F(1), True), (1, -1))},
-    9: {4: (SectorArithmetic(3, 3, F(1), True), (1,))},
-    1234: {5: (SectorArithmetic(617, 2, F(-380689, 1234), True), (1, -1, 3, -3))},
+    3: {2: ((1, 3, F(1, 3)), ())},
+    4: {3: ((2, 2, F(1)), (1, -1))},
+    9: {4: ((3, 3, F(1)), (1,))},
+    1234: {5: ((617, 2, F(-380689, 1234)), (1, -1, 3, -3))},
 }
 
 
@@ -52,8 +52,7 @@ def test_csv_matches_csv_writer_reference(table, nmax, mmax):
     text = atlas_to_csv(table, mmax)
     assert text == reference_atlas_csv(table, mmax)
     rows = atlas_rows(table, mmax)
-    fields = [[str(row.n), str(row.m), str(row.arithmetic.l), str(row.arithmetic.n_over_l),
-               str(row.arithmetic.l2_over_n), str(len(row.ks)), " ".join(str(k) for k in row.ks),
+    fields = [[str(row.n), str(row.m), *map(str, row.columns), str(len(row.ks)), " ".join(str(k) for k in row.ks),
                str(row.n), str(row.m % row.n),
                ";".join(" ".join(str(c) for c in poly) for poly in row.polynomials)] for row in rows]
     assert list(csv.reader(io.StringIO(text))) == [
@@ -73,7 +72,7 @@ def test_rows_match_public_classification(nmax, mmax):
         ar = sector_arithmetic(s)
         entries = classify(s)
         l2_over_n = F(int(row["l2_over_n"]["num"]), int(row["l2_over_n"]["den"]))
-        assert (row["l"], row["n_over_l"], l2_over_n) == (ar.l, ar.n_over_l, ar.l2_over_n)
+        assert (row["l"], row["n_over_l"], l2_over_n) == (ar.l, ar.v, ar.l2_over_n)
         assert row["qpp_count"] == len(entries)
         assert row["ks"] == [e.k for e in entries]
         assert [[F(int(c["num"]), int(c["den"])) for c in p] for p in row["polynomials"]] == [
@@ -91,21 +90,28 @@ def test_summary_counts_the_rows_of_every_range_up_to_40():
             assert summary_line(build_atlas(nmax, mmax), mmax) == f"sectors={sum(counts.values())} {by_count}"
 
 
-def test_arithmetic_runs_once_per_n_and_l(monkeypatch):
+def test_records_run_for_the_first_class_of_each_n_and_l_and_each_class_with_n_dividing_l2(monkeypatch):
+    # the first class of each (n, l) gives the shared columns, and each class with n | l^2 has its own record
     calls = Counter()
-    monkeypatch.setattr(atlas, "sector_arithmetic", lambda s: calls.update([(s.n, s.l)]) or sector_arithmetic(s))
+    monkeypatch.setattr(atlas, "sector_arithmetic", lambda s: calls.update([(s.n, s.m)]) or sector_arithmetic(s))
     build_atlas(60, 25)  # n > mmax + 1: classes past mmax have no row and get no call
-    sectors = coprime_sectors(60, 25)
-    assert set(calls) == {(s.n, s.l) for s in sectors}
-    assert max(calls.values()) == 1 and len(calls) < len({(s.n, s.m % s.n) for s in sectors})
+    classes = sorted({(s.n, s.m % s.n) for s in coprime_sectors(60, 25)})
+    expected, first = set(), set()
+    for n, r in classes:
+        l = gcd(r - 1, n)
+        if (n, l) not in first or l * l % n == 0:
+            expected.add((n, r))
+        first.add((n, l))
+    assert calls == Counter(expected)
+    assert len(first) < len(expected) < len(classes)
 
 
 def test_ks_run_once_per_class_with_n_dividing_l2(monkeypatch):
     calls = Counter()
 
-    def counted_ks(s, ar):
-        calls.update([(s.n, s.m % s.n)])
-        return admissible_ks(s, ar)
+    def counted_ks(st):
+        calls.update([(st.n, (st.u * st.l + 1) % st.n)])  # the class r = m mod n, m - 1 = u l
+        return admissible_ks(st)
 
     def refuse(*args):
         raise AssertionError("build_atlas computed a polynomial")
@@ -132,19 +138,21 @@ def test_class_arithmetic_is_shear_invariant_over_atlas_range():
         n, m = s.n, s.m
         canon = SectorSpec(n, m % n)
         ar, canon_ar = sector_arithmetic(s), sector_arithmetic(canon)
-        assert ar == canon_ar
-        assert admissible_ks(s, ar) == admissible_ks(canon, canon_ar)
-        assert table[n][m % n] == (ar, tuple(admissible_ks(s, ar)))
+        columns = (ar.l, ar.v, ar.l2_over_n)
+        # u = (m-1)/l moves by a multiple of v from the class representative to m
+        assert (*columns, ar.divides_n_l2) == (canon_ar.l, canon_ar.v, canon_ar.l2_over_n, canon_ar.divides_n_l2)
+        assert (ar.u - canon_ar.u) % ar.v == 0
+        assert admissible_ks(ar) == admissible_ks(canon_ar)
+        assert table[n][m % n] == (columns, tuple(admissible_ks(ar)))
         row_ks = tuple(int(k) for k in ks.split())
-        assert row_ks == tuple(admissible_ks(s, ar)) and int(qpp_count) == len(row_ks)
+        assert row_ks == tuple(admissible_ks(ar)) and int(qpp_count) == len(row_ks)
         row_polys = [tuple(F(c) for c in p.split()) for p in polys.split(";")] if polys else []
         assert row_polys == [packing_polynomial(s, k).coefficients() for k in row_ks]
         assert (int(canon_n), int(canon_m)) == (canon.n, canon.m)
-        assert (int(n_text), int(m_text), int(l), int(n_over_l), F(l2_over_n)) == (n, m, ar.l, ar.n_over_l,
-                                                                                   ar.l2_over_n)
-        # n | l^2 iff n | (m-1)^2, and (m-1)/l is a unit mod n/l
+        assert (int(n_text), int(m_text), int(l), int(n_over_l), F(l2_over_n)) == (n, m, *columns)
+        # n | l^2 iff n | (m-1)^2, and u = (m-1)/l is a unit mod v = n/l
         assert ar.divides_n_l2 == (ar.l2_over_n.denominator == 1) == ((m - 1) ** 2 % n == 0)
-        assert (m - 1) % ar.l == 0 and gcd((m - 1) // ar.l, ar.n_over_l) == 1
+        assert (ar.n, ar.u * ar.l, ar.v * ar.l) == (n, m - 1, n) and gcd(ar.u, ar.v) == 1
         for k, coeffs in zip(row_ks, row_polys, strict=True):
             alpha = to_alpha_form(QuadPoly(*coeffs))
             assert (alpha.A, alpha.B) == (n, 1 - m)

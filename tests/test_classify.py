@@ -16,8 +16,7 @@ from helpers import all_classified, coprime_sectors, flip, product_poly, skew, s
 
 
 def ks_of(n, m):
-    s = make_sector(n, m)
-    return admissible_ks(s, sector_arithmetic(s))
+    return admissible_ks(sector_arithmetic(make_sector(n, m)))
 
 
 def constant_term(ar, k):
@@ -37,11 +36,11 @@ def flipped_sector(s):
 class TestSectorArithmetic:
     def test_12_7(self):
         ar = sector_arithmetic(make_sector(12, 7))
-        assert (ar.l, ar.n_over_l, ar.l2_over_n, ar.divides_n_l2) == (6, 2, 3, True)
+        assert (ar.n, ar.l, ar.v, ar.u, ar.l2_over_n, ar.divides_n_l2) == (12, 6, 2, 1, 3, True)
 
     def test_8_5(self):
         ar = sector_arithmetic(make_sector(8, 5))
-        assert (ar.l, ar.n_over_l, ar.l2_over_n, ar.divides_n_l2) == (4, 2, 2, True)
+        assert (ar.n, ar.l, ar.v, ar.u, ar.l2_over_n, ar.divides_n_l2) == (8, 4, 2, 1, 2, True)
 
     def test_3_2(self):
         ar = sector_arithmetic(make_sector(3, 2))
@@ -50,18 +49,18 @@ class TestSectorArithmetic:
 
     def test_quadrant(self):
         ar = sector_arithmetic(make_sector(1, 0))
-        assert (ar.l, ar.n_over_l, ar.l2_over_n, ar.divides_n_l2) == (1, 1, 1, True)
+        assert (ar.n, ar.l, ar.v, ar.u, ar.l2_over_n, ar.divides_n_l2) == (1, 1, 1, -1, 1, True)
 
 
 class TestForcedQuadraticCoeffs:
     def test_4_3(self):
-        assert forced_quadratic_coeffs(make_sector(4, 3)) == (4, -2, 1)
+        assert forced_quadratic_coeffs(sector_arithmetic(make_sector(4, 3))) == (4, -2, 1)
 
     def test_inadmissible(self):
-        assert forced_quadratic_coeffs(make_sector(3, 2)) is None
+        assert forced_quadratic_coeffs(sector_arithmetic(make_sector(3, 2))) is None
 
     def test_quadrant(self):
-        assert forced_quadratic_coeffs(make_sector(1, 0)) == (1, 1, 1)
+        assert forced_quadratic_coeffs(sector_arithmetic(make_sector(1, 0))) == (1, 1, 1)
 
 
 class TestAdmissibleKs:
@@ -125,7 +124,7 @@ class TestClassify:
 
     def test_step_difference_consistency(self):
         for e in all_classified(10, 10):
-            assert step_difference(e.poly, e.sector) == e.k
+            assert step_difference(e.poly, sector_arithmetic(e.sector)) == e.k
 
     def test_alpha_slope_relation(self):
         for e in all_classified(10, 10):
@@ -154,7 +153,7 @@ class TestConstantTerm:
     def test_k1_always_zero(self):
         for s in coprime_sectors(8, 8):
             ar = sector_arithmetic(s)
-            if 1 in admissible_ks(s, ar):
+            if 1 in admissible_ks(ar):
                 assert constant_term(ar, 1) == 0
 
     def test_4_1_k2(self):
@@ -168,7 +167,7 @@ class TestConstantTerm:
             if ar.divides_n_l2:
                 for k in (2, -2, 3, -3):
                     if constant_term(ar, k).denominator != 1:
-                        assert k not in admissible_ks(s, ar)
+                        assert k not in admissible_ks(ar)
 
     def test_equals_abs_k_minus_one(self):
         for e in all_classified(12, 12):

@@ -105,6 +105,17 @@ def test_search_forced_abc_beyond_int64_exits_2(capsys):
         "", "error: search bounds or the sector's forced A, B, C too large for exact 64-bit prescreening\n")
 
 
+def test_search_beyond_int64_exits_2_before_any_window(monkeypatch, capsys):
+    # F up to 10^15 on the 2,001,000-point window x <= 1999 of 1/1 needs Python ints: refused from its size alone
+    def refuse(s, x_max):
+        raise AssertionError(f"a window x <= {x_max} was built")
+
+    monkeypatch.setattr(verify, "lattice_window", refuse)
+    assert run(["search", "1", "1", "--mode", "full", "--bounds", "1:0:0:1:1:1000000000000000", "--xmax", "1999"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: search bounds or the sector's forced A, B, C too large for exact 64-bit prescreening\n")
+
+
 def test_search_candidate_limit(monkeypatch, capsys):
     # 2:2:0 is D and E in [-2, 2]: 25 candidates; F is derived and not counted
     argv = ["search", "4", "3", "--bounds", "2:2:0"]

@@ -83,21 +83,21 @@ class TestConjugate:
 
 class TestStepDifference:
     def test_sector_4_3(self):
-        assert step_difference(EX1, make_sector(4, 3)) == 1
+        assert step_difference(EX1, sector_arithmetic(make_sector(4, 3))) == 1
 
     def test_cantor_signs(self):
         quadrant = make_sector(1, 0)
-        assert step_difference(CANTOR_F, quadrant) == -1
-        assert step_difference(CANTOR_G, quadrant) == 1
+        assert step_difference(CANTOR_F, sector_arithmetic(quadrant)) == -1
+        assert step_difference(CANTOR_G, sector_arithmetic(quadrant)) == 1
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_integral_ascending(self, n):
         f_n = product_poly(Fraction(n, 2), (0, 0), (0, -1), 1, 1, 0)
-        assert step_difference(f_n, make_sector(n, 1)) == 1
+        assert step_difference(f_n, sector_arithmetic(make_sector(n, 1))) == 1
 
     def test_non_constant(self):
         with pytest.raises(ValueError, match=r"^step difference along \(1, 2\) is not constant: residual 2\*x \+ 0\*y$"):
-            step_difference(QuadPoly(1, 0, 0, 0, 0, 0), make_sector(4, 3))
+            step_difference(QuadPoly(1, 0, 0, 0, 0, 0), sector_arithmetic(make_sector(4, 3)))
 
 
 class TestPackingPolynomial:
@@ -200,7 +200,7 @@ class TestForcedLinearCoefficient:
                 try:
                     alpha = to_alpha_form(p)
                 except ValueError as exc:
-                    assert k not in admissible_ks(s, sector_arithmetic(s))
+                    assert k not in admissible_ks(sector_arithmetic(s))
                     assert re.fullmatch(r"alpha-form coefficient at y is -?\d+/\d+, not an integer", str(exc))
                 else:
                     assert d == alpha.D
@@ -213,18 +213,22 @@ class TestRendering:
         assert format_poly(QuadPoly(-1, 0, 0, 1, 0, -2)) == "-x^2 + x - 2"
 
     def test_factored(self):
-        assert format_factored(make_sector(12, 7), 3) == "6*(x - 1/2*y)*(x - 1/2*y - 3/2) + x + y + 2"
-        assert format_factored(make_sector(1, 0), -1) == "1/2*(x + y)*(x + y + 1) + x"
-        assert format_factored(make_sector(4, 1), 2) == "2*x*(x - 2) + x + 2*y + 1"
-        # scale 1 (n = 2); a zero, a positive and a negative y coefficient in the tail; the constant
-        # |k| - 1 for |k| = 2 and 3 and none for |k| = 1; a factor printed as x without parentheses
-        assert format_factored(make_sector(2, 3), 1) == "(x - y)*(x - y - 1) + x"
-        assert format_factored(make_sector(2, 3), -1) == "(x - y)*(x - y + 1) + x - 2*y"
-        assert format_factored(make_sector(2, 1), 1) == "x*(x - 1) + x + y"
-        assert format_factored(make_sector(9, 7), -1) == "9/2*(x - 2/3*y)*(x - 2/3*y + 1/3) + x - y"
-        assert format_factored(make_sector(4, 1), -2) == "2*x*(x + 2) + x - 2*y + 1"
-        assert format_factored(make_sector(3, 1), 3) == "3/2*x*(x - 3) + x + 3*y + 2"
-        assert format_factored(make_sector(12, 7), -3) == "6*(x - 1/2*y)*(x - 1/2*y + 3/2) + x - 2*y + 2"
+        cases = [
+            (12, 7, 3, "6*(x - 1/2*y)*(x - 1/2*y - 3/2) + x + y + 2"),
+            (1, 0, -1, "1/2*(x + y)*(x + y + 1) + x"),
+            (4, 1, 2, "2*x*(x - 2) + x + 2*y + 1"),
+            # scale 1 (n = 2); a zero, a positive and a negative y coefficient in the tail; the constant
+            # |k| - 1 for |k| = 2 and 3 and none for |k| = 1; a factor printed as x without parentheses
+            (2, 3, 1, "(x - y)*(x - y - 1) + x"),
+            (2, 3, -1, "(x - y)*(x - y + 1) + x - 2*y"),
+            (2, 1, 1, "x*(x - 1) + x + y"),
+            (9, 7, -1, "9/2*(x - 2/3*y)*(x - 2/3*y + 1/3) + x - y"),
+            (4, 1, -2, "2*x*(x + 2) + x - 2*y + 1"),
+            (3, 1, 3, "3/2*x*(x - 3) + x + 3*y + 2"),
+            (12, 7, -3, "6*(x - 1/2*y)*(x - 1/2*y + 3/2) + x - 2*y + 2"),
+        ]
+        for n, m, k, text in cases:
+            assert format_factored(sector_arithmetic(make_sector(n, m)), k) == text
 
     def test_parse_examples(self):
         assert parse_poly("2*x^2 - 2*x*y + 1/2*y^2 + 1/2*y") == EX1

@@ -2,11 +2,13 @@
 
 The walk works on names.  It starts from ``cli.main`` and from every ``KEPT`` entry, and it
 follows every ``Name`` in a reached definition that is a top-level definition of the same
-module or a name imported from a sibling module.  A reached class reaches its dunder methods,
-since syntax calls them.  It reaches any other method only when a reached definition names it
-as an attribute (``node.attr``), or when its own class body names it (``__matmul__ = compose``).
-Attribute names are not matched to a class, so a name that two classes share reaches both
-methods: the walk can only over-reach, and it never reports code that is used.
+module or a name imported from a sibling module, by an import at any depth of that module
+(one inside a function counts for the whole module).  A reached class reaches its dunder
+methods, since syntax calls them.  It reaches any other method only when a reached definition
+names it as an attribute (``node.attr``), or when its own class body names it
+(``__matmul__ = compose``).  Attribute names are not matched to a class, so a name that two
+classes share reaches both methods: the walk can only over-reach, and it never reports code
+that is used.
 
 ``KEPT`` maps ``module.name`` or ``module.Class.method`` to the direction it is kept for.
 """
@@ -26,7 +28,7 @@ KEPT = {
     "geometry.UnimodularMap": "ROADMAP Directions 8 and 13: cones and straightened staircases",
     "poly.QuadPoly.conjugate": "ROADMAP Directions 8 and 13: cones and straightened staircases",
     "poly.step_difference": "ROADMAP Direction 1: the staircase proof",
-    "staircase.first_step_y": "ROADMAP Directions 1 and 11: the base staircases",
+    "geometry.Staircases.bottom": "ROADMAP Directions 1 and 11: the base staircases",
 }
 
 TREES = {path.stem: ast.parse(path.read_text()) for path in Path(qpacking.__file__).parent.glob("*.py")}
@@ -59,7 +61,7 @@ def reached(trees: dict, roots) -> set[str]:
     """Keys ``module.name`` and ``module.Class.method`` of the definitions that ``roots`` reach."""
     defs = {mod: definitions(tree) for mod, tree in trees.items()}
     imported = {mod: {alias.asname or alias.name: (node.module, alias.name)
-                      for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+                      for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1
                       for alias in node.names}
                 for mod, tree in trees.items()}
     seen, attrs, todo = set(), set(), [tuple(root.split(".", 1)) for root in roots]
@@ -172,6 +174,21 @@ def test_walk_reports_a_method_that_no_reached_code_names(kept, missing):
 
 def test_walk_reaches_dunders_with_the_class_and_names_in_its_body():
     assert {"shapes.Box", "shapes.Box.__init__", "shapes.Box.compose"} <= reached(WALKED, ["cli.main"])
+
+
+def test_walk_follows_an_import_inside_a_function():
+    trees = _trees(
+        cli="""
+def main():
+    from .late import helper
+    return helper()
+""",
+        late="""
+def helper():
+    return 1
+""",
+    )
+    assert unreached(trees, []) == set()
 
 
 def test_a_kept_entry_that_the_cli_reaches_is_stale():

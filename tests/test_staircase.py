@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qpacking.classify import sector_arithmetic
 from qpacking.geometry import make_sector
-from qpacking.staircase import first_step_y, lattice_window
+from qpacking.staircase import lattice_window
 
 from helpers import coprime_sectors, in_sector, reference_window, skew, staircase
 
@@ -14,7 +15,7 @@ sectors = st.builds(make_sector, st.integers(1, 12), st.integers(0, 12))
 
 
 def brute_first_step_y(s, i):
-    """Oracle: scan the residues for the defining congruence."""
+    """Oracle for the record's ``bottom(i)``: scan the residues for the defining congruence."""
     l = gcd(s.m - 1, s.n)
     v = s.n // l
     u = (s.m - 1) // l
@@ -65,7 +66,7 @@ class TestLatticeWindow:
 
 def staircase_index(s, pt):
     """The i >= 0 with (m-1) y = n x - l i, asserted integral."""
-    i, rem = divmod(s.n * pt[0] - (s.m - 1) * pt[1], s.l)
+    i, rem = divmod(s.n * pt[0] - (s.m - 1) * pt[1], sector_arithmetic(s).l)
     assert rem == 0 and i >= 0
     return i
 
@@ -82,26 +83,51 @@ class TestStaircaseIndex:
         assert staircase_index(make_sector(1, 0), (2, 1)) == 3
 
 
-class TestFirstStepY:
+def bottom(s, i):
+    return sector_arithmetic(s).bottom(i)
+
+
+class TestBottom:
     def test_zero(self):
         for s in coprime_sectors(8, 8):
-            assert first_step_y(s, 0) == 0
+            assert bottom(s, 0) == 0
 
     def test_12_7(self):
-        assert first_step_y(make_sector(12, 7), 1) == 1
+        assert bottom(make_sector(12, 7), 1) == 1
 
     def test_9_4(self):
-        assert first_step_y(make_sector(9, 4), 1) == 2
+        assert bottom(make_sector(9, 4), 1) == 2
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="staircase index must be >= 0"):
+            bottom(make_sector(9, 4), -1)
 
     @given(sectors, st.integers(0, 60))
     def test_matches_brute_force(self, s, i):
-        assert first_step_y(s, i) == brute_first_step_y(s, i)
+        assert bottom(s, i) == brute_first_step_y(s, i)
 
     @given(sectors, st.integers(0, 40))
     def test_periodic(self, s, i):
         v = s.n // gcd(s.m - 1, s.n)
-        assert first_step_y(s, i + v) == first_step_y(s, i)
-        assert first_step_y(s, v * i) == 0
+        assert bottom(s, i + v) == bottom(s, i)
+        assert bottom(s, v * i) == 0
+
+    @pytest.mark.parametrize("n, m", [
+        (1, 0),  # the quadrant: v = 1, u = -1
+        (10**1000 - 7, 10**999 + 1),  # l = 1, so v = n has 1,000 digits
+        (3 * 10**999, 10**999 + 1),  # l = 10^999, v = 3, u = 1
+        (2**3320, 2**1660 + 1),  # n = l^2 of 1,000 digits: v = l, u = 1
+        (2**3320, 3 * 2**1661 + 1),  # n | l^2 with v = l/4 of 500 digits, u = 3
+    ], ids=["quadrant", "v-is-n", "small-v", "n-is-l2", "v-divides-l"])
+    def test_residue_range_and_period_at_any_size(self, n, m):
+        # where brute_first_step_y's scan over [0, v) cannot run
+        ar = sector_arithmetic(make_sector(n, m))
+        assert ar.u * ar.l == m - 1 and ar.v * ar.l == n
+        for i in [*range(8), ar.v - 1, ar.v, 3 * ar.v + 5, 10**1200 + 7]:
+            y = ar.bottom(i)
+            assert 0 <= y < ar.v
+            assert (ar.u * y + i) % ar.v == 0
+            assert ar.bottom(i + ar.v) == y
 
 
 def skewed_steps(s, i):
@@ -133,7 +159,7 @@ class TestStaircasePoints:
     def test_skew_image_matches_transformed(self):
         # a staircase can be empty when n does not divide l^2 (3/2, i = 1)
         for s in coprime_sectors(9, 9):
-            v = s.n_over_l
+            v = sector_arithmetic(s).v
             for i in range(12):
                 assert all(x == Fraction(i, v) for x, _ in skewed_steps(s, i))
 
@@ -155,7 +181,8 @@ class TestPartition:
 
 def size_formula(s, i):
     """The closed staircase size (l^2/n) i + [n/l | i]."""
-    return Fraction(s.l ** 2, s.n) * i + (i % s.n_over_l == 0)
+    ar = sector_arithmetic(s)
+    return ar.l2_over_n * i + (i % ar.v == 0)
 
 
 class TestStaircaseSize:

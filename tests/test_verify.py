@@ -8,15 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpacking import verify
-from qpacking.classify import classify, forced_quadratic_coeffs
+from qpacking.classify import classify, forced_quadratic_coeffs, sector_arithmetic
 from qpacking.geometry import make_sector
 from qpacking.poly import AlphaFormCoeffs, QuadPoly, packing_polynomial
-from qpacking.staircase import first_step_y, lattice_window
+from qpacking.staircase import lattice_window
 from qpacking.verify import (
     SearchBounds,
     _prescreen,
     _verdict,
-    _window,
+    _window_dtype,
     brute_force_search,
     packing_window_verify,
     value_floor,
@@ -266,7 +266,7 @@ class TestPackingWindowVerify:
         assert packing_window_verify(p, s, x_max) == reference_window_verify(p, s, x_max)
 
     # 2^k p with k up to 70 puts the window values of one case in every dtype
-    # tier of ``_window``; a classified p scaled by 2^k, k >= 1, misses the value 1
+    # tier of ``_window_dtype``; a classified p scaled by 2^k, k >= 1, misses the value 1
     @settings(max_examples=300, deadline=None)
     @given(random_cases | classified_cases, st.integers(0, 70), st.integers(1, 10))
     @example((EX1, make_sector(4, 3)), 0, 10)  # int32, passes
@@ -302,12 +302,11 @@ class TestPackingWindowVerify:
     ])
     def test_tier_boundaries(self, n, m, cap, dtype):
         s = make_sector(n, m)
-        xs, ys = _window(s, 1, cap)
-        assert xs.dtype == ys.dtype == dtype
+        assert _window_dtype(s, 1, cap) is dtype
         # every coefficient at the cap: the largest value and partial sums the bound allows
         p = QuadPoly(*[cap] * 6)
-        _, _, scale, vals, coeffs = verify.window_values(p, s, 1)
-        assert vals.dtype == dtype and scale == 1 and coeffs == (cap,) * 6
+        xs, ys, scale, vals, coeffs = verify.window_values(p, s, 1)
+        assert xs.dtype == ys.dtype == vals.dtype == dtype and scale == 1 and coeffs == (cap,) * 6
         assert vals.tolist() == [int(p(x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
 
     def test_int64_rows_are_views_of_the_lattice_block(self, monkeypatch):
@@ -319,7 +318,7 @@ class TestPackingWindowVerify:
             return blocks[-1]
 
         monkeypatch.setattr(verify, "lattice_window", recorded)
-        xs, ys = _window(make_sector(12, 7), 120, 2**40)
+        xs, ys, *_ = verify.window_values(QuadPoly(2**40, 0, 0, 0, 0, 0), make_sector(12, 7), 120)
         assert xs.dtype == np.int64 and xs.flags.c_contiguous and ys.flags.c_contiguous
         assert np.shares_memory(xs, blocks[0]) and np.shares_memory(ys, blocks[0])
 
@@ -357,8 +356,8 @@ class TestPackingWindowVerify:
 
 def first_steps_cover_range(s, k, f_const):
     """Whether the skewed form takes exactly {0, ..., k-1} on the lowest steps of staircases 0..k-1."""
-    p = skewed_form(s, k, f_const)
-    return sorted(p(Fraction(i, s.n_over_l), first_step_y(s, i)) for i in range(k)) == list(range(k))
+    p, ar = skewed_form(s, k, f_const), sector_arithmetic(s)
+    return sorted(p(Fraction(i, ar.v), ar.bottom(i)) for i in range(k)) == list(range(k))
 
 
 class TestFirstSteps:
@@ -382,8 +381,12 @@ def span(rng, k):
 
 def prescreen_inputs(s, bounds, mode, x_max):
     """(A, B, C) ranges and window arrays as ``brute_force_search`` hands them to ``_prescreen``."""
-    abc = [(c, c) for c in forced_quadratic_coeffs(s)] if mode == "restricted" else [bounds.a, bounds.b, bounds.c]
-    xs, ys = _window(s, x_max, max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc) for v in r))
+    if mode == "restricted":
+        abc = [(c, c) for c in forced_quadratic_coeffs(sector_arithmetic(s))]
+    else:
+        abc = [bounds.a, bounds.b, bounds.c]
+    dtype = _window_dtype(s, x_max, max(abs(v) for r in (bounds.d, bounds.e, bounds.f, *abc) for v in r))
+    xs, ys = lattice_window(s, x_max).T.astype(dtype, copy=False)
     return abc, xs, ys
 
 
@@ -423,6 +426,18 @@ class TestBruteForceSearch:
         bounds = SearchBounds(d=(1, 1), e=(2**57, 2**57), f=(0, 0))
         with pytest.raises(ValueError):
             brute_force_search(make_sector(64, 1), bounds, x_max=1)
+
+    def test_refusal_and_empty_search_build_no_window(self, monkeypatch):
+        # the Python-int window of 2,001,000 points is refused from its size alone, and a sector
+        # without forced A, B, C has nothing to scan
+        def refuse(s, x_max):
+            raise AssertionError(f"a window x <= {x_max} was built")
+
+        monkeypatch.setattr(verify, "lattice_window", refuse)
+        bounds = SearchBounds(a=(1, 1), b=(0, 0), c=(0, 0), d=(-1, 1), e=(-1, 1), f=(0, 10**15))
+        with pytest.raises(ValueError, match="too large for exact 64-bit prescreening"):
+            brute_force_search(make_sector(1, 1), bounds, mode="full", x_max=1999)
+        assert brute_force_search(make_sector(5, 2), SearchBounds(d=(-2, 2), e=(-2, 2), f=(0, 2))) == []
 
     def test_rejects_negative_t_min(self):
         # a negative t_min once indexed the sorted window values from the end
@@ -491,7 +506,7 @@ class TestBruteForceSearch:
         rng = random.Random(17)
         dtypes = set()
         sectors = coprime_sectors(12, 12)
-        restricted = [s for s in sectors if forced_quadratic_coeffs(s) is not None]
+        restricted = [s for s in sectors if forced_quadratic_coeffs(sector_arithmetic(s)) is not None]
         for _ in range(120):
             mode = rng.choice(["restricted", "full"])
             s = rng.choice(restricted if mode == "restricted" else sectors)
@@ -527,7 +542,7 @@ class TestBruteForceSearch:
 
     @pytest.mark.parametrize("cap, dtype", [(119_304_647, np.int32), (119_304_648, np.int64)])
     def test_prescreen_is_exact_at_the_int32_bound(self, cap, dtype):
-        # on 1/1 at x_max 1 the bound of _window is 9 cap: 2^30 - 1, the largest int32 window, and
+        # on 1/1 at x_max 1 the bound of _window_dtype is 9 cap: 2^30 - 1, the largest int32 window, and
         # 2^30 + 8, an int64 one, at cap + 1.  The values are 0, D and B + D + E at the three points,
         # so F = -D is near 1.2e8, past the 2^24 up to which float32 holds every integer
         bounds = SearchBounds(a=(1, 1), b=(cap - 1, cap), c=(0, 0), d=(-cap, 1 - cap), e=(cap - 1, cap), f=(0, cap))
@@ -630,7 +645,8 @@ class TestStructuralConsequences:
     def test_first_step_height_of_k(self):
         for e in all_classified(12, 12):
             if e.k > 0:
-                assert first_step_y(e.sector, e.k) == e.sector.n_over_l - 1
+                ar = sector_arithmetic(e.sector)
+                assert ar.bottom(e.k) == ar.v - 1
 
     def test_staircase_congruences(self):
         for e in all_classified(12, 12):
