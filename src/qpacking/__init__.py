@@ -10,6 +10,8 @@ Each name has one import path, the module that defines it:
 - ``atlas``: classification tables over slope ranges, as JSON or CSV.
 - ``render``: labeled lattice figures, as SVG or ASCII.
 - ``cli``: the ``qpacking`` command, also run by ``python -m qpacking``.
+
+Only ``staircase``, ``verify`` and ``render`` need numpy.
 """
 
 __version__ = "0.1.0"

@@ -16,6 +16,13 @@ its lattice points and, for SVG, its staircase lines (exit 1).
 
 ``main`` may be called any number of times in one process. The parser is built
 once, on the first call, and shared by every later call.
+
+Only the commands that evaluate a window (``verify``, ``search`` and
+``render``) need numpy, through ``verify`` and ``render``. Those two modules are
+imported inside the command functions, so ``classify`` and ``atlas``, which
+compute in integers and ``Fraction``s, start without numpy's import cost. A
+function-level import reads the defining module at each call, so a function
+replaced there (as the bench tracer's wrappers are) is the one called.
 """
 
 from __future__ import annotations
@@ -25,13 +32,15 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .atlas import atlas_to_csv, atlas_to_json, build_atlas, check_atlas_size, summary_line
 from .classify import classify, no_qpp_reason, sector_arithmetic
 from .geometry import make_sector
 from .poly import QuadPoly, format_factored, format_poly
-from .render import render_figure
-from .verify import SearchBounds, brute_force_search, number_text, packing_window_verify
+
+if TYPE_CHECKING:
+    from .verify import SearchBounds
 
 
 JOBS_HELP = "accepted for compatibility (>= 1); the work runs in one process"
@@ -154,6 +163,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import number_text, packing_window_verify
+
     s = args.sector
     poly = _parse_coeffs(args.coefficients)
     cert = packing_window_verify(poly, s, args.xmax)
@@ -171,6 +182,8 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_bounds(text: str, mode: str) -> SearchBounds:
+    from .verify import SearchBounds
+
     try:
         values = [int(p) for p in text.split(":")]
     except ValueError:
@@ -190,6 +203,8 @@ def _parse_bounds(text: str, mode: str) -> SearchBounds:
 
 
 def _cmd_search(args) -> int:
+    from .verify import brute_force_search
+
     s = args.sector
     bounds = _parse_bounds(args.bounds, args.mode)
     found = brute_force_search(s, bounds, mode=args.mode, x_max=args.xmax, t_min=args.tmin, jobs=args.jobs)
@@ -222,6 +237,8 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import render_figure
+
     s = args.sector
     try:
         text = render_figure(s, args.k, x_max=args.xmax, value_max=args.value_max, fmt=args.format)

@@ -540,12 +540,16 @@ def test_verify_output(argv, code, out, capsys):
     assert capsys.readouterr() == (out, "")
 
 
-def run_module(*args):
-    """Run ``python -m qpacking`` on the package that the tests import."""
+def run_fresh(*args):
+    """Run a fresh interpreter with ``args`` on the package that the tests import."""
     src = str(Path(qpacking.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "qpacking", *args], capture_output=True, text=True, env=env,
-                          timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_module(*args):
+    """Run ``python -m qpacking`` on the package that the tests import."""
+    return run_fresh("-m", "qpacking", *args)
 
 
 def test_module_entry_point(capsys):
@@ -557,6 +561,64 @@ def test_module_entry_point(capsys):
     usage = run_module("classify", "0", "0")
     assert usage.returncode == 2
     assert "error:" in usage.stderr and "Traceback" not in usage.stderr
+
+
+# the modules that only a command evaluating a window needs
+WINDOW_MODULES = ("numpy", "qpacking.staircase", "qpacking.verify", "qpacking.render")
+LOADED_AFTER = f"""
+import json, sys
+from qpacking.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print(json.dumps([name for name in {WINDOW_MODULES!r} if name in sys.modules]))
+"""
+
+
+def window_modules_loaded_after(*argvs) -> list[str]:
+    """The ``WINDOW_MODULES`` that a fresh interpreter holds after ``cli.main`` on each argv in turn."""
+    done = run_fresh("-c", LOADED_AFTER, json.dumps(argvs))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_classify_and_atlas_load_no_numpy(tmp_path):
+    assert window_modules_loaded_after(
+        ["classify", "9", "4"],
+        ["classify", "9", "4", "--format", "json"],
+        ["atlas", "--nmax", "5", "--mmax", "5", "--out", str(tmp_path / "a.json")],
+        ["atlas", "--nmax", "5", "--mmax", "5", "--format", "csv", "--out", str(tmp_path / "a.csv")],
+    ) == []
+    assert (tmp_path / "a.json").exists() and (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["verify", "4", "3", EX1], ["numpy", "qpacking.staircase", "qpacking.verify"]),
+    (["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12"], ["numpy", "qpacking.staircase", "qpacking.verify"]),
+    (["render", "4", "1", "2"], list(WINDOW_MODULES)),
+], ids=["verify", "search", "render"])
+def test_window_commands_load_numpy(argv, loaded):
+    assert window_modules_loaded_after(argv) == loaded
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (verify, "packing_window_verify", ["verify", "4", "3", EX1]),
+    (verify, "brute_force_search", ["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12"]),
+    (render, "render_figure", ["render", "4", "1", "2"]),
+], ids=["verify", "search", "render"])
+def test_cli_looks_up_window_functions_when_called(module, name, argv, monkeypatch, capsys):
+    # a replacement on the defining module is what the command calls, as the bench tracer's wrappers are
+    assert run(argv) == 0
+    expected = capsys.readouterr()
+    original, calls = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    assert run(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr() == expected
 
 
 def test_parser_is_built_once():
