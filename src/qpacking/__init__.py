@@ -2,7 +2,7 @@
 
 Each name has one import path, the module that defines it:
 
-- ``geometry``: sectors, their staircase record ``Staircases``, unimodular maps and the reduction of cones to sectors.
+- ``geometry``: sectors and their staircase record ``Staircases``.
 - ``poly``: ``QuadPoly``, the alpha form, the closed forms and the text rendering.
 - ``classify``: ``sector_arithmetic``, the one builder of ``Staircases``, and the decision procedure ``classify``.
 - ``staircase``: lattice windows.

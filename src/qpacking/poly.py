@@ -14,7 +14,15 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .geometry import SectorSpec, Staircases, UnimodularMap, _frac
+from .geometry import SectorSpec, Staircases
+
+
+def _frac(value) -> Fraction:
+    if type(value) is Fraction:  # immutable, so shared rather than copied
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} not allowed in exact arithmetic")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -40,22 +48,6 @@ class QuadPoly:
 
     def coefficients(self) -> tuple[Fraction, ...]:
         return (self.c_xx, self.c_xy, self.c_yy, self.c_x, self.c_y, self.c_0)
-
-    def conjugate(self, m: UnimodularMap) -> "QuadPoly":
-        """The polynomial q with q(m(v)) = p(v) for all v, i.e. p composed with m^-1."""
-        inv = m.inverse()
-        a, b, c, d = inv.a, inv.b, inv.c, inv.d
-        return QuadPoly(
-            self.c_xx * a * a + self.c_xy * a * c + self.c_yy * c * c,
-            2 * self.c_xx * a * b + self.c_xy * (a * d + b * c) + 2 * self.c_yy * c * d,
-            self.c_xx * b * b + self.c_xy * b * d + self.c_yy * d * d,
-            self.c_x * a + self.c_y * c,
-            self.c_x * b + self.c_y * d,
-            self.c_0,
-        )
-
-    def __str__(self) -> str:
-        return format_poly(self)
 
 
 class AlphaFormCoeffs(NamedTuple):

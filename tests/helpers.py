@@ -26,9 +26,9 @@ formulas: ``in_sector(s, x, y)`` is the sector's defining inequality,
 ``skew(s)`` straightens the sector's staircases, ``flip(n)`` swaps
 the two boundary rays of the slope-n sector, ``staircase(s, i)`` lists the
 steps of staircase i up from the record's ``bottom(i)``, and ``skewed_form(s, k, F)`` is
-a packing polynomial in skewed coordinates.  ``unimodular_maps`` draws
-products of shears, flips and reflections for the property tests of
-``UnimodularMap``.
+a packing polynomial in skewed coordinates.  The maps are ``UnimodularMap``s, 2x2 matrices of
+determinant +-1, and ``conjugate(p, m)`` carries a polynomial through one; ``unimodular_maps``
+draws products of shears, flips and reflections for their property tests.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from qpacking.classify import classify, forced_quadratic_coeffs, sector_arithmetic
-from qpacking.geometry import SectorSpec, UnimodularMap, make_sector, shear_map, x_axis_reflection
+from qpacking.geometry import SectorSpec, make_sector
 from qpacking.poly import _MONOMIAL_FIELDS, AlphaFormCoeffs, QuadPoly, packing_polynomial
 from qpacking.verify import Failure, SearchBounds, WindowCertificate, packing_window_verify
 
@@ -101,12 +101,49 @@ def window_for_threshold(s: SectorSpec, polys, t_target: int, x_start: int = 8) 
 # -- the paper's proof objects --------------------------------------------------
 
 
-def recursive_extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0, by one recursion per Euclid step."""
-    if a == 0:
-        return (abs(b), 0, 1 if b >= 0 else -1)
-    g, x, y = recursive_extended_gcd(b % a, a)
-    return (g, y - (b // a) * x, x)
+class UnimodularMap(tuple):
+    """The matrix [[a, b], [c, d]] of determinant +-1, stored as (a, b, c, d), with int or Fraction entries.
+
+    Its inverse multiplies by the determinant, its own reciprocal, so integer entries stay integers.
+    """
+
+    def __new__(cls, a, b, c, d):
+        if a * d - b * c not in (1, -1):
+            raise ValueError(f"matrix determinant {a * d - b * c} is not +-1")
+        return super().__new__(cls, (a, b, c, d))
+
+    @property
+    def determinant(self):
+        a, b, c, d = self
+        return a * d - b * c
+
+    def apply(self, point):
+        a, b, c, d = self
+        x, y = point
+        return (a * x + b * y, c * x + d * y)
+
+    def __matmul__(self, other: "UnimodularMap") -> "UnimodularMap":
+        """The matrix product, which applies ``other`` first."""
+        (a, c), (b, d) = self.apply(other[0::2]), self.apply(other[1::2])
+        return UnimodularMap(a, b, c, d)
+
+    def inverse(self) -> "UnimodularMap":
+        a, b, c, d = self
+        det = self.determinant
+        return UnimodularMap(d * det, -b * det, -c * det, a * det)
+
+
+def conjugate(p: QuadPoly, m: UnimodularMap) -> QuadPoly:
+    """The polynomial q with q(m(v)) = p(v) for all v, i.e. p composed with m^-1."""
+    a, b, c, d = m.inverse()
+    return QuadPoly(
+        p.c_xx * a * a + p.c_xy * a * c + p.c_yy * c * c,
+        2 * p.c_xx * a * b + p.c_xy * (a * d + b * c) + 2 * p.c_yy * c * d,
+        p.c_xx * b * b + p.c_xy * b * d + p.c_yy * d * d,
+        p.c_x * a + p.c_y * c,
+        p.c_x * b + p.c_y * d,
+        p.c_0,
+    )
 
 
 def skew(s: SectorSpec) -> UnimodularMap:
@@ -148,7 +185,7 @@ def skewed_form(s: SectorSpec, k: int, f_const) -> QuadPoly:
 def _unimodular_product(steps) -> UnimodularMap:
     m = UnimodularMap(1, 0, 0, 1)
     for kind, arg in steps:
-        m = m @ (shear_map(arg), flip(abs(arg) + 1), x_axis_reflection())[kind]
+        m = m @ (UnimodularMap(1, arg, 0, 1), flip(abs(arg) + 1), UnimodularMap(1, 0, 0, -1))[kind]
     return m
 
 

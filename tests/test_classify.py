@@ -9,10 +9,10 @@ from qpacking.classify import (
     no_qpp_reason,
     sector_arithmetic,
 )
-from qpacking.geometry import SectorSpec, make_sector, shear_map
+from qpacking.geometry import SectorSpec, make_sector
 from qpacking.poly import step_difference, to_alpha_form
 
-from helpers import all_classified, coprime_sectors, flip, product_poly, skew, skewed_form
+from helpers import UnimodularMap, all_classified, conjugate, coprime_sectors, flip, product_poly, skew, skewed_form
 
 
 def ks_of(n, m):
@@ -198,9 +198,9 @@ class TestCanonicalSector:
             canon_entries = classify(canon)
             assert [e.k for e in entries] == [e.k for e in canon_entries]
             t = -(s.m // s.n)
-            shear = shear_map(t)
+            shear = UnimodularMap(1, t, 0, 1)
             for mine, theirs in zip(entries, canon_entries):
-                assert mine.poly.conjugate(shear) == theirs.poly
+                assert conjugate(mine.poly, shear) == theirs.poly
 
 
 class TestFlipSymmetry:
@@ -216,12 +216,12 @@ class TestFlipSymmetry:
         for s in coprime_sectors(12, 12):
             for e in classify(s):
                 flipped = flipped_sector(s)
-                check = e.poly.conjugate(skew(s)).conjugate(flip(s.n))
+                check = conjugate(conjugate(e.poly, skew(s)), flip(s.n))
                 assert check == skewed_form(s, -e.k, abs(e.k) - 1)
                 partner_ks = [q.k for q in classify(flipped)]
                 assert -e.k in partner_ks
                 partner = next(q for q in classify(flipped) if q.k == -e.k)
-                assert partner.poly.conjugate(skew(flipped)) == check
+                assert conjugate(partner.poly, skew(flipped)) == check
 
     def test_alpha_e_outliers(self):
         # these classified polynomials have alpha E outside [-15, 15]

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from qpacking.classify import admissible_ks, classify, sector_arithmetic
-from qpacking.geometry import UnimodularMap, make_sector
+from qpacking.geometry import make_sector
 from qpacking.poly import (
     AlphaFormCoeffs,
     QuadPoly,
+    _frac,
     format_factored,
     format_poly,
     packing_coefficients,
@@ -19,7 +20,16 @@ from qpacking.poly import (
 )
 from qpacking.verify import packing_window_verify
 
-from helpers import coprime_sectors, parse_poly, product_poly, skew, skewed_form, unimodular_maps
+from helpers import (
+    UnimodularMap,
+    conjugate,
+    coprime_sectors,
+    parse_poly,
+    product_poly,
+    skew,
+    skewed_form,
+    unimodular_maps,
+)
 
 EX1 = QuadPoly(2, -2, Fraction(1, 2), 0, Fraction(1, 2), 0)
 CANTOR_F = product_poly(Fraction(1, 2), (1, 0), (1, 1), 1, 0, 0)
@@ -58,26 +68,47 @@ class TestAlphaForm:
         assert to_alpha_form(coeffs.to_poly()) == coeffs
 
 
+class TestFrac:
+    def test_fraction_is_returned_as_is(self):
+        q = Fraction(-7, 3)
+        assert _frac(q) is q
+
+    def test_converts_int(self):
+        q = _frac(5)
+        assert type(q) is Fraction and q == 5
+
+    def test_rejects_float(self):
+        with pytest.raises(TypeError):
+            _frac(0.5)
+
+    def test_copies_fraction_subclass(self):
+        class Tagged(Fraction):
+            pass
+
+        q = _frac(Tagged(2, 4))
+        assert type(q) is Fraction and q == Fraction(1, 2)
+
+
 class TestConjugate:
     def test_skew_kills_mixed_terms(self):
-        q = EX1.conjugate(skew(make_sector(4, 3)))
+        q = conjugate(EX1, skew(make_sector(4, 3)))
         assert q.c_xy == 0 and q.c_yy == 0
 
     @given(quad_polys)
     def test_identity(self, p):
-        assert p.conjugate(UnimodularMap(1, 0, 0, 1)) == p
+        assert conjugate(p, UnimodularMap(1, 0, 0, 1)) == p
 
     @given(quad_polys, unimodular_maps)
     def test_roundtrip(self, p, m):
-        assert p.conjugate(m).conjugate(m.inverse()) == p
+        assert conjugate(conjugate(p, m), m.inverse()) == p
 
     @given(quad_polys, unimodular_maps, unimodular_maps)
     def test_respects_composition(self, p, m1, m2):
-        assert p.conjugate(m1 @ m2) == p.conjugate(m2).conjugate(m1)
+        assert conjugate(p, m1 @ m2) == conjugate(conjugate(p, m2), m1)
 
     @given(quad_polys, unimodular_maps, st.integers(-6, 6), st.integers(-6, 6))
     def test_defining_property(self, p, m, x, y):
-        q = p.conjugate(m)
+        q = conjugate(p, m)
         assert q(*m.apply((x, y))) == p(x, y)
 
 
@@ -140,22 +171,22 @@ class TestPackingPolynomial:
 class TestTransformedPolynomial:
     def test_matches_conjugation(self):
         s = make_sector(4, 3)
-        assert skewed_form(s, 1, 0) == packing_polynomial(s, 1).conjugate(skew(s))
+        assert skewed_form(s, 1, 0) == conjugate(packing_polynomial(s, 1), skew(s))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_integral_sector(self, n):
         expected = product_poly(Fraction(n, 2), (0, 0), (0, -1), 1, 1, 0)
         s = make_sector(n, 1)
-        assert packing_polynomial(s, 1).conjugate(skew(s)) == expected
+        assert conjugate(packing_polynomial(s, 1), skew(s)) == expected
 
     def test_12_7_y_coefficient(self):
         s = make_sector(12, 7)
-        assert packing_polynomial(s, 3).conjugate(skew(s)).c_y == Fraction(3, 2)
+        assert conjugate(packing_polynomial(s, 3), skew(s)).c_y == Fraction(3, 2)
 
     def test_rejects_non_divisible(self):
         # 3 does not divide l^2 = 1: the skewed y coefficient is 1/3, and the window check rejects it
         s = make_sector(3, 2)
-        assert packing_polynomial(s, 1).conjugate(skew(s)).c_y == Fraction(1, 3)
+        assert conjugate(packing_polynomial(s, 1), skew(s)).c_y == Fraction(1, 3)
         cert = packing_window_verify(packing_polynomial(s, 1), s, 12)
         assert not cert.ok and cert.failure.kind == "non_integral_value"
         assert classify(s) == []
@@ -166,7 +197,7 @@ class TestTransformedPolynomial:
                 continue
             m = skew(s)
             for k in (1, -1, 2, -2, 3, -3):
-                conjugated = packing_polynomial(s, k).conjugate(m)
+                conjugated = conjugate(packing_polynomial(s, k), m)
                 assert conjugated == skewed_form(s, k, abs(k) - 1)
 
 

@@ -21,12 +21,6 @@ import pytest
 import qpacking
 
 KEPT = {
-    "geometry.extended_gcd": "ROADMAP Direction 8: sectors given by two rays",
-    "geometry.reduce_general_sector": "ROADMAP Direction 8: sectors given by two rays",
-    "geometry.shear_map": "ROADMAP Direction 8: sectors given by two rays",
-    "geometry.x_axis_reflection": "ROADMAP Direction 8: sectors given by two rays",
-    "geometry.UnimodularMap": "ROADMAP Directions 8 and 13: cones and straightened staircases",
-    "poly.QuadPoly.conjugate": "ROADMAP Directions 8 and 13: cones and straightened staircases",
     "poly.step_difference": "ROADMAP Direction 1: the staircase proof",
     "geometry.Staircases.bottom": "ROADMAP Directions 1 and 11: the base staircases",
 }
@@ -116,16 +110,21 @@ def test_no_kept_entry_is_reached_from_the_cli():
     assert stale(TREES, KEPT) == set()
 
 
-def test_every_import_is_used():
+def unused_imports(trees: dict) -> dict:
+    """Module -> the names that its imports, at any depth, bind and that no ``Name`` in the module reads."""
     unused = {}
-    for mod, tree in TREES.items():
+    for mod, tree in trees.items():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                    and getattr(node, "module", None) != "__future__"]
         names = {alias.asname or alias.name.partition(".")[0] for node in imports for alias in node.names}
         if names - used:
             unused[mod] = names - used
-    assert unused == {}
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports(TREES) == {}
 
 
 def _trees(**sources) -> dict:
@@ -189,6 +188,23 @@ def helper():
 """,
     )
     assert unreached(trees, []) == set()
+
+
+def test_an_unused_import_inside_a_function_is_reported():
+    trees = _trees(
+        cli="""
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .late import Spec
+
+
+def main(spec: Spec):
+    from .late import helper, spare
+    return helper(spec)
+""",
+    )
+    assert unused_imports(trees) == {"cli": {"spare"}}
 
 
 def test_a_kept_entry_that_the_cli_reaches_is_stale():
