@@ -108,6 +108,8 @@ class UnimodularMap(tuple):
     """
 
     def __new__(cls, a, b, c, d):
+        if not all(isinstance(entry, (int, Fraction)) for entry in (a, b, c, d)):
+            raise TypeError(f"matrix entries {(a, b, c, d)} are not all int or Fraction")
         if a * d - b * c not in (1, -1):
             raise ValueError(f"matrix determinant {a * d - b * c} is not +-1")
         return super().__new__(cls, (a, b, c, d))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpacking.geometry import SectorSpec, make_sector
+from qpacking.poly import _frac
 from qpacking.staircase import lattice_window
 
 from helpers import UnimodularMap, coprime_sectors, flip, in_sector, skew, unimodular_maps
@@ -92,10 +93,35 @@ class TestFlipMap:
             assert in_sector(s, x, y)
 
 
+class TestFrac:
+    def test_fraction_is_returned_as_is(self):
+        q = Fraction(-7, 3)
+        assert _frac(q) is q
+
+    def test_converts_int(self):
+        q = _frac(5)
+        assert type(q) is Fraction and q == 5
+
+    def test_rejects_float(self):
+        with pytest.raises(TypeError):
+            _frac(0.5)
+
+    def test_copies_fraction_subclass(self):
+        class Tagged(Fraction):
+            pass
+
+        q = _frac(Tagged(2, 4))
+        assert type(q) is Fraction and q == Fraction(1, 2)
+
+
 class TestUnimodularMap:
     def test_rejects_non_unimodular(self):
         with pytest.raises(ValueError):
             UnimodularMap(2, 0, 0, 1)
+
+    def test_rejects_float(self):
+        with pytest.raises(TypeError):
+            UnimodularMap(1.0, 0, 0, 1)
 
     @given(unimodular_maps)
     def test_determinant_exact(self, m):

@@ -10,7 +10,6 @@ from qpacking.geometry import make_sector
 from qpacking.poly import (
     AlphaFormCoeffs,
     QuadPoly,
-    _frac,
     format_factored,
     format_poly,
     packing_coefficients,
@@ -66,27 +65,6 @@ class TestAlphaForm:
     def test_roundtrip(self, a, b, c, d, e, f):
         coeffs = AlphaFormCoeffs(a, b, c, d, e, f)
         assert to_alpha_form(coeffs.to_poly()) == coeffs
-
-
-class TestFrac:
-    def test_fraction_is_returned_as_is(self):
-        q = Fraction(-7, 3)
-        assert _frac(q) is q
-
-    def test_converts_int(self):
-        q = _frac(5)
-        assert type(q) is Fraction and q == 5
-
-    def test_rejects_float(self):
-        with pytest.raises(TypeError):
-            _frac(0.5)
-
-    def test_copies_fraction_subclass(self):
-        class Tagged(Fraction):
-            pass
-
-        q = _frac(Tagged(2, 4))
-        assert type(q) is Fraction and q == Fraction(1, 2)
 
 
 class TestConjugate:

@@ -114,7 +114,7 @@ def unused_imports(trees: dict) -> dict:
     """Module -> the names that its imports, at any depth, bind and that no ``Name`` in the module reads."""
     unused = {}
     for mod, tree in trees.items():
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                    and getattr(node, "module", None) != "__future__"]
         names = {alias.asname or alias.name.partition(".")[0] for node in imports for alias in node.names}
@@ -205,6 +205,22 @@ def main(spec: Spec):
 """,
     )
     assert unused_imports(trees) == {"cli": {"spare"}}
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("class Box:\n    def grow(self):\n        import os\n        return self\n", {"os"}),
+    ("class Box:\n    import os\n", {"os"}),
+    ("def main():\n    def inner():\n        from .late import spare\n    return inner\n", {"spare"}),
+    ("from typing import TYPE_CHECKING\n\nif TYPE_CHECKING:\n    from .late import Spec\n", {"Spec"}),
+    ("try:\n    import tomllib\nexcept ImportError:\n    tomllib = None\n", {"tomllib"}),
+    ("def main():\n    from .late import helper as run\n    return helper()\n", {"run"}),
+    ("def main():\n    import os.path\n    return 1\n", {"os"}),
+    ("def main(box):\n    import os\n    return box.os\n", {"os"}),
+    ("def main():\n    import os.path\n    return os.path.sep\n", set()),
+], ids=["method", "class-body", "nested-function", "type-checking", "only-assigned", "alias", "dotted",
+        "attribute-only", "dotted-read"])
+def test_an_import_at_any_depth_that_no_name_reads_is_reported(source, unused):
+    assert unused_imports(_trees(cli=source)) == ({"cli": unused} if unused else {})
 
 
 def test_a_kept_entry_that_the_cli_reaches_is_stale():
