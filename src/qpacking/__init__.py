@@ -11,7 +11,7 @@ Each name has one import path, the module that defines it:
 - ``render``: labeled lattice figures, as SVG or ASCII.
 - ``cli``: the ``qpacking`` command, also run by ``python -m qpacking``.
 
-Only ``staircase``, ``verify`` and ``render`` need numpy.
+Only ``staircase``, ``verify`` and ``render`` need numpy.  Every record is a ``typing.NamedTuple``.
 """
 
 __version__ = "0.1.0"

@@ -17,16 +17,15 @@ partner lives on the flipped sector 9/7), so a sector has 0, 1, 2, or 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .geometry import SectorSpec, Staircases
 from .poly import K_ORDER, AlphaFormCoeffs, QuadPoly, packing_polynomial, to_alpha_form
 
 
-@dataclass(frozen=True)
-class ClassifiedQPP:
+class ClassifiedQPP(NamedTuple):
     """A packing polynomial together with its step constant and derived data."""
 
     sector: SectorSpec

@@ -1,7 +1,8 @@
 """Command-line front end: classify, verify, search, atlas and render.
 
 Exit codes: 0 success (or a passing verdict), 1 negative verdict (failed
-verification, inadmissible figure request, unwritable file), 2 usage error.
+verification, inadmissible figure request, unwritable file, or a standard output
+whose reader has closed it, with no traceback), 2 usage error.
 Exit 2 is decided in ``main`` alone: a ``ValueError`` from the sector, the
 atlas range or any command becomes one ``error:`` line; only ``render``
 catches its own, for exit 1.  Work limits, each checked before the work
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -124,7 +126,7 @@ def _cmd_classify(args) -> int:
     entries = classify(s)
     if args.format == "json":
         payload = {
-            "sector": {"n": s.n, "m": s.m},
+            "sector": s._asdict(),
             "arithmetic": {
                 "l": st.l,
                 "n_over_l": st.v,
@@ -136,8 +138,7 @@ def _cmd_classify(args) -> int:
                     "k": e.k,
                     "constant_F": e.alpha_form.F,
                     "coefficients": [rational_json(c) for c in e.poly.coefficients()],
-                    "alpha_form": {"A": e.alpha_form.A, "B": e.alpha_form.B, "C": e.alpha_form.C,
-                                   "D": e.alpha_form.D, "E": e.alpha_form.E, "F": e.alpha_form.F},
+                    "alpha_form": e.alpha_form._asdict(),
                     "factored": format_factored(st, e.k),
                     "expanded": format_poly(e.poly),
                 }
@@ -211,7 +212,7 @@ def _cmd_search(args) -> int:
     classified = {e.poly for e in classify(s)}
     if args.format == "json":
         payload = {
-            "sector": {"n": s.n, "m": s.m},
+            "sector": s._asdict(),
             "mode": args.mode,
             "x_max": args.xmax,
             "count": sum(p in classified for p in found),
@@ -318,10 +319,15 @@ def main(argv=None) -> int:
             args.sector = make_sector(args.n, args.m)
         else:
             check_atlas_size(args.nmax, args.mmax)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not in the flush at exit
+        return code
     except ValueError as exc:  # a usage error, from the checks above or from any command
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # standard output's reader has closed it: the output cannot be written
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit is silent
+        return 1
 
 
 if __name__ == "__main__":

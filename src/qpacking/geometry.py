@@ -1,37 +1,28 @@
 """Exact plane geometry for rational sectors.
 
 A sector is the wedge between the positive x-axis and the ray of slope n/m, given by the
-coprime pair (n, m); ``make_sector`` reduces any pair to it.  ``Staircases`` is a sector's
+coprime pair (n, m).  ``make_sector``, the one constructor for outside input, checks a pair and
+reduces it; ``atlas.build_atlas`` builds coprime pairs.  ``Staircases`` is a sector's
 staircase arithmetic, the one record of it that every module reads; ``classify.sector_arithmetic``
 builds it.  Points are plain integer ``(x, y)`` tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SectorSpec:
+class SectorSpec(NamedTuple):
     """The sector {(x, y): 0 <= y <= (n/m) x} for coprime n >= 1, m >= 0.
 
     m = 0 encodes infinite slope, i.e. the first quadrant; coprimality
-    (gcd(n, 0) = n) then forces n = 1.
+    (gcd(n, 0) = n) then forces n = 1.  ``make_sector`` checks this; the record does not.
     """
 
     n: int
     m: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"sector needs n >= 1, got n={self.n}")
-        if self.m < 0:
-            raise ValueError(f"sector needs m >= 0, got m={self.m}")
-        if gcd(self.n, self.m) != 1:
-            raise ValueError(f"sector {self.n}/{self.m} not in lowest terms; use make_sector")
 
     def __str__(self) -> str:
         return f"{self.n}/{self.m}"

@@ -2,6 +2,7 @@
 
 A polynomial is stored by its six monomial coefficients (x^2, xy, y^2, x, y, 1),
 all exact rationals; that basis is canonical and equality is coefficient-wise.
+Callers pass ``Fraction``s or ints: the record converts nothing.
 The alpha basis (A/2) x(x-1) + B xy + (C/2) y(y-1) + D x + E y + F, with all
 six coefficients integral, is the form every packing polynomial must take; it
 is provided as a conversion.
@@ -9,7 +10,6 @@ is provided as a conversion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -17,17 +17,8 @@ from typing import NamedTuple
 from .geometry import SectorSpec, Staircases
 
 
-def _frac(value) -> Fraction:
-    if type(value) is Fraction:  # immutable, so shared rather than copied
-        return value
-    if isinstance(value, float):
-        raise TypeError(f"float {value!r} not allowed in exact arithmetic")
-    return Fraction(value)
-
-
-@dataclass(frozen=True)
-class QuadPoly:
-    """Bivariate quadratic with exact rational coefficients (monomial basis)."""
+class QuadPoly(NamedTuple):
+    """Bivariate quadratic with exact rational coefficients (monomial basis), each a ``Fraction`` or an int."""
 
     c_xx: Fraction
     c_xy: Fraction
@@ -36,10 +27,6 @@ class QuadPoly:
     c_y: Fraction
     c_0: Fraction
 
-    def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            object.__setattr__(self, name, _frac(getattr(self, name)))
-
     def __call__(self, x, y) -> Fraction:
         return (
             self.c_xx * x * x + self.c_xy * x * y + self.c_yy * y * y
@@ -47,7 +34,7 @@ class QuadPoly:
         )
 
     def coefficients(self) -> tuple[Fraction, ...]:
-        return (self.c_xx, self.c_xy, self.c_yy, self.c_x, self.c_y, self.c_0)
+        return tuple(self)
 
 
 class AlphaFormCoeffs(NamedTuple):

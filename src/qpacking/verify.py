@@ -43,11 +43,10 @@ process and derives the one constant term that puts the window minimum at 0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from math import lcm, prod
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -87,8 +86,7 @@ def number_text(q: int | Fraction) -> str:
     return f"{Context(prec=12).divide(Decimal(q.numerator), Decimal(q.denominator))} (rounded)"
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(NamedTuple):
     kind: FailureKind
     message: str
     witnesses: tuple = ()
@@ -96,8 +94,7 @@ class Failure:
     missing: int | None = None
 
 
-@dataclass(frozen=True)
-class WindowCertificate:
+class WindowCertificate(NamedTuple):
     """Outcome of a certified window check.
 
     On a pass, every value <= threshold is achieved exactly once inside the
@@ -333,9 +330,8 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
 # -- exhaustive coefficient search ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    """Inclusive coefficient ranges; a/b/c are needed only in full mode."""
+class SearchBounds(NamedTuple):
+    """Inclusive coefficient ranges; a/b/c are needed only in full mode.  ``brute_force_search`` checks them."""
 
     d: tuple[int, int]
     e: tuple[int, int]
@@ -343,12 +339,6 @@ class SearchBounds:
     a: tuple[int, int] | None = None
     b: tuple[int, int] | None = None
     c: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("d", "e", "f", "a", "b", "c"):
-            rng = getattr(self, name)
-            if rng is not None and rng[0] > rng[1]:
-                raise ValueError(f"empty bound for {name}: [{rng[0]}, {rng[1]}]")
 
 
 _BLOCK = 2 ** 15  # most window values in one prescreen block or BLAS product; a product of at most
@@ -464,6 +454,7 @@ def brute_force_search(
     that the bound of ``_window_dtype`` covers inside the box, so it is
     exact, and its sieve drops only candidates that the full window drops.
 
+    An empty range in ``bounds`` is refused with ``ValueError`` before any other argument.
     Boxes of more than ``MAX_CANDIDATES`` (A, B, C, D, E) candidates, searches
     of more than ``MAX_SEARCH_WORK`` candidates times window bounding-box
     points, windows that ``_window_dtype`` refuses and bounds that need a
@@ -482,6 +473,9 @@ def brute_force_search(
     otherwise unused: the CLI's ``--jobs`` passes it, and the benchmark's
     tracer reads it from each call.
     """
+    for name, rng in bounds._asdict().items():
+        if rng is not None and rng[0] > rng[1]:
+            raise ValueError(f"empty bound for {name}: [{rng[0]}, {rng[1]}]")
     if mode not in ("restricted", "full"):
         raise ValueError(f"unknown search mode {mode!r}")
     if x_max < 1:

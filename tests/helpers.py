@@ -296,7 +296,7 @@ def reference_value_floor(p: QuadPoly, s: SectorSpec, x_min) -> Fraction | None:
     decide the boundary directions), the truncation edge, and any interior
     stationary point.
     """
-    x_min = Fraction(x_min)
+    p, x_min = QuadPoly(*map(Fraction, p)), Fraction(x_min)  # int coefficients would divide into floats
     d0 = (Fraction(1), Fraction(0))
     d1 = (Fraction(0), Fraction(1)) if s.m == 0 else (Fraction(s.m), Fraction(s.n))
 

@@ -540,11 +540,12 @@ def test_verify_output(argv, code, out, capsys):
     assert capsys.readouterr() == (out, "")
 
 
-def run_fresh(*args):
-    """Run a fresh interpreter with ``args`` on the package that the tests import."""
+def run_fresh(*args, stdout=subprocess.PIPE):
+    """Run a fresh interpreter with ``args`` on the package that the tests import; stdout is captured by default."""
     src = str(Path(qpacking.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=60)
 
 
 def run_module(*args):
@@ -563,22 +564,57 @@ def test_module_entry_point(capsys):
     assert "error:" in usage.stderr and "Traceback" not in usage.stderr
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "4", "3"],
+    ["render", "12", "7", "1", "--xmax", "40", "--format", "svg"],  # 90 kB, more than a pipe or a buffer holds
+], ids=["small", "large"])
+def test_closed_stdout_exits_1_without_traceback(argv, unbuffered, monkeypatch):
+    # a buffered small output fails in main's flush, every other one inside the command; neither
+    # may leave a traceback or an "Exception ignored" line from the flush at exit
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_fresh(*(["-u"] if unbuffered else []), "-m", "qpacking", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 # the modules that only a command evaluating a window needs
 WINDOW_MODULES = ("numpy", "qpacking.staircase", "qpacking.verify", "qpacking.render")
-LOADED_AFTER = f"""
+LOADED_AFTER = """
 import json, sys
 from qpacking.cli import main
-for argv in json.loads(sys.argv[1]):
+names = json.loads(sys.argv[1])
+loaded = [[name for name in names if name in sys.modules]]
+for argv in json.loads(sys.argv[2]):
     assert main(argv) == 0, argv
-print(json.dumps([name for name in {WINDOW_MODULES!r} if name in sys.modules]))
+    loaded.append([name for name in names if name in sys.modules])
+print(json.dumps(loaded))
 """
+
+
+def modules_loaded_after(names, *argvs) -> list[list[str]]:
+    """Which of ``names`` a fresh interpreter holds after importing the CLI, then after ``cli.main`` on each argv."""
+    done = run_fresh("-c", LOADED_AFTER, json.dumps(names), json.dumps(argvs))
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def window_modules_loaded_after(*argvs) -> list[str]:
     """The ``WINDOW_MODULES`` that a fresh interpreter holds after ``cli.main`` on each argv in turn."""
-    done = run_fresh("-c", LOADED_AFTER, json.dumps(argvs))
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return modules_loaded_after(WINDOW_MODULES, *argvs)[-1]
+
+
+def test_cli_loads_no_dataclasses_or_inspect(tmp_path):
+    # their import costs every process; numpy imports inspect itself, so the window commands are not checked
+    assert modules_loaded_after(
+        ("dataclasses", "inspect"),
+        ["classify", "9", "4"],
+        ["atlas", "--nmax", "5", "--mmax", "5", "--out", str(tmp_path / "a.json")],
+    ) == [[], [], []]
 
 
 def test_classify_and_atlas_load_no_numpy(tmp_path):

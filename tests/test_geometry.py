@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qpacking.geometry import SectorSpec, make_sector
-from qpacking.poly import _frac
 from qpacking.staircase import lattice_window
 
 from helpers import UnimodularMap, coprime_sectors, flip, in_sector, skew, unimodular_maps
@@ -30,10 +29,6 @@ class TestMakeSector:
     def test_rejects(self, n, m):
         with pytest.raises(ValueError):
             make_sector(n, m)
-
-    def test_sector_spec_rejects_common_factor(self):
-        with pytest.raises(ValueError):
-            SectorSpec(4, 2)
 
 
 class TestSkewMap:
@@ -91,27 +86,6 @@ class TestFlipMap:
         for pt in map(tuple, lattice_window(s, 8).tolist()):
             x, y = m.apply(pt)
             assert in_sector(s, x, y)
-
-
-class TestFrac:
-    def test_fraction_is_returned_as_is(self):
-        q = Fraction(-7, 3)
-        assert _frac(q) is q
-
-    def test_converts_int(self):
-        q = _frac(5)
-        assert type(q) is Fraction and q == 5
-
-    def test_rejects_float(self):
-        with pytest.raises(TypeError):
-            _frac(0.5)
-
-    def test_copies_fraction_subclass(self):
-        class Tagged(Fraction):
-            pass
-
-        q = _frac(Tagged(2, 4))
-        assert type(q) is Fraction and q == Fraction(1, 2)
 
 
 class TestUnimodularMap:

@@ -102,7 +102,7 @@ def _no_y2_quadrant_floor(p: QuadPoly, x_lo: int) -> Fraction | None:
     """
     if p.c_xy < 0 or p.c_xy * x_lo + p.c_y < 0:
         return None
-    a, d, f = p.c_xx, p.c_x, p.c_0
+    a, d, f = map(Fraction, (p.c_xx, p.c_x, p.c_0))  # int coefficients would divide into floats
     if a < 0 or (a == 0 and d < 0):
         return None
     if a > 0 and -d / (2 * a) > x_lo:
@@ -418,8 +418,8 @@ class TestBruteForceSearch:
         assert [p.coefficients() for p in got] == sorted(e.poly.coefficients() for e in classify(s))
 
     def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError):
-            SearchBounds(d=(5, -5), e=(0, 0), f=(0, 0))
+        with pytest.raises(ValueError, match=r"^empty bound for d: \[5, -5\]$"):
+            brute_force_search(make_sector(4, 3), SearchBounds(d=(5, -5), e=(0, 0), f=(0, 0)))
 
     def test_refuses_window_beyond_int64(self):
         # y reaches 64 at x_max = 1, so E * y overflows although E * (x_max + 1)^2 does not
