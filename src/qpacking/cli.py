@@ -2,12 +2,13 @@
 
 Exit codes: 0 success (or a passing verdict), 1 negative verdict (failed
 verification, inadmissible figure request, unwritable file, or a standard output
-whose reader has closed it, with no traceback), 2 usage error.
-Exit 2 is decided in ``main`` alone: a ``ValueError`` from the sector, the
-atlas range or any command becomes one ``error:`` line; only ``render``
-catches its own, for exit 1.  Work limits, each checked before the work
-starts: ``MAX_DIGITS`` per sector number and coefficient part (exit 2),
-``verify.MAX_WINDOW_POINTS`` per window (exit 2), ``verify.MAX_WINDOW_BITS``
+that cannot be written, whatever the reason: one ``error writing standard
+output:`` line, or none when its reader has closed it, and no traceback),
+2 usage error.  Exit 2 is decided in ``main`` alone: a ``ValueError`` from the
+sector or from any command, the atlas range among them, becomes one ``error:``
+line; only ``render`` catches its own, for exit 1.  Work limits, each checked
+before the work starts: ``MAX_DIGITS`` per sector number and coefficient part
+(exit 2), ``verify.MAX_WINDOW_POINTS`` per window (exit 2), ``verify.MAX_WINDOW_BITS``
 for a Python-int window's points times the bits of its values (exit 2),
 ``verify.MAX_CANDIDATES`` per search box and ``verify.MAX_SEARCH_WORK`` for its
 candidates times its window's box points (exit 2), a search whose prescreen
@@ -147,7 +148,7 @@ def _cmd_classify(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"sector {s.n}/{s.m}" + (" (first quadrant)" if s.m == 0 else ""))
+    print(f"sector {s}" + (" (first quadrant)" if s.m == 0 else ""))
     print(f"l = {st.l}, n/l = {st.v}, l^2/n = {st.l2_over_n}")
     print(f"n | (m-1)^2: {'yes' if st.divides_n_l2 else 'no'}")
     if not entries:
@@ -224,11 +225,13 @@ def _cmd_search(args) -> int:
         return 0
     for p in found:
         print(format_poly(p) + ("" if p in classified else UNCLASSIFIED_HIT.format(args.xmax)))
-    print(f"found {sum(p in classified for p in found)} packing polynomial(s) on sector {s.n}/{s.m}")
+    print(f"found {sum(p in classified for p in found)} packing polynomial(s) on sector {s}")
     return 0
 
 
 def _cmd_atlas(args) -> int:
+    check_atlas_size(args.nmax, args.mmax)
+
     def make():
         atlas = build_atlas(args.nmax, args.mmax)
         text = atlas_to_json(atlas, args.nmax, args.mmax) if args.format == "json" else atlas_to_csv(atlas, args.mmax)
@@ -264,23 +267,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "classification, certified verification, search, atlas and figures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sector = argparse.ArgumentParser(add_help=False)
+    sector.add_argument("n", type=_sector_number)
+    sector.add_argument("m", type=_sector_number)
 
-    p = sub.add_parser("classify", help="list all packing polynomials of a sector")
-    p.add_argument("n", type=_sector_number)
-    p.add_argument("m", type=_sector_number)
+    p = sub.add_parser("classify", parents=[sector], help="list all packing polynomials of a sector")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("verify", help="certify a polynomial on a finite window")
-    p.add_argument("n", type=_sector_number)
-    p.add_argument("m", type=_sector_number)
+    p = sub.add_parser("verify", parents=[sector], help="certify a polynomial on a finite window")
     p.add_argument("coefficients", help="six rationals 'x^2,xy,y^2,x,y,1', e.g. '2,-2,1/2,0,1/2,0'")
     p.add_argument("--xmax", type=_int_at_least(1), default=30)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("search", help="exhaustive coefficient search with certified acceptance")
-    p.add_argument("n", type=_sector_number)
-    p.add_argument("m", type=_sector_number)
+    p = sub.add_parser("search", parents=[sector], help="exhaustive coefficient search with certified acceptance")
     p.add_argument("--mode", choices=("restricted", "full"), default="restricted")
     p.add_argument("--bounds", default="12:12:12",
                    help="D:E:F (restricted) or A:B:C:D:E:F (full); D,E,B span [-X,X], F,C span [0,X], A spans [1,X]")
@@ -299,9 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_int_at_least(1), default=1, help=JOBS_HELP)
     p.set_defaults(func=_cmd_atlas)
 
-    p = sub.add_parser("render", help="labeled lattice figure for a classified polynomial")
-    p.add_argument("n", type=_sector_number)
-    p.add_argument("m", type=_sector_number)
+    p = sub.add_parser("render", parents=[sector], help="labeled lattice figure for a classified polynomial")
     p.add_argument("k", type=int)
     p.add_argument("--xmax", type=_int_at_least(1), default=6)
     p.add_argument("--value-max", type=_int_at_least(0), default=40)
@@ -313,19 +311,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:  # refuse a bad sector or atlas range before any work or file
-        if "n" in args:  # every subcommand but atlas works on one sector
-            args.sector = make_sector(args.n, args.m)
-        else:
-            check_atlas_size(args.nmax, args.mmax)
-        code = args.func(args)
-        sys.stdout.flush()  # a closed reader shows here, not in the flush at exit
-        return code
-    except ValueError as exc:  # a usage error, from the checks above or from any command
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+            if "n" in args:  # every command but atlas works on one sector: refuse a bad one before any work
+                args.sector = make_sector(args.n, args.m)
+            return args.func(args)
+        finally:  # also after argparse's help, so that an unwritable output shows here, not in the flush at exit
+            sys.stdout.flush()
+    except ValueError as exc:  # a usage error, from the sector or from any command
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # standard output's reader has closed it: the output cannot be written
+    except OSError as exc:  # standard output cannot be written; _write reports the files it opens itself
+        if not isinstance(exc, BrokenPipeError):  # a closed reader needs no message
+            print(f"error writing standard output: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit is silent
         return 1
 

@@ -256,15 +256,17 @@ def window_values(p: QuadPoly, s: SectorSpec, x_max: int) -> tuple[np.ndarray, n
     """(xs, ys, L, L*p at each point, the coefficients of L*p) on the window x <= x_max, exactly.
 
     L is the lcm of p's coefficient denominators, inside the size bound of ``_window_dtype`` so that L*p // L
-    and L*p % L stay exact: p(pt) is integral iff L divides L*p(pt).  L*p is evaluated in place in
-    Horner form, (c y + b x + e) y + (a x + d) x + f, with two window-sized arrays; each partial sum
-    is within that bound, so the values are exact in the rows' dtype.
+    and L*p % L stay exact: p(pt) is integral iff L divides L*p(pt).  The window is sized first, and a
+    window that ``_window_dtype`` refuses raises ``ValueError`` before any of its points is built.  L*p is
+    evaluated in place in Horner form, (c y + b x + e) y + (a x + d) x + f, with two window-sized arrays;
+    each partial sum is within that bound, so the values are exact in the rows' dtype.
     """
     rationals = p.coefficients()
     scale = lcm(*(q.denominator for q in rationals))
     coeffs = tuple(q.numerator * (scale // q.denominator) for q in rationals)
     a, b, c, d, e, f = coeffs
-    xs, ys = lattice_window(s, x_max).T.astype(_window_dtype(s, x_max, max(scale, *map(abs, coeffs))), copy=False)
+    dtype = _window_dtype(s, x_max, max(scale, *map(abs, coeffs)))
+    xs, ys = lattice_window(s, x_max).T.astype(dtype, copy=False)
     vals = ys * c
     term = xs * b
     vals += term

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -48,6 +49,7 @@ BOUNDS_NOT_INT = {("search", "4", "3", "--bounds", b): f"error: bounds must be i
     ["search", "4", "3", "--bounds", f"0:0:{2**62}"],
     ["search", "4", "3", "--bounds=-2:-2:-2"],
     ["verify", "4", "3", EX1, "--xmax", "0"],
+    ["verify", "4", "3", EX1, "--xmax", "9" * 20],
     ["render", "4", "3", "1", "--value-max", "-1"],
     ["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12", "--tmin", "-1"],
     ["verify", "4", "3", "1e5000,0,0,0,0,0", "--xmax", "2"],
@@ -60,7 +62,7 @@ BOUNDS_NOT_INT = {("search", "4", "3", "--bounds", b): f"error: bounds must be i
     ["search", "4", "3", "--bounds", "1:1"],
     *map(list, BOUNDS_NOT_INT),
 ], ids=["search-jobs-0", "atlas-jobs-0", "search-bounds-too-large", "search-f-beyond-int64", "search-bounds-negative",
-        "verify-xmax-0", "render-value-max-negative", "search-tmin-negative",
+        "verify-xmax-0", "verify-xmax-huge", "render-value-max-negative", "search-tmin-negative",
         "verify-exponent-huge", "verify-exponent-tiny", "verify-coefficient-huge",
         "classify-m-not-int", "verify-three-coefficients", "verify-zero-denominator", "search-two-bounds",
         "search-bounds-not-int-decimal", "search-bounds-not-int-letter", "search-bounds-not-int-empty"])
@@ -564,14 +566,22 @@ def test_module_entry_point(capsys):
     assert "error:" in usage.stderr and "Traceback" not in usage.stderr
 
 
+OUTPUTS = [
+    pytest.param(["classify", "4", "3"], id="small"),
+    # 90 kB, more than a pipe or a buffer holds
+    pytest.param(["render", "12", "7", "1", "--xmax", "40", "--format", "svg"], id="large"),
+]
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
-    ["classify", "4", "3"],
-    ["render", "12", "7", "1", "--xmax", "40", "--format", "svg"],  # 90 kB, more than a pipe or a buffer holds
-], ids=["small", "large"])
+    *OUTPUTS,
+    pytest.param(["--help"], id="help"),
+    pytest.param(["classify", "--help"], id="classify-help"),
+])
 def test_closed_stdout_exits_1_without_traceback(argv, unbuffered, monkeypatch):
-    # a buffered small output fails in main's flush, every other one inside the command; neither
-    # may leave a traceback or an "Exception ignored" line from the flush at exit
+    # a buffered small output, argparse's help among them, fails in main's flush, every other one inside
+    # the command; neither may leave a traceback or an "Exception ignored" line from the flush at exit
     monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     read, write = os.pipe()
     os.close(read)
@@ -579,7 +589,20 @@ def test_closed_stdout_exits_1_without_traceback(argv, unbuffered, monkeypatch):
         done = run_fresh(*(["-u"] if unbuffered else []), "-m", "qpacking", *argv, stdout=write)
     finally:
         os.close(write)
-    assert (done.returncode, done.stderr) == (1, "")
+    # unbuffered, argparse drops the failed write of its help itself, and the help exits 0
+    assert (done.returncode, done.stderr) == (0 if unbuffered and "--help" in argv else 1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", OUTPUTS)
+def test_full_stdout_exits_1_with_one_error_line(argv, unbuffered, monkeypatch):
+    # a write to /dev/full fails with ENOSPC, in main's flush or inside the command
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    with open("/dev/full", "w") as full:
+        done = run_fresh(*(["-u"] if unbuffered else []), "-m", "qpacking", *argv, stdout=full)
+    error = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert (done.returncode, done.stderr) == (1, f"error writing standard output: {error}\n")
 
 
 # the modules that only a command evaluating a window needs

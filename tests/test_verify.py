@@ -259,6 +259,19 @@ class TestPackingWindowVerify:
         with pytest.raises(ValueError):
             packing_window_verify(EX1, make_sector(4, 3), 0)
 
+    def test_refusals_build_no_window(self, monkeypatch):
+        # a box over MAX_WINDOW_POINTS, and a Python-int window over MAX_WINDOW_BITS, are refused from their size alone
+        def refuse(s, x_max):
+            raise AssertionError(f"a window x <= {x_max} was built")
+
+        monkeypatch.setattr(verify, "lattice_window", refuse)
+        cantor = QuadPoly(Fraction(1, 2), 1, Fraction(1, 2), Fraction(1, 2), Fraction(3, 2), 0)
+        with pytest.raises(ValueError, match="bounding box of 4004001 lattice points, more than the limit"):
+            packing_window_verify(cantor, make_sector(1, 0), 2000)
+        huge = QuadPoly(*(Fraction(1, 10**999 + d) for d in (7, 9, 13, 19, 21, 27)))
+        with pytest.raises(ValueError, match="values of up to 19936 bits: more than the limit"):
+            packing_window_verify(huge, make_sector(1, 1), 1999)
+
     @settings(max_examples=300, deadline=None)
     @given(random_cases | classified_cases, st.integers(1, 10))
     def test_matches_fraction_reference(self, case, x_max):
