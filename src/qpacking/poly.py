@@ -4,8 +4,8 @@ A polynomial is stored by its six monomial coefficients (x^2, xy, y^2, x, y, 1),
 all exact rationals; that basis is canonical and equality is coefficient-wise.
 Callers pass ``Fraction``s or ints: the record converts nothing.
 The alpha basis (A/2) x(x-1) + B xy + (C/2) y(y-1) + D x + E y + F, with all
-six coefficients integral, is the form every packing polynomial must take; it
-is provided as a conversion.
+six coefficients integral, is the form every packing polynomial must take;
+``doubled`` is the one place its map to the monomial basis is written.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .geometry import SectorSpec, Staircases
+
+_MONOMIALS = ("x^2", "x*y", "y^2", "x", "y", "")  # of the six coefficients, in order; the constant's is empty
 
 
 class QuadPoly(NamedTuple):
@@ -37,6 +39,11 @@ class QuadPoly(NamedTuple):
         return tuple(self)
 
 
+def doubled(A: int, B: int, C: int, D: int, E: int, F: int) -> tuple[int, ...]:
+    """The integer monomial coefficients of 2p, for p with alpha-form coefficients A, B, C, D, E, F."""
+    return A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F
+
+
 class AlphaFormCoeffs(NamedTuple):
     A: int
     B: int
@@ -46,30 +53,16 @@ class AlphaFormCoeffs(NamedTuple):
     F: int
 
     def to_poly(self) -> QuadPoly:
-        return QuadPoly(
-            Fraction(self.A, 2),
-            Fraction(self.B),
-            Fraction(self.C, 2),
-            self.D - Fraction(self.A, 2),
-            self.E - Fraction(self.C, 2),
-            Fraction(self.F),
-        )
+        return QuadPoly(*(Fraction(c, 2) for c in doubled(*self)))
 
 
 def to_alpha_form(p: QuadPoly) -> AlphaFormCoeffs:
     """Exact change of basis into the alpha form; round-trips with ``to_poly``."""
-    derived = (
-        ("x^2", 2 * p.c_xx),
-        ("x*y", p.c_xy),
-        ("y^2", 2 * p.c_yy),
-        ("x", p.c_x + p.c_xx),
-        ("y", p.c_y + p.c_yy),
-        ("1", p.c_0),
-    )
+    derived = (2 * p.c_xx, p.c_xy, 2 * p.c_yy, p.c_x + p.c_xx, p.c_y + p.c_yy, p.c_0)
     out = []
-    for monomial, value in derived:
+    for monomial, value in zip(_MONOMIALS, derived):
         if value.denominator != 1:
-            raise ValueError(f"alpha-form coefficient at {monomial} is {value}, not an integer")
+            raise ValueError(f"alpha-form coefficient at {monomial or '1'} is {value}, not an integer")
         out.append(int(value))
     return AlphaFormCoeffs(*out)
 
@@ -128,9 +121,6 @@ def packing_polynomial(s: SectorSpec, k: int) -> QuadPoly:
 
 # -- canonical text rendering -------------------------------------------------
 
-_MONOMIAL_FIELDS = (("x^2", "c_xx"), ("x*y", "c_xy"), ("y^2", "c_yy"), ("x", "c_x"), ("y", "c_y"), ("", "c_0"))
-
-
 def _term_body(coeff: Fraction, monomial: str) -> str:
     mag = abs(coeff)
     if not monomial:
@@ -143,8 +133,7 @@ def _term_body(coeff: Fraction, monomial: str) -> str:
 def format_poly(p: QuadPoly) -> str:
     """Canonical rendering, monomials in the order x^2, xy, y^2, x, y, 1."""
     text = ""
-    for monomial, field in _MONOMIAL_FIELDS:
-        coeff = getattr(p, field)
+    for monomial, coeff in zip(_MONOMIALS, p):
         if coeff == 0:
             continue
         if text:

@@ -10,26 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .classify import classify, no_qpp_reason, sector_arithmetic
+from .classify import admissible_ks, no_qpp_reason, sector_arithmetic
 from .geometry import SectorSpec, Staircases
-from .poly import QuadPoly
+from .poly import QuadPoly, packing_polynomial
 from .staircase import column_heights
 from .verify import window_values
 
 SVG_SCALE = 40  # drawing units per lattice step
 SVG_MARGIN = 30
 MAX_FIGURE_POINTS = 10_000  # lattice points of the window a figure draws
-
-
-def _classified_poly(s: SectorSpec, st: Staircases, k: int) -> QuadPoly:
-    entries = classify(s)
-    if not entries:
-        raise ValueError(f"no QPPs on sector {s}: {no_qpp_reason(s, st)}")
-    for e in entries:
-        if e.k == k:
-            return e.poly
-    # classify lists k in K_ORDER, which is the (|k|, -k) order of the message
-    raise ValueError(f"k={k} is not admissible for sector {s}; admissible: {[e.k for e in entries]}")
 
 
 def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fmt: str = "ascii") -> str:
@@ -47,7 +36,13 @@ def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fm
     st = sector_arithmetic(s)
     if fmt == "svg" and _staircase_lines(st, x_max) > MAX_FIGURE_POINTS:
         raise ValueError(f"figure x <= {x_max} has more than {MAX_FIGURE_POINTS} staircase lines")
-    poly = _classified_poly(s, st, k)
+    ks = admissible_ks(st)
+    if not ks:
+        raise ValueError(f"no QPPs on sector {s}: {no_qpp_reason(s, st)}")
+    if k not in ks:
+        # admissible_ks lists k in K_ORDER, which is the (|k|, -k) order of the message
+        raise ValueError(f"k={k} is not admissible for sector {s}; admissible: {ks}")
+    poly = packing_polynomial(s, k)
     if fmt == "ascii":
         return _render_ascii(s, poly, x_max, value_max)
     if fmt == "svg":

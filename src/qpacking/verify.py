@@ -52,7 +52,7 @@ import numpy as np
 
 from .classify import forced_quadratic_coeffs, sector_arithmetic
 from .geometry import SectorSpec
-from .poly import AlphaFormCoeffs, QuadPoly
+from .poly import AlphaFormCoeffs, QuadPoly, doubled
 from .staircase import lattice_window
 
 FailureKind = Literal[
@@ -462,9 +462,9 @@ def brute_force_search(
     points, windows that ``_window_dtype`` refuses and bounds that need a
     Python-int window to prescreen exactly are refused with ``ValueError``, in
     that order, before any window is built; a restricted search on a sector
-    without forced A, B, C then returns [] without one.  Each accepted
-    polynomial carries a passing certificate from ``packing_window_verify`` at
-    the configured window, with threshold at least ``t_min``.  The output is
+    without forced A, B, C then returns [] without one.  Each hit is
+    re-certified by ``packing_window_verify`` at the configured window, and is
+    returned, as a bare ``QuadPoly``, only if it passes.  The output is
     in the prescreen's scan order, ascending (A, B, C, D, E), and so sorted by
     coefficient tuple: the monomial coefficients (A/2, B, C/2, D - A/2,
     E - C/2, F) compare in the same order, as each increases with its
@@ -513,10 +513,10 @@ def brute_force_search(
         return []  # restricted, and no forced A, B, C: the sector has no packing polynomial
     xs, ys = lattice_window(s, x_max).T.astype(dtype, copy=False)
     found = []
-    for A, B, C, D, E, F, missing in _prescreen(abc_ranges, bounds, xs, ys):
-        kind, _, threshold = _verdict((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), 2, s, x_max, missing)  # of 2p
+    for *alpha, missing in _prescreen(abc_ranges, bounds, xs, ys):
+        kind, _, threshold = _verdict(doubled(*alpha), 2, s, x_max, missing)  # of 2p
         if kind is None and threshold >= t_min:
-            candidate = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
+            candidate = AlphaFormCoeffs(*alpha).to_poly()
             if packing_window_verify(candidate, s, x_max).ok:
                 found.append(candidate)
     return found

@@ -48,12 +48,8 @@ from hypothesis import strategies as st
 
 from qpacking.classify import classify, forced_quadratic_coeffs, sector_arithmetic
 from qpacking.geometry import SectorSpec, make_sector
-from qpacking.poly import _MONOMIAL_FIELDS, AlphaFormCoeffs, QuadPoly, packing_polynomial
+from qpacking.poly import AlphaFormCoeffs, QuadPoly, packing_polynomial
 from qpacking.verify import Failure, SearchBounds, WindowCertificate, packing_window_verify
-
-
-def frac(value) -> Fraction:
-    return Fraction(value)
 
 
 def product_poly(scale, factor1, factor2, lin_x, lin_y, const) -> QuadPoly:
@@ -214,7 +210,7 @@ def parse_poly(text: str) -> QuadPoly:
         raise ValueError("empty polynomial string")
     if compact == "0":
         return QuadPoly(0, 0, 0, 0, 0, 0)
-    coeffs = {field: Fraction(0) for _, field in _MONOMIAL_FIELDS}
+    coeffs = {field: Fraction(0) for field in QuadPoly._fields}
     seen = set()
     for match in re.finditer(r"[+-]?[^+-]+", compact):
         term = match.group(0)

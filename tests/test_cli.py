@@ -17,11 +17,13 @@ from hypothesis import example, given, strategies as st
 import qpacking
 from qpacking import atlas, cli, render, verify
 from qpacking.atlas import build_atlas
-from qpacking.classify import classify
+from qpacking.classify import classify, no_qpp_reason, sector_arithmetic
 from qpacking.cli import main
 from qpacking.geometry import make_sector
-from qpacking.poly import QuadPoly, format_poly
+from qpacking.poly import K_ORDER, QuadPoly, format_poly
 from qpacking.render import _fmt_len
+
+from helpers import coprime_sectors
 
 BENCH_GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens.json"
 
@@ -300,6 +302,27 @@ def test_negative_verdict_exits_1(argv, capsys):
 def test_render_refusal_lines(argv, line, capsys):
     assert run(argv) == 1
     assert capsys.readouterr() == ("", line + "\n")
+
+
+def test_render_takes_each_polynomial_and_refusal_from_the_classification():
+    # every coprime sector with n, m <= 12 and the quadrant, and every k with 0 and 4 besides: an
+    # admissible k draws classify's polynomial, and any other k is refused as classify's list implies
+    got, want = {}, {}
+    for s in coprime_sectors(12, 12):
+        entries = classify(s)
+        polys = {e.k: e.poly for e in entries}
+        for k in (*K_ORDER, 0, 4):
+            if k in polys:
+                want[s, k] = render._render_ascii(s, polys[k], 3, 40)
+            elif entries:
+                want[s, k] = f"k={k} is not admissible for sector {s}; admissible: {list(polys)}"
+            else:
+                want[s, k] = f"no QPPs on sector {s}: {no_qpp_reason(s, sector_arithmetic(s))}"
+            try:
+                got[s, k] = render.render_figure(s, k, x_max=3)
+            except ValueError as exc:
+                got[s, k] = str(exc)
+    assert got == want
 
 
 # SHA-256 of the 30x30 atlas files, recorded before the JSON writer was

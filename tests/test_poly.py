@@ -10,6 +10,7 @@ from qpacking.geometry import make_sector
 from qpacking.poly import (
     AlphaFormCoeffs,
     QuadPoly,
+    doubled,
     format_factored,
     format_poly,
     packing_coefficients,
@@ -57,14 +58,32 @@ class TestAlphaForm:
     def test_zero(self):
         assert to_alpha_form(QuadPoly(0, 0, 0, 0, 0, 0)) == AlphaFormCoeffs(0, 0, 0, 0, 0, 0)
 
-    def test_non_integral(self):
-        with pytest.raises(ValueError, match=r"^alpha-form coefficient at x\^2 is 2/3, not an integer$"):
-            to_alpha_form(QuadPoly(Fraction(1, 3), 0, 0, 0, 0, 0))
+    # a third at each coefficient in turn; the alpha form doubles those of x^2 and y^2,
+    # and its first non-integer coefficient is named, the constant's as 1
+    @pytest.mark.parametrize("index, monomial, value", [
+        (0, "x^2", "2/3"), (1, "x*y", "1/3"), (2, "y^2", "2/3"), (3, "x", "1/3"), (4, "y", "1/3"), (5, "1", "1/3"),
+    ], ids=["x2", "xy", "y2", "x", "y", "1"])
+    def test_non_integral(self, index, monomial, value):
+        coeffs = [0] * 6
+        coeffs[index] = Fraction(1, 3)
+        message = f"alpha-form coefficient at {monomial} is {value}, not an integer"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            to_alpha_form(QuadPoly(*coeffs))
 
     @given(*(st.integers(-60, 60) for _ in range(6)))
     def test_roundtrip(self, a, b, c, d, e, f):
         coeffs = AlphaFormCoeffs(a, b, c, d, e, f)
         assert to_alpha_form(coeffs.to_poly()) == coeffs
+
+    @given(*(st.integers(-60, 60) for _ in range(6)))
+    def test_doubled_is_twice_to_poly(self, a, b, c, d, e, f):
+        coeffs = AlphaFormCoeffs(a, b, c, d, e, f)
+        got = doubled(*coeffs)
+        assert all(type(value) is int for value in got)
+        assert got == tuple(2 * value for value in coeffs.to_poly())
+        # 2p from the alpha basis itself, on six points that fix a quadratic
+        for x, y in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            assert QuadPoly(*got)(x, y) == a * x * (x - 1) + 2 * b * x * y + c * y * (y - 1) + 2 * (d * x + e * y + f)
 
 
 class TestConjugate:

@@ -11,6 +11,9 @@ classes share reaches both methods: the walk can only over-reach, and it never r
 that is used.
 
 ``KEPT`` maps ``module.name`` or ``module.Class.method`` to the direction it is kept for.
+
+``tests/helpers.py`` holds only what the tests name: each of its top-level definitions is named
+by a test module, or by another of its own definitions.
 """
 
 import ast
@@ -125,6 +128,60 @@ def unused_imports(trees: dict) -> dict:
 
 def test_every_import_is_used():
     assert unused_imports(TREES) == {}
+
+
+def _names(node) -> set[str]:
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
+def unnamed_helpers(helpers, others) -> set[str]:
+    """Top-level definitions of the module ``helpers`` that no ``Name`` or attribute names, in a module of
+    ``others`` or in ``helpers`` outside the definition itself; an import does not count."""
+    named = set().union(*map(_names, others))
+    per_node = [(node, _names(node)) for node in helpers.body]
+    return {key for key, node in definitions(helpers).items() if "." not in key and key not in named
+            and not any(key in names for other, names in per_node if other is not node)}
+
+
+def test_every_test_helper_is_named():
+    tests = {path.stem: ast.parse(path.read_text()) for path in Path(__file__).parent.glob("*.py")}
+    assert unnamed_helpers(tests.pop("helpers"), tests.values()) == set()
+
+
+def test_a_helper_named_only_by_itself_or_an_import_is_reported():
+    helpers = ast.parse("""
+def spare(n):
+    return spare(n - 1)
+
+
+def inner():
+    return 1
+
+
+def outer():
+    return inner()
+
+
+TABLE = {"a": outer}
+
+
+def by_attribute():
+    return 2
+
+
+def imported_only():
+    return 3
+""")
+    test = ast.parse("""
+import helpers
+from helpers import imported_only
+
+
+def test_it():
+    assert helpers.by_attribute() == TABLE
+""")
+    assert unnamed_helpers(helpers, [test]) == {"spare", "imported_only"}
 
 
 def _trees(**sources) -> dict:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from qpacking import verify
 from qpacking.classify import classify, forced_quadratic_coeffs, sector_arithmetic
 from qpacking.geometry import make_sector
-from qpacking.poly import AlphaFormCoeffs, QuadPoly, packing_polynomial
+from qpacking.poly import AlphaFormCoeffs, QuadPoly, doubled, packing_polynomial
 from qpacking.staircase import lattice_window
 from qpacking.verify import (
     SearchBounds,
@@ -609,9 +609,9 @@ class TestBruteForceSearch:
         kwargs = {} if t_min is None else {"t_min": xs.size - 1 if t_min == "last" else t_min}
         t_min = kwargs.get("t_min", 0)
         certified = []
-        for A, B, C, D, E, F, missing in _prescreen(abc, bounds, xs, ys):
-            kind, pair, threshold = _verdict((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), 2, s, x_max, missing)
-            p = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
+        for *alpha, missing in _prescreen(abc, bounds, xs, ys):
+            kind, pair, threshold = _verdict(doubled(*alpha), 2, s, x_max, missing)
+            p = AlphaFormCoeffs(*alpha).to_poly()
             cert = packing_window_verify(p, s, x_max)
             assert (kind, threshold) == (cert.failure.kind if cert.failure else None, cert.threshold)
             assert cert.floor_bound == reference_tail_floor(p, s, x_max)
@@ -626,11 +626,11 @@ class TestBruteForceSearch:
         s, x_max = make_sector(1, 0), 1
         abc, xs, ys = prescreen_inputs(s, SMALL_FULL_BOX, "full", x_max)
         outcomes, swapped_smaller = set(), 0
-        for A, B, C, D, E, F, missing in _prescreen(abc, SMALL_FULL_BOX, xs, ys):
-            kind, _, threshold = _verdict((A, 2 * B, C, 2 * D - A, 2 * E - C, 2 * F), 2, s, x_max, missing)
+        for *alpha, missing in _prescreen(abc, SMALL_FULL_BOX, xs, ys):
+            kind, _, threshold = _verdict(doubled(*alpha), 2, s, x_max, missing)
             # a passing survivor is accepted or not by t_min = xs.size - 1
             outcomes.add(kind or threshold >= xs.size - 1)
-            p = AlphaFormCoeffs(A, B, C, D, E, F).to_poly()
+            p = AlphaFormCoeffs(*alpha).to_poly()
             # plain can be finite where the swapped strip, and so the tail, is unbounded
             plain, tail = reference_value_floor(p, s, x_max + 1), reference_tail_floor(p, s, x_max)
             swapped_smaller += plain is not None and tail is not None and tail < plain
