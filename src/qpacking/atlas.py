@@ -32,9 +32,7 @@ Atlas = dict[int, dict[int, tuple[Columns, tuple[int, ...]]]]  # n -> {r: (colum
 
 
 def check_atlas_size(nmax: int, mmax: int) -> None:
-    """Refuse with ``ValueError`` a range that is empty or has more than ``MAX_ATLAS_CELLS`` pairs (n, m)."""
-    if nmax < 1 or mmax < 1:
-        raise ValueError(f"nmax and mmax must be >= 1, got {nmax}, {mmax}")
+    """Refuse with ``ValueError`` a range of more than ``MAX_ATLAS_CELLS`` pairs (n, m); nmax, mmax >= 1."""
     if nmax * mmax > MAX_ATLAS_CELLS:
         raise ValueError(f"atlas of nmax {nmax} by mmax {mmax} has more than {MAX_ATLAS_CELLS} cells")
 
@@ -45,10 +43,9 @@ def build_atlas(nmax: int, mmax: int) -> Atlas:
     A class's first m is its residue r, so n's classes are the r < min(n, mmax + 1) coprime to n; r = 0 only
     for n = 1.  The classes of n with the same l = gcd(r-1, n) share the columns and n | l^2 of the
     ``sector_arithmetic`` record of the first of them.  When n | l^2, ``admissible_ks`` reads each class's own
-    record, for its own u = (r-1)/l; the other classes have no ks.  A range that ``check_atlas_size`` refuses
-    raises its ``ValueError`` before any class is built.
+    record, for its own u = (r-1)/l; the other classes have no ks.  The caller sizes the range first with
+    ``check_atlas_size``.
     """
-    check_atlas_size(nmax, mmax)
     atlas = {}
     for n in range(1, nmax + 1):
         shared = {}  # l -> (columns, n | l^2) of this n's classes with gcd(r-1, n) = l

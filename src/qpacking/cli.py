@@ -14,7 +14,10 @@ for a Python-int window's points times the bits of its values (exit 2),
 candidates times its window's box points (exit 2), a search whose prescreen
 would need a Python-int window (exit 2), ``atlas.MAX_ATLAS_CELLS`` for
 nmax * mmax (exit 2) and ``render.MAX_FIGURE_POINTS`` per figure, which bounds
-its lattice points and, for SVG, its staircase lines (exit 1).
+its lattice points and, for SVG, its staircase lines (exit 1).  Each range has one
+check, where its value enters: the parser (``_int_at_least``, ``choices=`` and
+``_parse_bounds``) for options, ``make_sector`` for the sector and
+``admissible_ks`` for k; the library takes what they accept unchecked.
 
 ``main`` may be called any number of times in one process. The parser is built
 once, on the first call, and shared by every later call.

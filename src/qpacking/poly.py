@@ -91,20 +91,14 @@ def step_difference(p: QuadPoly, st: Staircases) -> Fraction:
 K_ORDER = (1, -1, 2, -2, 3, -3)  # the possible step constants k, in the order classify lists them
 
 
-def _check_k(k: int) -> None:
-    if k not in K_ORDER:
-        raise ValueError(f"k must be one of +-1, +-2, +-3, got {k}")
-
-
 def packing_coefficients(n: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     """Monomial coefficients (x^2, xy, y^2, x, y, 1) of the packing polynomial of sector n/m with step constant k.
 
     The one home of the closed form: with l = gcd(m-1, n) it is the expansion of
     (n/2)(x - ((m-1)/n) y)(x - ((m-1)/n) y - kl/n) + x + ((kl - (m-1))/n) y + |k| - 1.
     Each coefficient is an integer pair (num, den) in lowest terms with den > 0, as a ``Fraction`` holds it.
-    This is pure algebra, with no admissibility check; a k outside +-1, +-2, +-3 raises ``ValueError``.
+    This is pure algebra, with no admissibility check: k is one of ``K_ORDER``.
     """
-    _check_k(k)
     kl = k * gcd(m - 1, n)
     pairs = ((n, 2), (1 - m, 1), ((m - 1) ** 2, 2 * n), (2 - kl, 2), (kl * (m - 1) + 2 * (kl - (m - 1)), 2 * n),
              (abs(k) - 1, 1))
@@ -152,7 +146,6 @@ def format_factored(st: Staircases, k: int) -> str:
     (kl-(m-1))/n = (k-u)/v.  Each linear piece is a ``format_poly`` text; a factor keeps its
     parentheses unless it is just x.
     """
-    _check_k(k)
     beta = Fraction(st.u, st.v)
     first, second, tail = (
         format_poly(QuadPoly(0, 0, 0, 1, y_coeff, const))

@@ -24,14 +24,11 @@ MAX_FIGURE_POINTS = 10_000  # lattice points of the window a figure draws
 def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fmt: str = "ascii") -> str:
     """Figure of the classified polynomial with step constant k on the sector.
 
-    A window of more than ``MAX_FIGURE_POINTS`` lattice points, or an SVG figure of more than
-    ``MAX_FIGURE_POINTS`` staircase lines, is refused with ``ValueError`` before the polynomial is
-    looked up or any value computed.
+    It takes x_max >= 1, value_max >= 0 and fmt "ascii" or "svg" as the CLI parses them.  A window of
+    more than ``MAX_FIGURE_POINTS`` lattice points, or an SVG figure of more than ``MAX_FIGURE_POINTS``
+    staircase lines, is refused with ``ValueError`` before the polynomial is looked up or any value
+    computed.
     """
-    if x_max < 1:
-        raise ValueError(f"x_max must be >= 1, got {x_max}")
-    if value_max < 0:
-        raise ValueError(f"value_max must be >= 0, got {value_max}")
     _check_figure_size(s, x_max)
     st = sector_arithmetic(s)
     if fmt == "svg" and _staircase_lines(st, x_max) > MAX_FIGURE_POINTS:
@@ -43,11 +40,7 @@ def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fm
         # admissible_ks lists k in K_ORDER, which is the (|k|, -k) order of the message
         raise ValueError(f"k={k} is not admissible for sector {s}; admissible: {ks}")
     poly = packing_polynomial(s, k)
-    if fmt == "ascii":
-        return _render_ascii(s, poly, x_max, value_max)
-    if fmt == "svg":
-        return _render_svg(s, st, poly, x_max, value_max)
-    raise ValueError(f"unknown figure format {fmt!r}")
+    return _render_ascii(s, poly, x_max, value_max) if fmt == "ascii" else _render_svg(s, st, poly, x_max, value_max)
 
 
 def _check_figure_size(s: SectorSpec, x_max: int) -> None:

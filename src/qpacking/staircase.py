@@ -26,15 +26,13 @@ def column_heights(s: SectorSpec, x_max: int) -> Iterator[int]:
 
 
 def lattice_window(s: SectorSpec, x_max: int) -> np.ndarray:
-    """All lattice points of the sector with x <= x_max: an (N, 2) int64 array of rows (x, y), lexicographic.
+    """All lattice points of the sector with x <= x_max (>= 0): an (N, 2) int64 array of rows (x, y), lexicographic.
 
     For the first quadrant the window is the box 0 <= x, y <= x_max, so that
     enumeration stays finite.  Column x holds ``column_heights`` points.  The
     array is a view of one C-contiguous (2, N) block, the x row over the y row,
     so its ``.T`` gives both rows without a copy.
     """
-    if x_max < 0:
-        raise ValueError(f"x_max must be >= 0, got {x_max}")
     heights = np.fromiter(column_heights(s, x_max), dtype=np.int64, count=x_max + 1)
     ends = np.cumsum(heights)
     # each row is the running sum of its steps from point to point, summed in place: x steps

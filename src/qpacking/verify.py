@@ -293,8 +293,6 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
     is negative or was taken at an earlier point, and reports the first of these checks that fails
     there; a collision's witnesses are the earliest point with the value and this one.
     """
-    if x_max < 1:
-        raise ValueError(f"x_max must be >= 1, got {x_max}")
     xs, ys, scale, vals, coeffs = window_values(p, s, x_max)
     q, r = vals // scale, vals % scale
     ranked = np.sort(q)
@@ -333,7 +331,7 @@ def packing_window_verify(p: QuadPoly, s: SectorSpec, x_max: int) -> WindowCerti
 
 
 class SearchBounds(NamedTuple):
-    """Inclusive coefficient ranges; a/b/c are needed only in full mode.  ``brute_force_search`` checks them."""
+    """Inclusive, non-empty coefficient ranges, as ``cli._parse_bounds`` builds them; a >= 1, b, c in full mode."""
 
     d: tuple[int, int]
     e: tuple[int, int]
@@ -455,8 +453,8 @@ def brute_force_search(
     each hit.  The prescreen's sums of alpha-form terms have partial sums
     that the bound of ``_window_dtype`` covers inside the box, so it is
     exact, and its sieve drops only candidates that the full window drops.
+    It takes ``bounds``, ``mode``, x_max >= 1 and t_min >= 0 as the CLI parses them.
 
-    An empty range in ``bounds`` is refused with ``ValueError`` before any other argument.
     Boxes of more than ``MAX_CANDIDATES`` (A, B, C, D, E) candidates, searches
     of more than ``MAX_SEARCH_WORK`` candidates times window bounding-box
     points, windows that ``_window_dtype`` refuses and bounds that need a
@@ -471,30 +469,14 @@ def brute_force_search(
     alpha-form coefficient once the earlier ones are equal, and F is fixed by
     the rest.
 
-    The search runs in the calling process.  ``jobs`` is still validated and
-    otherwise unused: the CLI's ``--jobs`` passes it, and the benchmark's
-    tracer reads it from each call.
+    The search runs in the calling process.  ``jobs`` is unused, and kept only
+    because the benchmark's tracer binds it from each call; the CLI's
+    ``--jobs`` passes it.
     """
-    for name, rng in bounds._asdict().items():
-        if rng is not None and rng[0] > rng[1]:
-            raise ValueError(f"empty bound for {name}: [{rng[0]}, {rng[1]}]")
-    if mode not in ("restricted", "full"):
-        raise ValueError(f"unknown search mode {mode!r}")
-    if x_max < 1:
-        raise ValueError(f"x_max must be >= 1, got {x_max}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if t_min < 0:
-        raise ValueError(f"t_min must be >= 0, got {t_min}")
-
     if mode == "restricted":
         fixed = forced_quadratic_coeffs(sector_arithmetic(s))
         abc_ranges = [] if fixed is None else [(c, c) for c in fixed]
     else:
-        if bounds.a is None or bounds.b is None or bounds.c is None:
-            raise ValueError("full mode needs a, b and c bounds")
-        if bounds.a[0] < 1:
-            raise ValueError(f"full mode needs A >= 1, got lower bound {bounds.a[0]}")
         abc_ranges = [bounds.a, bounds.b, bounds.c]
 
     size = prod(hi - lo + 1 for lo, hi in (*abc_ranges, bounds.d, bounds.e))

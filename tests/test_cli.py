@@ -56,22 +56,29 @@ BOUNDS_NOT_INT = {("search", "4", "3", "--bounds", b): f"error: bounds must be i
     ["search", "4", "3", "--bounds", "6:6:6", "--xmax", "12", "--tmin", "-1"],
     ["verify", "4", "3", "1e5000,0,0,0,0,0", "--xmax", "2"],
     ["verify", "4", "3", "1e-10000000,0,0,0,0,0", "--xmax", "2"],
-    # 4,299 digits parse, but the tail floor B * 31^2 has too many to print
+    # a coefficient part of 4,299 digits, more than MAX_DIGITS
     ["verify", "1", "1", "9" * 4299 + ",0,0,0,1,0", "--xmax", "30"],
     ["classify", "4", "x"],
     ["verify", "4", "3", "1,2,3"],
     ["verify", "4", "3", "1/0,0,0,0,0,0"],
     ["search", "4", "3", "--bounds", "1:1"],
     *map(list, BOUNDS_NOT_INT),
+    ["search", "4", "3", "--xmax", "0"],
+    ["render", "4", "3", "1", "--xmax", "0"],
+    ["atlas", "--nmax", "0", "--mmax", "3"],
+    ["atlas", "--nmax", "3", "--mmax", "0"],
+    ["search", "4", "3", "--mode", "other"],
+    ["render", "4", "3", "1", "--format", "pdf"],
 ], ids=["search-jobs-0", "atlas-jobs-0", "search-bounds-too-large", "search-f-beyond-int64", "search-bounds-negative",
         "verify-xmax-0", "verify-xmax-huge", "render-value-max-negative", "search-tmin-negative",
         "verify-exponent-huge", "verify-exponent-tiny", "verify-coefficient-huge",
         "classify-m-not-int", "verify-three-coefficients", "verify-zero-denominator", "search-two-bounds",
-        "search-bounds-not-int-decimal", "search-bounds-not-int-letter", "search-bounds-not-int-empty"])
+        "search-bounds-not-int-decimal", "search-bounds-not-int-letter", "search-bounds-not-int-empty",
+        "search-xmax-0", "render-xmax-0", "atlas-nmax-0", "atlas-mmax-0", "search-mode-other", "render-format-pdf"])
 def test_usage_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1 and "Traceback" not in err
     if tuple(argv) in BOUNDS_NOT_INT:
         assert err == BOUNDS_NOT_INT[tuple(argv)] + "\n"
 

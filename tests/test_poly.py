@@ -140,14 +140,6 @@ class TestPackingPolynomial:
         expected = product_poly(6, (Fraction(-1, 2), 0), (Fraction(-1, 2), Fraction(-3, 2)), 1, 1, 2)
         assert packing_polynomial(make_sector(12, 7), 3) == expected
 
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            packing_polynomial(make_sector(4, 3), 0)
-        with pytest.raises(ValueError):
-            packing_polynomial(make_sector(4, 3), 5)
-        with pytest.raises(ValueError):
-            packing_coefficients(4, 3, -4)
-
     @given(st.integers(1, 10**6) | st.integers(10**999, 10**1000 - 1), st.integers(0, 10**6),
            st.sampled_from((1, -1, 2, -2, 3, -3)), st.lists(st.tuples(rationals, rationals), min_size=3, max_size=3))
     @example(10**999 + 7, 10**6 + 1, -3, [(Fraction(1, 3), Fraction(-7, 2)), (0, 1), (5, 0)])

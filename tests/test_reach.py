@@ -14,14 +14,21 @@ that is used.
 
 ``tests/helpers.py`` holds only what the tests name: each of its top-level definitions is named
 by a test module, or by another of its own definitions.
+
+Every refusal in ``src`` is one that some CLI input reaches: ``REFUSED`` runs through ``cli.main``
+under ``sys.settrace``, and each ``raise`` outside a ``KEPT`` or ``UNREACHABLE`` definition must run.
+A range that the parser, ``make_sector`` or ``admissible_ks`` already decides has no second check.
 """
 
 import ast
+import os
+import sys
 from pathlib import Path
 
 import pytest
 
 import qpacking
+from qpacking import cli
 
 KEPT = {
     "poly.step_difference": "ROADMAP Direction 1: the staircase proof",
@@ -111,6 +118,88 @@ def test_every_definition_and_method_is_reached():
 
 def test_no_kept_entry_is_reached_from_the_cli():
     assert stale(TREES, KEPT) == set()
+
+
+# Definitions whose raise no input can make run, and why.
+UNREACHABLE = {
+    "poly.to_alpha_form": "an invariant check on the closed form: every packing polynomial has an integral alpha form",
+}
+
+EX1 = "2,-2,1/2,0,1/2,0"
+NINES = "9" * 1000  # the longest coefficient part the parser takes
+
+# One argv per raise, each refused before it builds any large window.
+REFUSED = [
+    ["verify", "4", "3", EX1, "--xmax", "0"],  # _int_at_least
+    ["classify", "3", "1" * 1001],  # _sector_number: digits
+    ["classify", "4", "x"],  # _sector_number: not an int
+    ["verify", "4", "3", "1,2,3"],  # _parse_coeffs: count
+    ["verify", "4", "3", "1e5,0,0,0,0,0"],  # _parse_coeffs: exponent
+    ["verify", "4", "3", "1/0,0,0,0,0,0"],  # _parse_coeffs: not a rational
+    ["verify", "4", "3", "1" + "0" * 1000 + ",0,0,0,0,0"],  # _parse_coeffs: digits
+    ["search", "4", "3", "--bounds", "a:1:1"],  # _parse_bounds: not integers
+    ["search", "4", "3", "--bounds=-2:-2:-2"],  # _parse_bounds: negative
+    ["search", "4", "3", "--bounds", "1:1"],  # _parse_bounds: count
+    ["classify", "0", "1"],  # make_sector: n
+    ["classify", "4", "-3"],  # make_sector: m
+    ["verify", "4", "3", EX1, "--xmax", "9" * 20],  # _window_dtype: box points
+    ["verify", "1", "1", f"{NINES},0,0,0,0,0", "--xmax", "1413"],  # _window_dtype: point-bits
+    ["search", "4", "3", "--bounds", "1000:1000:1"],  # brute_force_search: candidates
+    ["search", "4", "3", "--bounds", "100:100:1", "--xmax", "1000"],  # brute_force_search: candidate-points
+    ["search", "4", "3", "--bounds", f"0:0:{2 ** 62}"],  # brute_force_search: Python-int window
+    ["render", "20001", "20003", "1", "--xmax", "1", "--format", "svg"],  # render_figure: staircase lines
+    ["render", "3", "2", "1"],  # render_figure: no QPPs
+    ["render", "4", "3", "2"],  # render_figure: k not admissible
+    ["render", "4", "3", "1", "--xmax", "200"],  # _check_figure_size
+    ["atlas", "--nmax", "1000", "--mmax", "1000"],  # check_atlas_size
+]
+
+
+def raise_spans(trees: dict, exempt) -> dict:
+    """(module, first line) -> last line of each ``raise`` outside the definitions of ``exempt``."""
+    spans = {}
+    for mod, tree in trees.items():
+        defs = definitions(tree)
+        skip = [defs[key.partition(".")[2]] for key in exempt if key.partition(".")[0] == mod]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and not any(d.lineno <= node.lineno <= d.end_lineno for d in skip):
+                spans[mod, node.lineno] = node.end_lineno
+    return spans
+
+
+def lines_run(argvs) -> set[tuple[str, int]]:
+    """(module, line) of each ``src`` line that running ``argvs`` through ``cli.main`` executes."""
+    src = os.path.dirname(qpacking.__file__)
+    hit = set()
+
+    def line(frame, event, arg):
+        if event == "line":
+            hit.add((Path(frame.f_code.co_filename).stem, frame.f_lineno))
+        return line
+
+    def call(frame, event, arg):
+        return line if os.path.dirname(frame.f_code.co_filename) == src else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        for argv in argvs:
+            try:
+                cli.main(argv)
+            except SystemExit:
+                pass
+    finally:
+        sys.settrace(previous)
+    return hit
+
+
+def test_every_raise_is_reached_from_the_cli():
+    if sys.gettrace() is not None:
+        pytest.skip("a trace function is already set (a coverage run)")
+    spans = raise_spans(TREES, [*KEPT, *UNREACHABLE])
+    hit = lines_run(REFUSED)
+    assert sorted(f"{mod}.py:{first}" for (mod, first), last in spans.items()
+                  if not any((mod, n) in hit for n in range(first, last + 1))) == []
 
 
 def unused_imports(trees: dict) -> dict:

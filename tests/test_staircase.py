@@ -35,10 +35,6 @@ class TestLatticeWindow:
     def test_quadrant_box(self):
         assert len(lattice_window(make_sector(1, 0), 2)) == 9
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            lattice_window(make_sector(4, 3), -1)
-
     @given(sectors, st.integers(0, 12))
     def test_array_contract(self, s, x_max):
         window = lattice_window(s, x_max)

@@ -255,10 +255,6 @@ class TestPackingWindowVerify:
         cert = packing_window_verify(p, make_sector(2, 1), 4)
         assert not cert.ok and cert.failure.kind in ("tail_unbounded", "collision")
 
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            packing_window_verify(EX1, make_sector(4, 3), 0)
-
     def test_refusals_build_no_window(self, monkeypatch):
         # a box over MAX_WINDOW_POINTS, and a Python-int window over MAX_WINDOW_BITS, are refused from their size alone
         def refuse(s, x_max):
@@ -430,10 +426,6 @@ class TestBruteForceSearch:
         got = brute_force_search(s, bounds, x_max=x, t_min=200)
         assert [p.coefficients() for p in got] == sorted(e.poly.coefficients() for e in classify(s))
 
-    def test_rejects_inverted_bounds(self):
-        with pytest.raises(ValueError, match=r"^empty bound for d: \[5, -5\]$"):
-            brute_force_search(make_sector(4, 3), SearchBounds(d=(5, -5), e=(0, 0), f=(0, 0)))
-
     def test_refuses_window_beyond_int64(self):
         # y reaches 64 at x_max = 1, so E * y overflows although E * (x_max + 1)^2 does not
         bounds = SearchBounds(d=(1, 1), e=(2**57, 2**57), f=(0, 0))
@@ -451,16 +443,6 @@ class TestBruteForceSearch:
         with pytest.raises(ValueError, match="too large for exact 64-bit prescreening"):
             brute_force_search(make_sector(1, 1), bounds, mode="full", x_max=1999)
         assert brute_force_search(make_sector(5, 2), SearchBounds(d=(-2, 2), e=(-2, 2), f=(0, 2))) == []
-
-    def test_rejects_negative_t_min(self):
-        # a negative t_min once indexed the sorted window values from the end
-        # and pruned every candidate
-        with pytest.raises(ValueError):
-            brute_force_search(make_sector(4, 3), SearchBounds(d=(-6, 6), e=(-6, 6), f=(0, 6)), x_max=12, t_min=-1)
-
-    def test_full_mode_needs_abc(self):
-        with pytest.raises(ValueError):
-            brute_force_search(make_sector(2, 1), SearchBounds(d=(0, 0), e=(0, 0), f=(0, 0)), mode="full")
 
     @pytest.mark.parametrize("n, m, bounds, mode, x_max, t_min", [
         (1, 1, SMALL_FULL_BOX, "full", 2, 0),
