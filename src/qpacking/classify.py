@@ -35,7 +35,7 @@ class ClassifiedQPP(NamedTuple):
 
 
 def sector_arithmetic(s: SectorSpec) -> Staircases:
-    """The sector's staircase record: the one place l = gcd(m-1, n) and u = (m-1)/l are derived."""
+    """The sector's staircase record, and its one builder; ``poly`` and ``atlas`` compute l from integers too."""
     l = gcd(s.m - 1, s.n)
     l2_over_n = Fraction(l * l, s.n)
     return Staircases(s.n, l, s.n // l, (s.m - 1) // l, l2_over_n, l2_over_n.denominator == 1)

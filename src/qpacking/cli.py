@@ -17,7 +17,8 @@ nmax * mmax (exit 2) and ``render.MAX_FIGURE_POINTS`` per figure, which bounds
 its lattice points and, for SVG, its staircase lines (exit 1).  Each range has one
 check, where its value enters: the parser (``_int_at_least``, ``choices=`` and
 ``_parse_bounds``) for options, ``make_sector`` for the sector and
-``admissible_ks`` for k; the library takes what they accept unchecked.
+``admissible_ks`` for k; the library takes what they accept unchecked.  Each default, like
+each range, has one home in ``cli``: the parser, or ``_parse_bounds`` for ``--bounds``.
 
 ``main`` may be called any number of times in one process. The parser is built
 once, on the first call, and shared by every later call.
@@ -186,11 +187,14 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _parse_bounds(text: str, mode: str) -> SearchBounds:
+def _parse_bounds(text: str | None, mode: str) -> SearchBounds:
+    """The search box of ``--bounds``; only restricted mode has a default box when it is left out."""
     from .verify import SearchBounds
 
+    if text is None and mode == "full":
+        raise ValueError("--mode full needs --bounds A:B:C:D:E:F")
     try:
-        values = [int(p) for p in text.split(":")]
+        values = [int(p) for p in ("12:12:12" if text is None else text).split(":")]
     except ValueError:
         raise ValueError(f"bounds must be integers separated by ':', got {text!r}") from None
     if any(v < 0 for v in values):
@@ -201,10 +205,8 @@ def _parse_bounds(text: str, mode: str) -> SearchBounds:
     if mode == "full" and len(values) == 6:
         a, b, c, d, e, f = values
         return SearchBounds(d=(-d, d), e=(-e, e), f=(0, f), a=(1, max(1, a)), b=(-b, b), c=(0, c))
-    raise ValueError(
-        "bounds must be D:E:F in restricted mode (D,E in [-D,D] etc., F in [0,F]) "
-        "or A:B:C:D:E:F in full mode"
-    )
+    raise ValueError("bounds must be D:E:F in restricted mode (D,E in [-D,D] etc., F in [0,F]) "
+                     "or A:B:C:D:E:F in full mode")
 
 
 def _cmd_search(args) -> int:
@@ -285,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", parents=[sector], help="exhaustive coefficient search with certified acceptance")
     p.add_argument("--mode", choices=("restricted", "full"), default="restricted")
-    p.add_argument("--bounds", default="12:12:12",
-                   help="D:E:F (restricted) or A:B:C:D:E:F (full); D,E,B span [-X,X], F,C span [0,X], A spans [1,X]")
+    p.add_argument("--bounds", help="D:E:F (restricted, which alone has a default box) or A:B:C:D:E:F (full, "
+                                    "required); D,E,B span [-X,X], F,C span [0,X], A spans [1,X]")
     p.add_argument("--xmax", type=_int_at_least(1), default=25)
     p.add_argument("--tmin", type=_int_at_least(0), default=0,
                    help="only accept candidates certified to threshold at least this")

@@ -2,9 +2,9 @@
 
 A sector is the wedge between the positive x-axis and the ray of slope n/m, given by the
 coprime pair (n, m).  ``make_sector``, the one constructor for outside input, checks a pair and
-reduces it; ``atlas.build_atlas`` builds coprime pairs.  ``Staircases`` is a sector's
-staircase arithmetic, the one record of it that every module reads; ``classify.sector_arithmetic``
-builds it.  Points are plain integer ``(x, y)`` tuples.
+reduces it; ``atlas.build_atlas`` builds coprime pairs.  ``Staircases`` records a sector's
+staircase arithmetic, and ``classify.sector_arithmetic`` is its one builder; ``poly`` and ``atlas``
+compute l = gcd(m-1, n) from integers.  Points are plain integer ``(x, y)`` tuples.
 """
 
 from __future__ import annotations

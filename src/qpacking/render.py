@@ -21,7 +21,7 @@ SVG_MARGIN = 30
 MAX_FIGURE_POINTS = 10_000  # lattice points of the window a figure draws
 
 
-def render_figure(s: SectorSpec, k: int, x_max: int = 6, value_max: int = 40, fmt: str = "ascii") -> str:
+def render_figure(s: SectorSpec, k: int, x_max: int, value_max: int, fmt: str) -> str:
     """Figure of the classified polynomial with step constant k on the sector.
 
     It takes x_max >= 1, value_max >= 0 and fmt "ascii" or "svg" as the CLI parses them.  A window of
@@ -113,19 +113,17 @@ def _render_svg(s: SectorSpec, st: Staircases, poly: QuadPoly, x_max: int, value
     ]
 
     # Staircase lines: staircase i starts on the x-axis at x = l i / n = i / v and
-    # climbs in direction (m - 1, n) (anti-diagonal for the quadrant).
-    direction = (Fraction(s.m - 1), Fraction(s.n))
+    # climbs in its step direction (u, v) (anti-diagonal for the quadrant).
     for i in range(_staircase_lines(st, x_max)):
-        base = (Fraction(i, st.v), Fraction(0))
-        limits = [(y_edge - base[1]) / direction[1]]
-        if direction[0] > 0:
-            limits.append((x_edge - base[0]) / direction[0])
-        elif direction[0] < 0:
-            limits.append((Fraction(-1, 4) - base[0]) / direction[0])
+        x0 = Fraction(i, st.v)
+        limits = [y_edge / st.v]
+        if st.u > 0:
+            limits.append((x_edge - x0) / st.u)
+        elif st.u < 0:
+            limits.append((Fraction(-1, 4) - x0) / st.u)
         t_top = min(limits)
         if t_top > 0:
-            tip = (base[0] + t_top * direction[0], base[1] + t_top * direction[1])
-            parts.append(line(base, tip, "#bbbbbb", "0.75"))
+            parts.append(line((x0, 0), (x0 + t_top * st.u, t_top * st.v), "#bbbbbb", "0.75"))
 
     # Boundary rays.
     parts.append(line((Fraction(0), Fraction(0)), (x_edge, Fraction(0)), "#000000", "1.5"))

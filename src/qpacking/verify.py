@@ -433,9 +433,9 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray)
 def brute_force_search(
     s: SectorSpec,
     bounds: SearchBounds,
-    mode: Literal["restricted", "full"] = "restricted",
-    x_max: int = 25,
-    t_min: int = 0,
+    mode: Literal["restricted", "full"],
+    x_max: int,
+    t_min: int,
     jobs: int = 1,
 ) -> list[QuadPoly]:
     """Exhaustively search integer alpha-form coefficients for packing polynomials.

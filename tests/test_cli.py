@@ -39,9 +39,10 @@ def run(argv):
         return exc.code
 
 
-# the one line printed for bounds that int() does not accept
-BOUNDS_NOT_INT = {("search", "4", "3", "--bounds", b): f"error: bounds must be integers separated by ':', got {b!r}"
-                  for b in ("1.5:1:1", "a:1:1", "1::1")}
+# the one line printed for bounds that int() does not accept, and for a full-mode search without bounds
+ERROR_LINES = {("search", "4", "3", "--bounds", b): f"error: bounds must be integers separated by ':', got {b!r}"
+               for b in ("1.5:1:1", "a:1:1", "1::1")}
+ERROR_LINES["search", "4", "3", "--mode", "full"] = "error: --mode full needs --bounds A:B:C:D:E:F"
 
 
 @pytest.mark.parametrize("argv", [
@@ -62,7 +63,7 @@ BOUNDS_NOT_INT = {("search", "4", "3", "--bounds", b): f"error: bounds must be i
     ["verify", "4", "3", "1,2,3"],
     ["verify", "4", "3", "1/0,0,0,0,0,0"],
     ["search", "4", "3", "--bounds", "1:1"],
-    *map(list, BOUNDS_NOT_INT),
+    *map(list, ERROR_LINES),
     ["search", "4", "3", "--xmax", "0"],
     ["render", "4", "3", "1", "--xmax", "0"],
     ["atlas", "--nmax", "0", "--mmax", "3"],
@@ -74,13 +75,14 @@ BOUNDS_NOT_INT = {("search", "4", "3", "--bounds", b): f"error: bounds must be i
         "verify-exponent-huge", "verify-exponent-tiny", "verify-coefficient-huge",
         "classify-m-not-int", "verify-three-coefficients", "verify-zero-denominator", "search-two-bounds",
         "search-bounds-not-int-decimal", "search-bounds-not-int-letter", "search-bounds-not-int-empty",
+        "search-full-without-bounds",
         "search-xmax-0", "render-xmax-0", "atlas-nmax-0", "atlas-mmax-0", "search-mode-other", "render-format-pdf"])
 def test_usage_error_exits_2(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert sum("error:" in line for line in err.splitlines()) == 1 and "Traceback" not in err
-    if tuple(argv) in BOUNDS_NOT_INT:
-        assert err == BOUNDS_NOT_INT[tuple(argv)] + "\n"
+    if tuple(argv) in ERROR_LINES:
+        assert err == ERROR_LINES[tuple(argv)] + "\n"
 
 
 M_1000_DIGITS = "1" + "0" * 998 + "1"  # 3 does not divide (m-1)^2 = 10^1998
@@ -326,7 +328,7 @@ def test_render_takes_each_polynomial_and_refusal_from_the_classification():
             else:
                 want[s, k] = f"no QPPs on sector {s}: {no_qpp_reason(s, sector_arithmetic(s))}"
             try:
-                got[s, k] = render.render_figure(s, k, x_max=3)
+                got[s, k] = render.render_figure(s, k, x_max=3, value_max=40, fmt="ascii")
             except ValueError as exc:
                 got[s, k] = str(exc)
     assert got == want
@@ -747,6 +749,14 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert [code for code, *_ in shared] == [2, 0, 1, 0, 0, 0, 0, 0, 2]
     assert "qpacking verify: error: argument --xmax: must be >= 1, got 0\n" in shared[0][2]
     assert shared[6][3] is not None
+
+
+def test_search_defaults_are_the_restricted_box_and_window(capsys):
+    # the search of the strict xfail below, whose defaults no passing test would run otherwise
+    assert run(["search", "3", "16"]) == 0
+    default = capsys.readouterr()
+    assert run(["search", "3", "16", "--mode", "restricted", "--bounds", "12:12:12", "--xmax", "25", "--tmin", "0"]) == 0
+    assert capsys.readouterr() == default
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP Defect 1: a window FAIL is not a refutation")

@@ -18,6 +18,9 @@ by a test module, or by another of its own definitions.
 Every refusal in ``src`` is one that some CLI input reaches: ``REFUSED`` runs through ``cli.main``
 under ``sys.settrace``, and each ``raise`` outside a ``KEPT`` or ``UNREACHABLE`` definition must run.
 A range that the parser, ``make_sector`` or ``admissible_ks`` already decides has no second check.
+
+Every keyword default in ``src`` is one that some ``src`` call leaves out, unless ``PASSED_DEFAULTS``
+names it: a default that every caller overrides repeats a decision that the caller makes.
 """
 
 import ast
@@ -139,6 +142,7 @@ REFUSED = [
     ["verify", "4", "3", "1" + "0" * 1000 + ",0,0,0,0,0"],  # _parse_coeffs: digits
     ["search", "4", "3", "--bounds", "a:1:1"],  # _parse_bounds: not integers
     ["search", "4", "3", "--bounds=-2:-2:-2"],  # _parse_bounds: negative
+    ["search", "4", "3", "--mode", "full"],  # _parse_bounds: full mode without bounds
     ["search", "4", "3", "--bounds", "1:1"],  # _parse_bounds: count
     ["classify", "0", "1"],  # make_sector: n
     ["classify", "4", "-3"],  # make_sector: m
@@ -200,6 +204,79 @@ def test_every_raise_is_reached_from_the_cli():
     hit = lines_run(REFUSED)
     assert sorted(f"{mod}.py:{first}" for (mod, first), last in spans.items()
                   if not any((mod, n) in hit for n in range(first, last + 1))) == []
+
+
+# Keyword defaults that every ``src`` call passes, and why each is kept.
+PASSED_DEFAULTS = {
+    "verify.brute_force_search.jobs": "ROADMAP Direction 3: the bench tracer binds it, and it goes with --jobs",
+}
+
+
+def _leaves_out(call: ast.Call, index, name: str) -> bool:
+    """Whether ``call`` may leave out the parameter ``name``, at position ``index`` or keyword-only (None).
+
+    A splat may leave out anything.  Positions count from the call's first argument, so a method
+    called on an instance, whose first parameter is bound, is taken to leave out more than it does.
+    """
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True
+    return name not in {kw.arg for kw in call.keywords} and (index is None or len(call.args) <= index)
+
+
+def passed_defaults(trees: dict) -> set[str]:
+    """``module.function.parameter`` of each keyword default of a function in ``trees`` that every call
+    of the function's name, as a ``Name`` or an attribute, passes."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls.setdefault(getattr(node.func, "id", getattr(node.func, "attr", None)), []).append(node)
+    out = set()
+    for mod, tree in trees.items():
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            a = func.args
+            positional = [*a.posonlyargs, *a.args]
+            first = len(positional) - len(a.defaults)
+            params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            out |= {f"{mod}.{func.name}.{name}" for index, name in params
+                    if not any(_leaves_out(call, index, name) for call in calls.get(func.name, []))}
+    return out
+
+
+def test_every_default_is_left_out_by_some_call():
+    # a default that every call passes copies a decision made elsewhere, the CLI's among them
+    assert passed_defaults(TREES) == set(PASSED_DEFAULTS)
+
+
+def test_a_default_that_every_call_passes_is_reported():
+    trees = _trees(
+        cli="""
+from .late import run
+
+
+def main(argv=None):
+    return run(argv, "fast", size=2) + run(argv, mode="slow", size=3) + scale(1, 2) + scale(*argv)
+
+
+def scale(x, factor=2, *, offset=0):
+    return x * factor + offset
+
+
+class Box:
+    def grow(self, by=1):
+        return self
+
+
+main()
+Box().grow(1)
+""",
+        late="""
+def run(s, mode="fast", size=1, *, limit=9):
+    return s
+""",
+    )
+    assert passed_defaults(trees) == {"late.run.mode", "late.run.size"}
 
 
 def unused_imports(trees: dict) -> dict:

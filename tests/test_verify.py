@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qpacking import verify
+from qpacking import cli, verify
 from qpacking.classify import classify, forced_quadratic_coeffs, sector_arithmetic
 from qpacking.geometry import make_sector
 from qpacking.poly import AlphaFormCoeffs, QuadPoly, doubled, packing_polynomial
@@ -401,21 +401,25 @@ def prescreen_inputs(s, bounds, mode, x_max):
 
 class TestBruteForceSearch:
     def test_4_3_matches_classify(self):
-        got = brute_force_search(make_sector(4, 3), SearchBounds(d=(-10, 10), e=(-10, 10), f=(0, 10)), x_max=25)
+        got = brute_force_search(make_sector(4, 3), SearchBounds(d=(-10, 10), e=(-10, 10), f=(0, 10)),
+                                 mode="restricted", x_max=25, t_min=0)
         assert [p.coefficients() for p in got] == sorted(e.poly.coefficients() for e in classify(make_sector(4, 3)))
 
     def test_3_2_empty(self):
-        got = brute_force_search(make_sector(3, 2), SearchBounds(d=(-10, 10), e=(-10, 10), f=(0, 10)), x_max=25)
+        got = brute_force_search(make_sector(3, 2), SearchBounds(d=(-10, 10), e=(-10, 10), f=(0, 10)),
+                                 mode="restricted", x_max=25, t_min=0)
         assert got == []
 
     def test_12_7_matches_classify(self):
         # the descending k = -3 polynomial has alpha D = 16, so the bounds
         # must reach that far for the full quadruple to appear
-        got = brute_force_search(make_sector(12, 7), SearchBounds(d=(-16, 16), e=(-16, 16), f=(0, 10)), x_max=25)
+        got = brute_force_search(make_sector(12, 7), SearchBounds(d=(-16, 16), e=(-16, 16), f=(0, 10)),
+                                 mode="restricted", x_max=25, t_min=0)
         assert [p.coefficients() for p in got] == sorted(e.poly.coefficients() for e in classify(make_sector(12, 7)))
 
     def test_9_4_single(self):
-        got = brute_force_search(make_sector(9, 4), SearchBounds(d=(-12, 12), e=(-12, 12), f=(0, 8)), x_max=30)
+        got = brute_force_search(make_sector(9, 4), SearchBounds(d=(-12, 12), e=(-12, 12), f=(0, 8)),
+                                 mode="restricted", x_max=30, t_min=0)
         assert len(got) == 1
         assert got == [e.poly for e in classify(make_sector(9, 4))]
 
@@ -423,14 +427,14 @@ class TestBruteForceSearch:
         s = make_sector(4, 3)
         bounds = SearchBounds(d=(-6, 6), e=(-6, 6), f=(0, 6))
         x = window_for_threshold(s, [e.poly for e in classify(s)], 200)
-        got = brute_force_search(s, bounds, x_max=x, t_min=200)
+        got = brute_force_search(s, bounds, mode="restricted", x_max=x, t_min=200)
         assert [p.coefficients() for p in got] == sorted(e.poly.coefficients() for e in classify(s))
 
     def test_refuses_window_beyond_int64(self):
         # y reaches 64 at x_max = 1, so E * y overflows although E * (x_max + 1)^2 does not
         bounds = SearchBounds(d=(1, 1), e=(2**57, 2**57), f=(0, 0))
         with pytest.raises(ValueError):
-            brute_force_search(make_sector(64, 1), bounds, x_max=1)
+            brute_force_search(make_sector(64, 1), bounds, mode="restricted", x_max=1, t_min=0)
 
     def test_refusal_and_empty_search_build_no_window(self, monkeypatch):
         # the Python-int window of 2,001,000 points is refused from its size alone, and a sector
@@ -441,8 +445,9 @@ class TestBruteForceSearch:
         monkeypatch.setattr(verify, "lattice_window", refuse)
         bounds = SearchBounds(a=(1, 1), b=(0, 0), c=(0, 0), d=(-1, 1), e=(-1, 1), f=(0, 10**15))
         with pytest.raises(ValueError, match="too large for exact 64-bit prescreening"):
-            brute_force_search(make_sector(1, 1), bounds, mode="full", x_max=1999)
-        assert brute_force_search(make_sector(5, 2), SearchBounds(d=(-2, 2), e=(-2, 2), f=(0, 2))) == []
+            brute_force_search(make_sector(1, 1), bounds, mode="full", x_max=1999, t_min=0)
+        bounds = SearchBounds(d=(-2, 2), e=(-2, 2), f=(0, 2))
+        assert brute_force_search(make_sector(5, 2), bounds, mode="restricted", x_max=25, t_min=0) == []
 
     @pytest.mark.parametrize("n, m, bounds, mode, x_max, t_min", [
         (1, 1, SMALL_FULL_BOX, "full", 2, 0),
@@ -571,7 +576,7 @@ class TestBruteForceSearch:
         bounds = SearchBounds(d=(-3000, 3000), e=(-1, 1), f=(0, 1))
         tracemalloc.start()
         try:
-            got = brute_force_search(s, bounds, x_max=12)
+            got = brute_force_search(s, bounds, mode="restricted", x_max=12, t_min=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -584,12 +589,14 @@ class TestBruteForceSearch:
                                   BENCH_SEARCHES + SMALL_FULL_SEARCHES])
     def test_in_block_verdict_matches_certificate(self, n, m, bounds, mode, x_max, t_min):
         # the search's verdict on each survivor's 2p is the certificate's, and it
-        # accepts exactly the survivors certified to threshold >= t_min; None leaves t_min
-        # at its default, which accepts every certified survivor
+        # accepts exactly the survivors certified to threshold >= t_min; None takes t_min
+        # from the CLI's --tmin default, which accepts every certified survivor
         s = make_sector(n, m)
         abc, xs, ys = prescreen_inputs(s, bounds, mode, x_max)
-        kwargs = {} if t_min is None else {"t_min": xs.size - 1 if t_min == "last" else t_min}
-        t_min = kwargs.get("t_min", 0)
+        if t_min is None:
+            t_min = cli.build_parser().parse_args(["search", "1", "1"]).tmin
+        elif t_min == "last":
+            t_min = xs.size - 1
         certified = []
         for *alpha, missing in _prescreen(abc, bounds, xs, ys):
             kind, pair, threshold = _verdict(doubled(*alpha), 2, s, x_max, missing)
@@ -600,7 +607,7 @@ class TestBruteForceSearch:
             assert cert.floor_bound == (None if pair is None else Fraction(pair[0], 2 * pair[1]))
             if cert.ok and cert.threshold >= t_min:
                 certified.append(p)
-        assert brute_force_search(s, bounds, mode=mode, x_max=x_max, **kwargs) == certified
+        assert brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min) == certified
 
     def test_in_block_verdict_cases_are_reached(self):
         # the differential test above sees every way a survivor fails, and on the
@@ -623,15 +630,16 @@ class TestBruteForceSearch:
         # 40,001 x 3 (D, E) candidates, about half of them prescreen survivors,
         # all but the two classified polynomials rejected inside the block
         s = make_sector(4, 3)
-        got = brute_force_search(s, SearchBounds(d=(-20000, 20000), e=(-1, 1), f=(0, 1)), x_max=12)
+        bounds = SearchBounds(d=(-20000, 20000), e=(-1, 1), f=(0, 1))
+        got = brute_force_search(s, bounds, mode="restricted", x_max=12, t_min=0)
         assert [p.coefficients() for p in got] == sorted(e.poly.coefficients() for e in classify(s))
         assert len(got) == 2
 
     def test_jobs_deterministic(self):
         s = make_sector(8, 5)
         bounds = SearchBounds(d=(-8, 8), e=(-8, 8), f=(0, 6))
-        serial = brute_force_search(s, bounds, x_max=20, jobs=1)
-        parallel = brute_force_search(s, bounds, x_max=20, jobs=3)
+        serial = brute_force_search(s, bounds, mode="restricted", x_max=20, t_min=0, jobs=1)
+        parallel = brute_force_search(s, bounds, mode="restricted", x_max=20, t_min=0, jobs=3)
         assert serial == parallel
         assert len(serial) == 2
 
