@@ -216,12 +216,13 @@ def _cmd_search(args) -> int:
     bounds = _parse_bounds(args.bounds, args.mode)
     found = brute_force_search(s, bounds, mode=args.mode, x_max=args.xmax, t_min=args.tmin, jobs=args.jobs)
     classified = {e.poly for e in classify(s)}
+    count = sum(p in classified for p in found)
     if args.format == "json":
         payload = {
             "sector": s._asdict(),
             "mode": args.mode,
             "x_max": args.xmax,
-            "count": sum(p in classified for p in found),
+            "count": count,
             "polynomials": [[rational_json(c) for c in p.coefficients()] for p in found if p in classified],
             "window_certified_only": [[rational_json(c) for c in p.coefficients()]
                                       for p in found if p not in classified],
@@ -230,7 +231,7 @@ def _cmd_search(args) -> int:
         return 0
     for p in found:
         print(format_poly(p) + ("" if p in classified else UNCLASSIFIED_HIT.format(args.xmax)))
-    print(f"found {sum(p in classified for p in found)} packing polynomial(s) on sector {s}")
+    print(f"found {count} packing polynomial(s) on sector {s}")
     return 0
 
 
@@ -241,7 +242,7 @@ def _cmd_atlas(args) -> int:
         atlas = build_atlas(args.nmax, args.mmax)
         text = atlas_to_json(atlas, args.nmax, args.mmax) if args.format == "json" else atlas_to_csv(atlas, args.mmax)
         return text, f"{summary_line(atlas, args.mmax)} -> {out}"
-    out = args.out or f"atlas.{args.format}"
+    out = f"atlas.{args.format}" if args.out is None else args.out
     return _write(out, make)
 
 
@@ -254,7 +255,7 @@ def _cmd_render(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
+    if args.out is not None:
         return _write(args.out, lambda: (text, f"wrote {args.out}"))
     sys.stdout.write(text)
     return 0

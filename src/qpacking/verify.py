@@ -31,10 +31,12 @@ process and derives the one constant term that puts the window minimum at 0
 1. ``_prescreen`` discards candidates by exact integer arithmetic, float64
    products on BLAS for int32 windows and int64 products otherwise (an F
    outside its box or a window collision is final), in blocks of at most
-   ``_BLOCK`` values: a sieve evaluates every candidate on the ``_SIEVE``
-   window points nearest the origin and drops those that repeat a value or
-   need F above its box there, then the whole window checks the rest, and
-   each survivor is yielded with the first value missing from its window;
+   ``_BLOCK`` values.  One screen, ``_screen``, keeps the candidates whose
+   values on a point set are distinct and need F = -min in a range, and runs
+   on two point sets: the sieve, the ``_SIEVE`` window points nearest the
+   origin, with F from 0 to the top of its box, then the whole window, with
+   F in its box, on what the sieve keeps; each survivor is yielded with the
+   first value missing from its window;
 2. ``_verdict``, the certificate's own tail, threshold and coverage verdict,
    judges each survivor's 2p without rebuilding the window, and accepts it
    when it finds no failure and T >= t_min, the one place t_min is applied;
@@ -363,34 +365,19 @@ def _products(coeffs: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distinct(ranked: np.ndarray) -> np.ndarray:
-    """Whether each row of ``ranked``, sorted ascending, is free of repeats.
+def _screen(coeffs: np.ndarray, terms: np.ndarray, f_lo: int, f_hi: int):
+    """The rows (A, B, C, D, E) of ``coeffs`` whose values at the points of ``terms`` are distinct and
+    need F = -min in f_lo..f_hi: (their indices, their F, their values sorted ascending).
 
-    Adjacent rows of the contiguous transpose are compared, so the reduction runs along long rows.
+    Each row is sorted in place, so F is minus its first value, and adjacent rows of the contiguous
+    transpose are compared, so the distinctness reduction runs along long rows.
     """
+    ranked = _products(coeffs, terms)
+    ranked.sort(axis=1)
+    f = -ranked[:, 0]
     columns = np.ascontiguousarray(ranked.T)
-    return (columns[1:] != columns[:-1]).all(axis=0)
-
-
-def _sieve(coeffs: np.ndarray, terms: np.ndarray, f_max: int) -> np.ndarray:
-    """Stage 1 of ``_prescreen``: the rows (A, B, C, D, E) of ``coeffs`` whose values at the points of
-    ``terms`` are distinct and need F = -min at most f_max."""
-    ranked = np.sort(_products(coeffs, terms), axis=1)
-    return coeffs[(-ranked[:, 0] <= f_max) & _distinct(ranked)]
-
-
-def _full_window(coeffs: np.ndarray, bounds: SearchBounds, terms: np.ndarray):
-    """Stage 2 of ``_prescreen``: the rows (A, B, C, D, E) of ``coeffs`` over the whole window.
-
-    Returns the indices of the rows kept, their F and the first value >= 0 each window misses.
-    """
-    vals = _products(coeffs, terms)
-    f = -vals.min(axis=1)
-    kept = np.flatnonzero((bounds.f[0] <= f) & (f <= bounds.f[1]))
-    ranked = np.sort(vals[kept], axis=1)
-    ok = _distinct(ranked)
-    survivors = kept[ok]
-    return survivors, f[survivors], _first_missing(ranked[ok] + f[survivors, None])
+    kept = np.flatnonzero((f_lo <= f) & (f <= f_hi) & (columns[1:] != columns[:-1]).all(axis=0))
+    return kept, f[kept], ranked[kept]
 
 
 def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray):
@@ -403,14 +390,16 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray)
     On an int32 window that bound is below 2^30 < 2^53, so ``_products`` multiplies in float64 on
     BLAS: whatever summation order, blocking or fused multiply-add it uses, each intermediate is an
     exactly representable integer, and the result is cast back to int32.  An int64 window keeps the
-    int64 product.  Stage 1 evaluates every candidate on the ``_SIEVE`` window
-    points first in a stable sort of x + y (the whole window when it is smaller), in blocks of
-    about ``_BLOCK // _SIEVE`` consecutive candidates, and drops those whose values there repeat
-    or need F = -min above ``bounds.f``.  It drops only candidates that the full window drops:
-    the sieve points are window points, so a repeat there is a window collision, and their
-    minimum is at least the window's, so F = -(window minimum) is at least -(sieve minimum).
-    Stage 2, ``_full_window``, takes the survivors about ``_BLOCK // xs.size`` at a time and
-    applies the F box and distinctness on the whole window.
+    int64 product.  Both stages are ``_screen`` on a point set.  The sieve runs it on the
+    ``_SIEVE`` window points first in a stable sort of x + y (the whole window when it is smaller),
+    in blocks of about ``_BLOCK // _SIEVE`` consecutive candidates, with F from 0 to the top of
+    ``bounds.f``.  It drops only candidates that the full window drops: the sieve points are
+    window points, so a repeat there is a window collision, and their minimum is at least the
+    window's, so F = -(window minimum) is at least -(sieve minimum).  That minimum is at most 0,
+    as every point set holds the origin, where the non-constant part is 0; the sieve cannot take
+    the bottom of ``bounds.f``, as a candidate's F on the window can exceed its F on the sieve.
+    The full window then runs ``_screen`` on the sieve's survivors, about ``_BLOCK // xs.size``
+    at a time, with F in ``bounds.f``.
     """
     terms = np.array([(xs * (xs - 1)) // 2, xs * ys, (ys * (ys - 1)) // 2, xs, ys],
                      dtype=np.float64 if xs.dtype == np.int32 else xs.dtype)
@@ -422,10 +411,11 @@ def _prescreen(abc_ranges, bounds: SearchBounds, xs: np.ndarray, ys: np.ndarray)
     step, rows = max(1, _BLOCK // near.shape[1]), max(1, _BLOCK // xs.size)
     for start in range(0, total, step):
         coeffs = np.stack(np.unravel_index(np.arange(start, min(start + step, total)), shape), axis=1) + lows
-        coeffs = _sieve(coeffs, near, bounds.f[1])
+        coeffs = coeffs[_screen(coeffs, near, 0, bounds.f[1])[0]]
         for i in range(0, len(coeffs), rows):
             chunk = coeffs[i:i + rows]
-            kept, f, missing = _full_window(chunk, bounds, terms)
+            kept, f, ranked = _screen(chunk, terms, *bounds.f)
+            missing = _first_missing(ranked + f[:, None])
             for candidate, F, first_missing in zip(chunk[kept].tolist(), f.tolist(), missing.tolist()):
                 yield (*candidate, F, first_missing)
 
@@ -446,13 +436,14 @@ def brute_force_search(
     so the window minimum of the candidate is 0: each (A, B, C, D, E) fixes
     its constant term F as minus the minimum of the rest, and only that F,
     when it lies in ``bounds.f``, can be accepted.  The stages are those of
-    the module docstring: the prescreen's sieve on the window points nearest
-    the origin, its full-window check of what the sieve keeps, the
-    certificate's ``_verdict`` on each survivor, which accepts a survivor
-    with no failure and T >= ``t_min``, and the certificate of
-    each hit.  The prescreen's sums of alpha-form terms have partial sums
-    that the bound of ``_window_dtype`` covers inside the box, so it is
-    exact, and its sieve drops only candidates that the full window drops.
+    the module docstring: the prescreen's one ``_screen`` on two point sets,
+    the window points nearest the origin with F >= 0 and then the whole
+    window with F in ``bounds.f``, the certificate's ``_verdict`` on each
+    survivor, which accepts a survivor with no failure and T >= ``t_min``,
+    and the certificate of each hit.  The prescreen's sums of alpha-form
+    terms have partial sums that the bound of ``_window_dtype`` covers
+    inside the box, so it is exact, and its sieve drops only candidates that
+    the full window drops.
     It takes ``bounds``, ``mode``, x_max >= 1 and t_min >= 0 as the CLI parses them.
 
     Boxes of more than ``MAX_CANDIDATES`` (A, B, C, D, E) candidates, searches

@@ -384,6 +384,17 @@ def test_atlas_unwritable_out_fails_before_the_build(fmt, monkeypatch, tmp_path,
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [["atlas", "--nmax", "2", "--mmax", "2"],
+                                  ["atlas", "--nmax", "2", "--mmax", "2", "--format", "csv"],
+                                  ["render", "4", "1", "1"]], ids=["atlas-json", "atlas-csv", "render"])
+def test_empty_out_is_an_unwritable_path(argv, monkeypatch, tmp_path, capsys):
+    # an empty --out names no file: not the default atlas file, and not standard output
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", ""]) == 1
+    assert capsys.readouterr() == ("", "error writing : [Errno 2] No such file or directory: ''\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("fmt, golden", [("json", "atlas 300x300 json jobs=1"), ("csv", "atlas 300x300 csv jobs=2")],
                          ids=["json", "csv"])
 def test_atlas_300_matches_bench_goldens(fmt, golden, tmp_path, capsys):

@@ -483,9 +483,12 @@ class TestBruteForceSearch:
         (1, 1, SMALL_FULL_BOX, "full", 3, 2),
         (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 2, 0),
         (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(-1, 6)), "restricted", 12, 5),
-        # F = -min >= 0, as the window holds the origin; only this box drops F = 0
+        # F = -min >= 0, as the window holds the origin; only these boxes drop F = 0
         (4, 3, SearchBounds(d=(-6, 6), e=(-6, 6), f=(1, 6)), "restricted", 12, 0),
-    ], ids=["1-1", "1-1-tmin-2", "4-3-restricted", "4-3-tmin-5", "4-3-f-from-1"])
+        # (12, -6, 3, 16, -5) needs F = 2 on the window but only 1 on the sieve, so a sieve
+        # that took F's lower end from the box would drop the survivor (12, -6, 3, 16, -5, 2, 21)
+        (12, 7, SearchBounds(d=(-16, 16), e=(-16, 16), f=(2, 10)), "restricted", 16, 0),
+    ], ids=["1-1", "1-1-tmin-2", "4-3-restricted", "4-3-tmin-5", "4-3-f-from-1", "12-7-f-from-2"])
     def test_block_boundaries(self, monkeypatch, n, m, bounds, mode, x_max, t_min):
         s = make_sector(n, m)
         default = brute_force_search(s, bounds, mode=mode, x_max=x_max, t_min=t_min)
@@ -493,7 +496,7 @@ class TestBruteForceSearch:
         abc, xs, ys = prescreen_inputs(s, bounds, mode, x_max)
         survivors = list(reference_prescreen(abc, bounds, xs, ys))
         # one candidate per block, then full-window blocks of 5 with a short last
-        # block (the (D, E) planes have 49 and 169 points), each with a sieve of
+        # block (the (D, E) planes have 49, 169 and 1,089 points), each with a sieve of
         # the default size, of the origin alone and larger than the window
         for block in (1, 6 * xs.size - 1):
             for sieve in (verify._SIEVE, 1, xs.size + 1):
@@ -557,16 +560,17 @@ class TestBruteForceSearch:
         # the bench's 2/1 full-mode search: 4,116 (A, B, C, D, E) candidates, of
         # which the sieve on the 24 points nearest the origin keeps 114
         abc, xs, ys = prescreen_inputs(make_sector(2, 1), BENCH_FULL, "full", 12)
-        full_window, rows = verify._full_window, []
+        screen, rows = verify._screen, []
 
-        def counted(coeffs, *args):
-            rows.append(len(coeffs))
-            return full_window(coeffs, *args)
+        def counted(coeffs, terms, *f_range):
+            if terms.shape[1] == xs.size:  # the full window's screen, not the sieve's
+                rows.append(len(coeffs))
+            return screen(coeffs, terms, *f_range)
 
-        monkeypatch.setattr(verify, "_full_window", counted)
+        monkeypatch.setattr(verify, "_screen", counted)
         survivors = list(_prescreen(abc, BENCH_FULL, xs, ys))
         assert survivors == list(reference_prescreen(abc, BENCH_FULL, xs, ys))
-        assert sum(rows) < 0.1 * 4116
+        assert 0 < sum(rows) < 0.1 * 4116
 
     def test_prescreen_memory_is_bounded_by_the_block(self):
         # 6,001 x 3 (D, E) candidates; no prescreen array may hold more than
